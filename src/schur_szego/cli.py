@@ -81,6 +81,9 @@ def _f17(x: float) -> str:
 
 
 def cmd_triangle(args) -> int:
+    if args.rows < 1:
+        print("triangle: --rows must be >= 1", file=sys.stderr)
+        return 2
     tri = narayana.triangle_matrix(args.rows)
     if args.csv:
         for row in tri.rows:
@@ -95,6 +98,13 @@ def cmd_triangle(args) -> int:
 def cmd_narayana(args) -> int:
     params = {"n": args.n, "check_recurrence": args.check_recurrence,
               "check_catalan": args.check_catalan, "check_dyck": args.check_dyck}
+    if args.n < 1:
+        print("narayana: --n must be >= 1", file=sys.stderr)
+        return 2
+    if args.check_dyck and args.n > narayana.DYCK_ORACLE_LIMIT:
+        print(f"narayana: --check-dyck needs n <= {narayana.DYCK_ORACLE_LIMIT}",
+              file=sys.stderr)
+        return 2
     poly = narayana.narayana_poly_direct(args.n)
     payload = {"coefficients": _fractions(poly.coeffs)}
     if args.check_recurrence:
@@ -173,7 +183,16 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    n_list = tuple(int(tok) for tok in args.ns.split(","))
+    try:
+        n_list = tuple(int(tok) for tok in args.ns.split(","))
+    except ValueError:
+        n_list = ()
+    if len(n_list) < 3 or list(n_list) != sorted(set(n_list)):
+        print("limits: --ns needs >= 3 strictly increasing integers", file=sys.stderr)
+        return 2
+    if args.j < 2 or n_list[0] < args.j + 2:
+        print("limits: need --j >= 2 and every n >= j + 2", file=sys.stderr)
+        return 2
     params = {"j": args.j, "ns": list(n_list), "tol": args.tol}
     try:
         report = spectra.verify_mjnj(args.j, n_list, args.tol)
@@ -193,6 +212,9 @@ def cmd_limits(args) -> int:
 
 def cmd_roots(args) -> int:
     params = {"n": args.n, "isolate": args.isolate, "interlace": args.interlace}
+    if args.n < 1:
+        print("roots: --n must be >= 1", file=sys.stderr)
+        return 2
     poly = narayana.narayana_poly_direct(args.n)
     if args.interlace:
         if args.n < 3:

@@ -23,12 +23,13 @@ class RecurrenceViolationError(ArithmeticError):
 
 
 def narayana_number(n: int, k: int) -> int:
-    """N_{n,k} = C(n,k-1) C(n,k) / n, exact (the division is asserted)."""
+    """N_{n,k} = C(n,k-1) C(n,k) / n, exact (the division is checked)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     num = math.comb(n, k - 1) * math.comb(n, k)
     q, r = divmod(num, n)
-    assert r == 0, f"N({n},{k}) division by n not exact"
+    if r != 0:
+        raise AssertionError(f"N({n},{k}) division by n not exact")
     return q
 
 

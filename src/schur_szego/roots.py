@@ -3,28 +3,19 @@
 All certificates are exact: Sturm chains are sign-faithful primitive
 integer polynomial remainder sequences (only positive scalings, so sign
 variation counts are those of the classical rational chain), evaluated by
-integer-homogenized Horner at rational points. Nothing here trusts the
+integer-homogenized Horner at rational points. Interlacing verdicts come
+from the Cauchy index of one such sequence. Nothing here trusts the
 theorems it is used to test.
-
-gmpy2 integers are used when available; plain Python ints otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactpoly import RationalPoly
-
-try:
-    from gmpy2 import mpz
-    from gmpy2 import gcd as _int_gcd
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    mpz = int
-
-    from math import gcd as _int_gcd
 
 STRICT_INTERLACE = "strict-interlace"
 COMMON_ROOT = "common-root"
@@ -42,37 +33,31 @@ class EndpointRootError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _to_int_coeffs(p: RationalPoly) -> list:
+def _to_int_coeffs(p: RationalPoly) -> list[int]:
     den = lcm(*(c.denominator for c in p.coeffs))
-    return [mpz(c.numerator * (den // c.denominator)) for c in p.coeffs]
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
-def _content(c: Sequence) -> int:
-    g = mpz(0)
-    for x in c:
-        if x:
-            g = _int_gcd(g, x)
-            if g == 1:
-                break
-    return g if g else mpz(1)
-
-
-def _primitive(c: list) -> list:
-    g = _content(c)
+def _primitive(c: list[int]) -> list[int]:
+    g = gcd(*c)
     return [x // g for x in c] if g > 1 else c
 
 
-def _trim(c: list) -> list:
+def _trim(c: list[int]) -> list[int]:
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c
 
 
-def _sign(x) -> int:
+def _derivative(c: list[int]) -> list[int]:
+    return _trim([i * c[i] for i in range(1, len(c))]) or [0]
+
+
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_prs(a: list, b: list) -> list:
+def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
     """Primitive PRS of (a, b) with Sturm signs: each step appends a positive
     rescaling of -(a mod b). Ends at the (primitive) gcd."""
     chain = [_primitive(list(a)), _primitive(list(b))]
@@ -101,44 +86,52 @@ def _int_prs(a: list, b: list) -> list:
     return chain
 
 
-def _int_gcd_poly(a: list, b: list) -> list:
+def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of two integer polynomials (positive leading coefficient)."""
-    f, g = _primitive(list(a)), _primitive(list(b))
-    if len(f) < len(g):
-        f, g = g, f
-    while not (len(g) == 1 and g[0] == 0):
-        da, db = len(f) - 1, len(g) - 1
-        lead = g[-1]
-        mult = lead ** (da - db + 1)
-        r = [x * mult for x in f]
-        for i in range(da, db - 1, -1):
-            if r[i]:
-                q = r[i] // lead
-                for k in range(db + 1):
-                    r[i - db + k] -= q * g[k]
-        f, g = g, _primitive(_trim(r))
-    if f[-1] < 0:
-        f = [-x for x in f]
-    return f
+    if len(a) < len(b):
+        a, b = b, a
+    g = _int_prs(a, b)[-1]
+    return [-x for x in g] if g[-1] < 0 else g
 
 
-def _int_divide_exact(a: list, d: list) -> list:
+def _int_divide_exact(a: list[int], d: list[int]) -> list[int]:
     """Exact quotient of integer polynomials (rational division, must clear)."""
-    num = RationalPoly([Fraction(int(x)) for x in a])
-    den = RationalPoly([Fraction(int(x)) for x in d])
-    q = num.exact_divide(den)
-    return _primitive(_to_int_coeffs(q))
+    return _primitive(_to_int_coeffs(RationalPoly(a).exact_divide(RationalPoly(d))))
 
 
-def _eval_sign(c: Sequence, x: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point (homogenized Horner)."""
-    p, q = mpz(x.numerator), mpz(x.denominator)
+def _den_powers(den: int, degree: int) -> list[int]:
+    out = [1]
+    for _ in range(degree):
+        out.append(out[-1] * den)
+    return out
+
+
+def _horner(c: Sequence[int], num: int, den_powers: Sequence[int]) -> int:
+    """den^deg(c) * c(num/den), homogenized Horner; den_powers[k] = den^k."""
+    d = len(c) - 1
     acc = c[-1]
-    qp = mpz(1)
-    for i in range(len(c) - 2, -1, -1):
-        qp *= q
-        acc = acc * p + c[i] * qp
-    return _sign(acc)
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + c[i] * den_powers[d - i]
+    return acc
+
+
+def _eval_sign(c: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial at a rational point."""
+    return _sign(_horner(c, x.numerator, _den_powers(x.denominator, len(c) - 1)))
+
+
+def _variations(signs) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def _cauchy_index(polys: list[list[int]]) -> int:
+    """V(-inf) - V(+inf) of the signed remainder sequence (f, g, ...): the
+    Cauchy index of g/f over the real line."""
+    at_pos = [_sign(c[-1]) for c in polys]
+    at_neg = [s if len(c) % 2 else -s for s, c in zip(at_pos, polys)]
+    return _variations(at_neg) - _variations(at_pos)
 
 
 class SturmChain:
@@ -149,48 +142,22 @@ class SturmChain:
     at non-root points, leaving variation counts intact).
     """
 
-    def __init__(self, int_coeffs: list):
-        p = _primitive([mpz(x) for x in int_coeffs])
-        dp = _trim([mpz(i) * p[i] for i in range(1, len(p))]) or [mpz(0)]
-        if len(p) == 1:
-            self.polys = [p]
-        else:
-            self.polys = _int_prs(p, dp)
+    def __init__(self, int_coeffs: list[int]):
+        p = _primitive(list(int_coeffs))
+        self.polys = [p] if len(p) == 1 else _int_prs(p, _derivative(p))
         self.poly = p
 
     def is_squarefree(self) -> bool:
         return len(self.poly) == 1 or len(self.polys[-1]) == 1
 
     def variations_at(self, x: Fraction) -> int:
-        signs = []
-        p, q = mpz(x.numerator), mpz(x.denominator)
-        maxd = max(len(c) for c in self.polys) - 1
-        qpows = [mpz(1)]
-        for _ in range(maxd):
-            qpows.append(qpows[-1] * q)
-        for c in self.polys:
-            d = len(c) - 1
-            acc = c[-1]
-            for i in range(d - 1, -1, -1):
-                acc = acc * p + c[i] * qpows[d - i]
-            s = _sign(acc)
-            if s:
-                signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def variations_at_inf(self, positive: bool) -> int:
-        signs = []
-        for c in self.polys:
-            s = _sign(c[-1])
-            if not positive and (len(c) - 1) % 2 == 1:
-                s = -s
-            if s:
-                signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        num = x.numerator
+        den_powers = _den_powers(x.denominator, len(self.poly) - 1)
+        return _variations([_sign(_horner(c, num, den_powers)) for c in self.polys])
 
     def total_real_roots(self) -> int:
-        """Number of distinct real roots."""
-        return self.variations_at_inf(False) - self.variations_at_inf(True)
+        """Number of distinct real roots (the Cauchy index of p'/p)."""
+        return _cauchy_index(self.polys)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi]; endpoints must not be roots of p."""
@@ -247,8 +214,7 @@ def _squarefree_decomposition(p: list) -> list[tuple[list, int]]:
     layers = []
     cur = list(p)
     while len(cur) > 1:
-        dcur = _trim([mpz(i) * cur[i] for i in range(1, len(cur))])
-        g = _int_gcd_poly(cur, dcur)
+        g = _int_gcd_poly(cur, _derivative(cur))
         layers.append(_int_divide_exact(cur, g))  # squarefree part of this layer
         cur = g
     # layer k (1-based) is the product of factors with multiplicity >= k
@@ -284,7 +250,7 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction, tup
     total = chain.total_real_roots()
     if total == 0:
         return []
-    bound = cauchy_bound(RationalPoly([Fraction(int(c)) for c in poly]))
+    bound = cauchy_bound(RationalPoly(poly))
     t = Fraction(1)
     while True:
         if t >= bound:
@@ -325,8 +291,7 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     # isolate the squarefree part, then read each root's multiplicity off
     # the (coprime) squarefree-decomposition factors
     factors = _squarefree_decomposition(ip)
-    dip = _trim([mpz(i) * ip[i] for i in range(1, len(ip))])
-    sq_part = _int_divide_exact(ip, _int_gcd_poly(ip, dip))
+    sq_part = _int_divide_exact(ip, chain.polys[-1])  # the chain ends at gcd(ip, ip')
     sq_chain = SturmChain(sq_part)
     iso = _isolate_squarefree(sq_chain)
     # every factor root is a root of the squarefree part, so the isolating
@@ -335,7 +300,8 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     mults = []
     for lo, hi, _ in iso:
         owners = [mult for fchain, mult in factor_chains if fchain.count(lo, hi) == 1]
-        assert len(owners) == 1, "multiplicity attribution failed"
+        if len(owners) != 1:
+            raise AssertionError("multiplicity attribution failed")
         mults.append(owners[0])
     return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
                          tuple(mults), tuple(c for _, _, c in iso), tuple(sq_part))
@@ -349,7 +315,8 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
     poly = list(iso._sqfree)
     slo = _eval_sign(poly, lo)
     shi = _eval_sign(poly, hi)
-    assert slo * shi < 0, "isolating interval must bracket a simple root"
+    if not slo * shi < 0:
+        raise AssertionError("isolating interval must bracket a simple root")
     while hi - lo > tol:
         mid = (lo + hi) / 2
         sm = _eval_sign(poly, mid)
@@ -413,7 +380,7 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
     if q.is_zero():
         return p.scale(1 / p.leading())
     g = _int_gcd_poly(_to_int_coeffs(p), _to_int_coeffs(q))
-    gp = RationalPoly([Fraction(int(x)) for x in g])
+    gp = RationalPoly(g)
     return gp.scale(1 / gp.leading())
 
 
@@ -425,43 +392,23 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
 def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     """Verdict on strict interlacing of p (degree m) inside q (degree m+1).
 
-    Exact procedure: certify both squarefree and hyperbolic, rule out
-    common roots by gcd, isolate q's roots, shrink each q-interval until
-    it contains no p-root, then Sturm-count p on every gap between
-    consecutive q-intervals. Strict interlacing holds iff every gap count
-    is exactly 1 (all deg-p roots are then accounted for).
+    Exact procedure: build the signed remainder sequence of (q, p). When it
+    ends in a constant (p, q coprime), its Cauchy index Ind(p/q) =
+    V(-inf) - V(+inf) collects one +-1 per odd-multiplicity real root of q,
+    with the same sign exactly when p changes sign between consecutive
+    ones; so |Ind(p/q)| = deg q iff q has deg q simple real roots with one
+    root of p strictly between each neighbouring pair. Otherwise p and q
+    share a root: FAIL unless both are squarefree and hyperbolic, in which
+    case COMMON_ROOT.
     """
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
-    pchain = SturmChain(_to_int_coeffs(p))
-    qchain = SturmChain(_to_int_coeffs(q))
-    if not (pchain.is_squarefree() and qchain.is_squarefree()):
-        return FAIL
-    if pchain.total_real_roots() != p.degree or qchain.total_real_roots() != q.degree:
-        return FAIL
-    if poly_gcd(p, q).degree > 0:
-        return COMMON_ROOT
-    if p.degree == 0:
-        return STRICT_INTERLACE
-    qiso = _isolate_squarefree(qchain)
-    intervals = []
-    for lo, hi, _ in qiso:
-        # shrink until free of p-roots (and with non-root endpoints for p)
-        while True:
-            if _eval_sign(pchain.poly, lo) != 0 and _eval_sign(pchain.poly, hi) != 0 \
-                    and pchain.count(lo, hi) == 0:
-                break
-            mid = _find_nonroot_split(qchain.poly, lo, hi)
-            while _eval_sign(pchain.poly, mid) == 0:
-                mid = _find_nonroot_split(qchain.poly, lo, mid)
-            if qchain.count(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        intervals.append((lo, hi))
-    for (_, gap_lo), (gap_hi, _) in zip(intervals, intervals[1:]):
-        # an empty gap means both shrunk q-intervals touch at a point that is
-        # not a root of p: no p-root lies between those two q-roots
-        if gap_lo >= gap_hi or pchain.count(gap_lo, gap_hi) != 1:
+    prs = _int_prs(_to_int_coeffs(q), _to_int_coeffs(p))
+    if len(prs[-1]) == 1:
+        return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
+    del prs  # release it first: holding it beside the chains below raises peak memory
+    for operand in (p, q):
+        chain = SturmChain(_to_int_coeffs(operand))
+        if not chain.is_squarefree() or chain.total_real_roots() != operand.degree:
             return FAIL
-    return STRICT_INTERLACE
+    return COMMON_ROOT

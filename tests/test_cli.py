@@ -164,6 +164,21 @@ def test_unknown_subcommand_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "--n", "0"),
+    ("triangle", "--rows", "0"),
+    ("narayana", "--n", "0"),
+    ("narayana", "--n", "20", "--check-dyck"),
+    ("limits", "--j", "3", "--ns", "10,20"),
+    ("limits", "--j", "3", "--ns", "4,5,6"),
+])
+def test_out_of_domain_input_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(argv[0] + ":")
+
+
 def test_verify_all_smoke(capsys):
     code, out, err = run_cli(capsys, "verify-all", "--max-n", "8")
     env = parse_envelope(out)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_szego.exactpoly import RationalPoly
@@ -122,6 +122,72 @@ def test_interlace_failures():
 
 def test_interlace_degree_one():
     assert interlace_check(P([7]), P([1, 1])) == STRICT_INTERLACE
+
+
+def _interlace_oracle(p, q):
+    """Reference verdict: isolate the roots of p*q and read off their order."""
+    for operand in (p, q):
+        if not is_squarefree(operand) or distinct_real_roots(operand) != operand.degree:
+            return FAIL
+    if poly_gcd(p, q).degree > 0:
+        return COMMON_ROOT
+    iso = isolate_roots(p * q)
+    labels = ["q" if sturm_count(q, lo, hi) else "p" for lo, hi in iso.intervals]
+    return STRICT_INTERLACE if labels == ["q", "p"] * p.degree + ["q"] else FAIL
+
+
+_SMALL_ROOTS = st.sampled_from([F(-3), F(-2), F(-3, 2), F(-1), F(-1, 3), F(0),
+                                F(1, 2), F(1), F(2), F(5, 2)])
+
+
+@st.composite
+def _interlace_pairs(draw):
+    """(p, q) with deg q = deg p + 1 <= 6, built from small rational roots;
+    draws repeat roots, share roots, nest p's roots between q's, and may
+    swap two roots of either operand for the irreducible factor x^2 + x + 1."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    q_roots = draw(st.lists(_SMALL_ROOTS, min_size=m, max_size=m))
+    gaps = sorted(set(q_roots))
+    between = [(a + b) / 2 for a, b in zip(gaps, gaps[1:])]
+    p_pool = st.one_of(_SMALL_ROOTS, st.sampled_from(q_roots))
+    p_roots = (between if draw(st.booleans()) else []) \
+        + draw(st.lists(p_pool, min_size=m - 1, max_size=m - 1))
+    p_roots = p_roots[:m - 1]
+
+    def build(roots):
+        poly = P([draw(st.sampled_from([1, -1, 3, F(-2, 5)]))])
+        if len(roots) >= 2 and draw(st.integers(min_value=0, max_value=3)) == 0:
+            poly = poly * P([1, 1, 1])
+            roots = roots[2:]
+        for r in roots:
+            poly = poly * P([-r, 1])
+        return poly
+
+    return build(p_roots), build(q_roots)
+
+
+@settings(max_examples=200)
+@given(_interlace_pairs())
+def test_interlace_matches_isolation_oracle(pair):
+    p, q = pair
+    assert interlace_check(p, q) == _interlace_oracle(p, q)
+
+
+def _over_x(n):
+    return narayana_poly_direct(n).exact_divide(P.x())
+
+
+@pytest.mark.parametrize("p, q", [
+    (P([-5, 1]) * _over_x(19), _over_x(21)),
+    (_over_x(20).derivative() + P.monomial(5, 10**6), _over_x(20)),
+    # q = (x-1)^2 (x+1) shares the root 1 with q', but q is not squarefree
+    (P([1, -1, -1, 1]).derivative(), P([1, -1, -1, 1])),
+    # p = (x-1)(x^2+1) shares the root 1 with q, but p is not hyperbolic
+    (P([-1, 1]) * P([1, 0, 1]), P([-1, 1]) * P([-2, 1]) * P([-3, 1]) * P([-4, 1])),
+])
+def test_interlace_fixed_failures(p, q):
+    assert interlace_check(p, q) == FAIL
+    assert _interlace_oracle(p, q) == FAIL
 
 
 def test_poly_gcd():
