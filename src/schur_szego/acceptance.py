@@ -130,12 +130,13 @@ def check_hyperbolic_interlacing(max_n: int = 100):
     for n in range(2, max_n + 1):
         p = narayana.narayana_poly_direct(n)
         over_x = p.exact_divide(x)
-        if not roots.is_squarefree(over_x) or \
-                roots.distinct_real_roots(over_x) != n - 1:
+        # n - 1 distinct real roots of a degree n - 1 polynomial: squarefree
+        # and hyperbolic; then all coefficients positive iff all roots negative
+        if roots.distinct_real_roots(over_x) != n - 1:
             return False, f"N_{n}/x not hyperbolic with distinct roots"
         if p.coeff(0) != 0 or p.coeff(1) == 0:
             return False, f"0 not a simple root of N_{n}"
-        if roots.sturm_count(over_x, Fraction(0), roots.cauchy_bound(over_x)) != 0:
+        if any(c <= 0 for c in over_x.coeffs):
             return False, f"N_{n} has a positive root"
         if (p(Fraction(-1)) == 0) != (n % 2 == 0):
             return False, f"N_{n}(-1) vanishing parity wrong"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import RationalPoly
+from .exactpoly import RationalPoly, neville_zero
 from .narayana import narayana_poly_direct
 from .roots import roots_float
 
@@ -100,8 +100,8 @@ def narayana_root_sample(n: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=512)
-def _float_coeffs(n: int) -> tuple[float, ...]:
-    return tuple(float(c) for c in narayana_poly_direct(n).coeffs)
+def _float_coeffs(p: RationalPoly) -> tuple[float, ...]:
+    return tuple(float(c) for c in p.coeffs)
 
 
 def _eval_float(coeffs: Sequence[float], x: complex) -> complex:
@@ -111,38 +111,26 @@ def _eval_float(coeffs: Sequence[float], x: complex) -> complex:
     return acc
 
 
-def _eval_deriv_float(coeffs: Sequence[float], x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + i * coeffs[i]
-    return acc
+def _quotient(num: RationalPoly, den: RationalPoly, x, scale=1) -> complex | Fraction:
+    """num(x) / (scale * den(x)); exact when x is a Fraction (or int)."""
+    if isinstance(x, (Fraction, int)):
+        x = Fraction(x)
+        top, bottom = num(x), den(x)
+    else:
+        top, bottom = _eval_float(_float_coeffs(num), x), _eval_float(_float_coeffs(den), x)
+    if bottom == 0:
+        raise PoleError(f"denominator vanishes at {x}")
+    return top / (scale * bottom)
 
 
 def psi_n(n: int, x) -> complex | Fraction:
     """N_{n+1}(x) / N_n(x); exact when x is a Fraction (or int)."""
-    if isinstance(x, (Fraction, int)):
-        den = narayana_poly_direct(n)(Fraction(x))
-        if den == 0:
-            raise PoleError(f"N_{n} vanishes at {x}")
-        return narayana_poly_direct(n + 1)(Fraction(x)) / den
-    den = _eval_float(_float_coeffs(n), x)
-    if den == 0:
-        raise PoleError(f"N_{n} vanishes at {x}")
-    return _eval_float(_float_coeffs(n + 1), x) / den
+    return _quotient(narayana_poly_direct(n + 1), narayana_poly_direct(n), x)
 
 
 def theta_n(n: int, x) -> complex | Fraction:
     """N_n'(x) / (n N_n(x)); exact when x is a Fraction (or int)."""
-    if isinstance(x, (Fraction, int)):
-        p = narayana_poly_direct(n)
-        den = p(Fraction(x))
-        if den == 0:
-            raise PoleError(f"N_{n} vanishes at {x}")
-        return p.derivative()(Fraction(x)) / (n * den)
-    den = _eval_float(_float_coeffs(n), x)
-    if den == 0:
-        raise PoleError(f"N_{n} vanishes at {x}")
-    return _eval_deriv_float(_float_coeffs(n), x) / (n * den)
+    return cauchy_transform(narayana_poly_direct(n), x)
 
 
 def _check_off_cut(x: complex) -> complex:
@@ -169,16 +157,7 @@ def cauchy_transform(p: RationalPoly, x) -> complex | Fraction:
     deg = p.degree
     if deg == float("-inf") or deg == 0:
         raise ValueError("need a nonconstant polynomial")
-    if isinstance(x, (Fraction, int)):
-        val = p(Fraction(x))
-        if val == 0:
-            raise PoleError(f"polynomial vanishes at {x}")
-        return p.derivative()(Fraction(x)) / (deg * val)
-    coeffs = tuple(float(c) for c in p.coeffs)
-    val = _eval_float(coeffs, x)
-    if val == 0:
-        raise PoleError(f"polynomial vanishes at {x}")
-    return _eval_deriv_float(coeffs, x) / (deg * val)
+    return _quotient(p.derivative(), p, x, deg)
 
 
 def plemelj_density(x: float, eps: float) -> float:
@@ -282,14 +261,7 @@ def _extrapolate_tail(ratios: Sequence, t_max: int):
     pts = [(Fraction(1, t), ratios[t - 1]) for t in ts if ratios[t - 1] is not None]
     if len(pts) < 2:
         return None, math.inf
-    tab = [p[1] for p in pts]
-    hs = [p[0] for p in pts]
-    prev = tab[-1]
-    for m in range(1, len(pts)):
-        prev = tab[-1]
-        tab = [(hs[i] * tab[i + 1] - hs[i + m] * tab[i]) / (hs[i] - hs[i + m])
-               for i in range(len(tab) - 1)]
-    return tab[0], abs(complex(tab[0] - prev))
+    return neville_zero(pts)
 
 
 def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:

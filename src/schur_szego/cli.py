@@ -136,6 +136,9 @@ def cmd_narayana(args) -> int:
 
 def cmd_css(args) -> int:
     if args.phi is not None:
+        if args.phi < 3:
+            print("css: --phi must be >= 3", file=sys.stderr)
+            return 2
         phi = css.build_phi(args.phi)
         payload = {
             "n": args.phi,
@@ -148,9 +151,13 @@ def cmd_css(args) -> int:
         print("css: need either --phi N or --compose FILE_P FILE_Q with --m M",
               file=sys.stderr)
         return 2
-    p = read_poly_file(args.compose[0])
-    q = read_poly_file(args.compose[1])
-    result = css.css_compose(p, q, args.m)
+    try:
+        p = read_poly_file(args.compose[0])
+        q = read_poly_file(args.compose[1])
+        result = css.css_compose(p, q, args.m)
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        print(f"css: {exc}", file=sys.stderr)
+        return 2
     params = {"compose": list(args.compose), "m": args.m}
     payload = {"coefficients": _fractions(result.coeffs),
                "degree": None if result.is_zero() else int(result.degree)}
@@ -160,6 +167,12 @@ def cmd_css(args) -> int:
 
 def cmd_eigen(args) -> int:
     params = {"n": args.n, "j": args.j}
+    if args.n < 3:
+        print("eigen: --n must be >= 3", file=sys.stderr)
+        return 2
+    if args.j is not None and not 1 <= args.j <= args.n - 1:
+        print("eigen: --j must be in 1..n-1", file=sys.stderr)
+        return 2
     report = spectra.spectrum_report(args.n)
     payload = {
         "eigenvalues": _fractions(report.eigenvalues),
@@ -192,6 +205,9 @@ def cmd_limits(args) -> int:
         return 2
     if args.j < 2 or n_list[0] < args.j + 2:
         print("limits: need --j >= 2 and every n >= j + 2", file=sys.stderr)
+        return 2
+    if not args.tol > 0:
+        print("limits: --tol must be positive", file=sys.stderr)
         return 2
     params = {"j": args.j, "ns": list(n_list), "tol": args.tol}
     try:
@@ -256,6 +272,9 @@ def cmd_roots(args) -> int:
 
 def cmd_measure(args) -> int:
     params = {"n": args.n, "grid": args.grid, "out": args.out}
+    if args.n < 1:
+        print("measure: --n must be >= 1", file=sys.stderr)
+        return 2
     sample = asymptotics.narayana_root_sample(args.n)
     cdf = asymptotics.empirical_cdf(sample)
     ks = asymptotics.ks_distance(cdf)
@@ -277,7 +296,16 @@ def cmd_poincare(args) -> int:
         if args.x is None:
             print("poincare: --preset narayana requires --x", file=sys.stderr)
             return 2
-        spec = asymptotics.narayana_recurrence(Fraction(args.x))
+        try:
+            x = Fraction(args.x)
+        except (ValueError, ZeroDivisionError):
+            print("poincare: --x must be a rational number such as 2 or -1/2",
+                  file=sys.stderr)
+            return 2
+        spec = asymptotics.narayana_recurrence(x)
+    if args.tmax < spec.order:
+        print(f"poincare: --tmax must be >= {spec.order}", file=sys.stderr)
+        return 2
     result = asymptotics.poincare_ratio(spec, args.tmax)
     payload = {
         "no_limit_claim": result.no_limit_claim,
@@ -296,6 +324,9 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.max_n < 2:
+        print("verify-all: --max-n must be >= 2", file=sys.stderr)
+        return 2
     results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.seconds:.1f}s)  {r.detail}",

@@ -3,7 +3,8 @@
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
 matrices are dense row-major Fraction arrays, and all solvers are plain
 rational Gaussian elimination (sizes in this project stay well under 200).
-Floating point is deliberately kept out of this module.
+Floating point is deliberately kept out of this module, save the binary64
+error estimate that neville_zero returns beside its exact value.
 """
 
 from __future__ import annotations
@@ -229,6 +230,22 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> RationalPoly:
     for m in range(len(newton) - 2, -1, -1):
         poly = poly * RationalPoly([-xs[m], 1]) + RationalPoly([newton[m]])
     return poly
+
+
+def neville_zero(points: Sequence[tuple]) -> tuple[object, float]:
+    """Neville extrapolation of (h, value) samples to h = 0.
+
+    Returns (value, |last step|). The value is exact when the samples are;
+    the step is a binary64 error estimate.
+    """
+    hs = [p[0] for p in points]
+    tab = [p[1] for p in points]
+    prev = tab[-1]
+    for m in range(1, len(points)):
+        prev = tab[-1]
+        tab = [(hs[i] * tab[i + 1] - hs[i + m] * tab[i]) / (hs[i] - hs[i + m])
+               for i in range(len(tab) - 1)]
+    return tab[0], float(abs(tab[0] - prev))
 
 
 def elementary_symmetric_prefix(k: int, j: int) -> Fraction:

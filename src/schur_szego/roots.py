@@ -86,14 +86,6 @@ def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
     return chain
 
 
-def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (positive leading coefficient)."""
-    if len(a) < len(b):
-        a, b = b, a
-    g = _int_prs(a, b)[-1]
-    return [-x for x in g] if g[-1] < 0 else g
-
-
 def _int_divide_exact(a: list[int], d: list[int]) -> list[int]:
     """Exact quotient of integer polynomials (rational division, must clear)."""
     return _primitive(_to_int_coeffs(RationalPoly(a).exact_divide(RationalPoly(d))))
@@ -205,30 +197,6 @@ class RootIsolation:
         return sum(self.multiplicities)
 
 
-def _squarefree_decomposition(p: list) -> list[tuple[list, int]]:
-    """(factor, multiplicity) pairs with factors squarefree and coprime.
-
-    Plain gcd-chain peeling: g = gcd(p, p'); p/g is the squarefree part;
-    recursing on g yields each multiplicity layer exactly once.
-    """
-    layers = []
-    cur = list(p)
-    while len(cur) > 1:
-        g = _int_gcd_poly(cur, _derivative(cur))
-        layers.append(_int_divide_exact(cur, g))  # squarefree part of this layer
-        cur = g
-    # layer k (1-based) is the product of factors with multiplicity >= k
-    out = []
-    for k in range(len(layers)):
-        if k + 1 < len(layers):
-            factor = _int_divide_exact(layers[k], layers[k + 1])
-        else:
-            factor = layers[k]
-        if len(factor) > 1:
-            out.append((factor, k + 1))
-    return out
-
-
 def _find_nonroot_split(poly: list, lo: Fraction, hi: Fraction) -> Fraction:
     """A point inside (lo, hi), not a root of poly. Tries the midpoint, then
     nearby dyadic offsets (roots are finite, so this terminates fast)."""
@@ -244,8 +212,9 @@ def _find_nonroot_split(poly: list, lo: Fraction, hi: Fraction) -> Fraction:
         k += 2
 
 
-def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction, tuple[int, int]]]:
-    """Isolating intervals for all real roots of a squarefree chain."""
+def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction, tuple[int, int]]]:
+    """Isolating intervals for all distinct real roots of the chain's polynomial
+    (squarefree or not); no endpoint is a root."""
     poly = chain.poly
     total = chain.total_real_roots()
     if total == 0:
@@ -279,32 +248,32 @@ def _isolate_squarefree(chain: SturmChain) -> list[tuple[Fraction, Fraction, tup
 
 
 def isolate_roots(p: RationalPoly) -> RootIsolation:
-    """Certified isolation of all distinct real roots, with multiplicities."""
+    """Certified isolation of all distinct real roots, with multiplicities.
+
+    Multiplicities come from the gcd tower G_0 = p, G_{k+1} = gcd(G_k, G_k')
+    (the last member of G_k's chain): a root has multiplicity m iff it is a
+    root of G_0 .. G_{m-1}. No isolating endpoint is a root of p, hence of
+    any G_k, so each tower count on an isolating interval is exact.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     ip = _primitive(_to_int_coeffs(p))
     chain = SturmChain(ip)
-    if chain.is_squarefree():
-        iso = _isolate_squarefree(chain)
-        return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
-                             (1,) * len(iso), tuple(c for _, _, c in iso), tuple(ip))
-    # isolate the squarefree part, then read each root's multiplicity off
-    # the (coprime) squarefree-decomposition factors
-    factors = _squarefree_decomposition(ip)
-    sq_part = _int_divide_exact(ip, chain.polys[-1])  # the chain ends at gcd(ip, ip')
-    sq_chain = SturmChain(sq_part)
-    iso = _isolate_squarefree(sq_chain)
-    # every factor root is a root of the squarefree part, so the isolating
-    # endpoints are automatically safe for the per-factor counts
-    factor_chains = [(SturmChain(f), mult) for f, mult in factors]
+    iso = _isolate(chain)
+    tower = []
+    g = chain.polys[-1]
+    while len(g) > 1:
+        tower.append(SturmChain(g))
+        g = tower[-1].polys[-1]
     mults = []
-    for lo, hi, _ in iso:
-        owners = [mult for fchain, mult in factor_chains if fchain.count(lo, hi) == 1]
-        if len(owners) != 1:
-            raise AssertionError("multiplicity attribution failed")
-        mults.append(owners[0])
+    for lo, hi, (vlo, vhi) in iso:
+        counts = [vlo - vhi] + [level.count(lo, hi) for level in tower]
+        if any(c not in (0, 1) for c in counts) or counts != sorted(counts, reverse=True):
+            raise AssertionError(f"gcd tower counts {counts} on ({lo}, {hi}]")
+        mults.append(sum(counts))
+    sqfree = _int_divide_exact(ip, chain.polys[-1]) if tower else ip
     return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
-                         tuple(mults), tuple(c for _, _, c in iso), tuple(sq_part))
+                         tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree))
 
 
 def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -362,15 +331,15 @@ def distinct_real_roots(p: RationalPoly) -> int:
 
 
 def is_hyperbolic(p: RationalPoly) -> bool:
-    """True iff all roots are real (counted with multiplicity), by Sturm."""
+    """True iff all roots are real (counted with multiplicity), by Sturm.
+
+    p and its squarefree part p / gcd(p, p') share their roots, so p is
+    hyperbolic iff its distinct real roots number deg p - deg gcd(p, p').
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
-    total = 0
-    for factor, mult in _squarefree_decomposition(_to_int_coeffs(p)):
-        total += mult * SturmChain(factor).total_real_roots()
-    return total == p.degree
+    chain = SturmChain(_to_int_coeffs(p))
+    return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
 
 
 def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
@@ -379,9 +348,11 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
         return q if q.is_zero() else q.scale(1 / q.leading())
     if q.is_zero():
         return p.scale(1 / p.leading())
-    g = _int_gcd_poly(_to_int_coeffs(p), _to_int_coeffs(q))
-    gp = RationalPoly(g)
-    return gp.scale(1 / gp.leading())
+    a, b = _to_int_coeffs(p), _to_int_coeffs(q)
+    if len(a) < len(b):
+        a, b = b, a
+    g = RationalPoly(_int_prs(a, b)[-1])
+    return g.scale(1 / g.leading())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import RationalMatrix, RationalPoly, binomial, kernel, solve_linear
+from .exactpoly import (RationalMatrix, RationalPoly, binomial, kernel, neville_zero,
+                        solve_linear)
 from .narayana import narayana_number
 
 
@@ -214,18 +215,6 @@ class ExpansionEstimate:
     error_bound: float
 
 
-def _neville_zero(points: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact polynomial extrapolation to h = 0; returns (value, last-step delta)."""
-    hs = [p[0] for p in points]
-    tab = [p[1] for p in points]
-    prev = tab[-1]
-    for m in range(1, len(points)):
-        prev = tab[-1]
-        tab = [(hs[i] * tab[i + 1] - hs[i + m] * tab[i]) / (hs[i] - hs[i + m])
-               for i in range(len(tab) - 1)]
-    return tab[0], abs(tab[0] - prev)
-
-
 def richardson_limit(j: int, n_list: Sequence[int]) -> list[ExpansionEstimate]:
     """Estimate q_nu^{(0)} for nu = 1..j-1 from exact Q_{j,n} samples.
 
@@ -243,8 +232,8 @@ def richardson_limit(j: int, n_list: Sequence[int]) -> list[ExpansionEstimate]:
     for nu in range(1, j):
         samples = tuple((n, qs[n].coeff(j - nu)) for n in ns)
         points = [(Fraction(1, n - 1), val) for n, val in samples]
-        value, delta = _neville_zero(points)
-        out.append(ExpansionEstimate(j, nu, samples, float(value), float(delta)))
+        value, delta = neville_zero(points)
+        out.append(ExpansionEstimate(j, nu, samples, float(value), delta))
     return out
 
 

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated scale and
 tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
-from schur_szego import acceptance
+import pytest
+
+from schur_szego import acceptance, narayana
+from schur_szego.exactpoly import RationalPoly as P
 
 
 def _report(result):
@@ -48,3 +51,17 @@ def test_criterion_9_quotient_limits():
 
 def test_criterion_10_poincare_engine():
     _report(acceptance.check_poincare(seed=0))
+
+
+@pytest.mark.parametrize("fake_n6", [
+    P([0, 1]) * P([1, 1, 1]) * P.binomial_power(3),                          # complex pair
+    P([0, 1]) * P([-1, 1]) * P([1, 1]) * P([2, 1]) * P([3, 1]) * P([4, 1]),  # positive root
+    P([0, 1]) * P.binomial_power(2) * P([2, 1]) * P([3, 1]) * P([4, 1]),     # double root
+])
+def test_hyperbolicity_check_negative_controls(monkeypatch, fake_n6):
+    real = narayana.narayana_poly_direct
+    monkeypatch.setattr(narayana, "narayana_poly_direct",
+                        lambda n: fake_n6 if n == 6 else real(n))
+    result = acceptance.check_hyperbolic_interlacing(8)
+    assert not result.passed
+    assert "N_6" in result.detail

@@ -171,8 +171,23 @@ def test_unknown_subcommand_exit_2(capsys):
     ("narayana", "--n", "20", "--check-dyck"),
     ("limits", "--j", "3", "--ns", "10,20"),
     ("limits", "--j", "3", "--ns", "4,5,6"),
+    ("limits", "--j", "3", "--tol", "-1"),
+    ("eigen", "--n", "5", "--j", "0"),
+    ("eigen", "--n", "5", "--j", "9"),
+    ("eigen", "--n", "2"),
+    ("css", "--phi", "2"),
+    ("css", "--compose", "{tmp}/missing.poly", "{tmp}/cubic.poly", "--m", "3"),
+    ("css", "--compose", "{tmp}/malformed.poly", "{tmp}/cubic.poly", "--m", "3"),
+    ("css", "--compose", "{tmp}/cubic.poly", "{tmp}/cubic.poly", "--m", "2"),
+    ("measure", "--n", "0", "--grid", "4", "--out", "{tmp}/fig1.csv"),
+    ("poincare", "--preset", "fibonacci", "--tmax", "1"),
+    ("poincare", "--preset", "narayana", "--x", "abc"),
+    ("verify-all", "--max-n", "1"),
 ])
-def test_out_of_domain_input_exit_2(capsys, argv):
+def test_out_of_domain_input_exit_2(capsys, tmp_path, argv):
+    write_poly_file(str(tmp_path / "cubic.poly"), RationalPoly([1, 3, 3, 1]))
+    (tmp_path / "malformed.poly").write_text("1\n1/2\nx\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

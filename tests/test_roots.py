@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schur_szego import roots
 from schur_szego.exactpoly import RationalPoly
 from schur_szego.narayana import narayana_poly_direct
 from schur_szego.roots import (
@@ -236,7 +237,7 @@ def test_narayana_roots_closed_under_reciprocal():
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4),
-       st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=4))
+       st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
 def test_isolation_recovers_known_roots(root_values, mults):
     # build a polynomial with known integer roots and multiplicities
     roots_known = sorted(set(root_values))
@@ -250,6 +251,26 @@ def test_isolation_recovers_known_roots(root_values, mults):
     assert list(iso.multiplicities) == list(mults)
     for (lo, hi), r in zip(iso.intervals, roots_known):
         assert lo < r < hi
+    assert is_hyperbolic(poly)
+    assert not is_hyperbolic(poly * P([1, 0, 1]))
+
+
+def test_remainder_sequences_per_question(monkeypatch):
+    # one chain answers hyperbolicity; isolation adds one per gcd-tower level
+    calls = []
+    original = roots._int_prs
+
+    def counting(a, b):
+        calls.append(len(a) - 1)
+        return original(a, b)
+
+    monkeypatch.setattr(roots, "_int_prs", counting)
+    poly = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
+    assert is_hyperbolic(poly)
+    assert len(calls) == 1
+    calls.clear()
+    assert isolate_roots(poly).multiplicities == (2, 1, 1)
+    assert len(calls) == 2
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
