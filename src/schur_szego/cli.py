@@ -272,13 +272,18 @@ def cmd_roots(args) -> int:
 
 def cmd_measure(args) -> int:
     params = {"n": args.n, "grid": args.grid, "out": args.out}
-    if args.n < 1:
-        print("measure: --n must be >= 1", file=sys.stderr)
+    if args.n < 1 or args.grid < 1:
+        print("measure: --n and --grid must be >= 1", file=sys.stderr)
         return 2
     sample = asymptotics.narayana_root_sample(args.n)
     cdf = asymptotics.empirical_cdf(sample)
     ks = asymptotics.ks_distance(cdf)
-    with open(args.out, "w", encoding="ascii") as fh:
+    try:
+        fh = open(args.out, "w", encoding="ascii")
+    except OSError as exc:
+        print(f"measure: cannot write --out: {exc}", file=sys.stderr)
+        return 2
+    with fh:
         fh.write("x,empirical,theoretical\n")
         for i in range(args.grid):
             x = -1.0 + i / (args.grid - 1) if args.grid > 1 else 0.0

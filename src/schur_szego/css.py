@@ -44,9 +44,7 @@ class ConstructionBugError(RuntimeError):
 
 def css_compose(p: RationalPoly, q: RationalPoly, m: int) -> RationalPoly:
     """Schur-Szego composition at level m: coefficient j -> p_j q_j / C(m,j)."""
-    if p.degree > m or q.degree > m:
-        raise DegreeOverflowError(f"operand degree exceeds composition level {m}")
-    return RationalPoly([p.coeff(j) * q.coeff(j) / binomial(m, j) for j in range(m + 1)])
+    return css_compose_multi((p, q), m)
 
 
 def css_compose_multi(polys: Sequence[RationalPoly], m: int) -> RationalPoly:

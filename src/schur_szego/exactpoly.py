@@ -1,8 +1,9 @@
 """Exact rational univariate polynomials and small dense linear algebra.
 
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
-matrices are dense row-major Fraction arrays, and all solvers are plain
-rational Gaussian elimination (sizes in this project stay well under 200).
+matrices are dense row-major Fraction arrays, and one rational Gauss-Jordan
+reduction, _rref, serves kernel, solve_linear and RationalMatrix.determinant
+(sizes in this project stay well under 200).
 Floating point is deliberately kept out of this module, save the binary64
 error estimate that neville_zero returns beside its exact value.
 """
@@ -325,23 +326,8 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        m = self.to_rows()
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            piv = _select_pivot(m, c, c)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return det
+        _, piv_cols, det = _rref(self.to_rows())
+        return det if len(piv_cols) == self.rows else Fraction(0)
 
 
 def _select_pivot(m: list[list[Fraction]], from_row: int, col: int) -> int | None:
@@ -356,10 +342,16 @@ def _select_pivot(m: list[list[Fraction]], from_row: int, col: int) -> int | Non
     return best
 
 
-def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction of `m` in place: (rows, pivot columns, det).
+
+    det is the signed product of the pivots, which is the determinant when
+    `m` is square and every column has a pivot.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     piv_cols: list[int] = []
+    det = Fraction(1)
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -367,7 +359,10 @@ def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         piv = _select_pivot(m, r, c)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][c]
         inv = 1 / m[r][c]
         m[r] = [v * inv for v in m[r]]
         for rr in range(rows):
@@ -376,12 +371,12 @@ def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
                 m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
         piv_cols.append(c)
         r += 1
-    return m, piv_cols
+    return m, piv_cols, det
 
 
 def kernel(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the null space via exact reduced row echelon form."""
-    m, piv_cols = _rref(matrix.to_rows())
+    m, piv_cols, _ = _rref(matrix.to_rows())
     free = [c for c in range(matrix.cols) if c not in piv_cols]
     basis = []
     for fc in free:
@@ -400,16 +395,7 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length mismatch")
     n = matrix.rows
-    m = [list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(n)]
-    for c in range(n):
-        piv = _select_pivot(m, c, c)
-        if piv is None:
-            raise SingularMatrixError("singular system")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    m, piv_cols, _ = _rref([list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(n)])
+    if piv_cols != list(range(n)):
+        raise SingularMatrixError("singular system")
     return tuple(m[i][n] for i in range(n))

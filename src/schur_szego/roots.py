@@ -290,14 +290,8 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
         mid = (lo + hi) / 2
         sm = _eval_sign(poly, mid)
         if sm == 0:
-            # mid is the root itself: shrink a bracket around it
-            w = (hi - lo) / 4
-            while w > tol / 4:
-                if _eval_sign(poly, mid - w) != 0 and _eval_sign(poly, mid + w) != 0:
-                    lo, hi, slo = mid - w, mid + w, _eval_sign(poly, mid - w)
-                w /= 2
-            if hi - lo <= tol:
-                return lo, hi
+            # mid is the only root in (lo, hi), and hi - lo > tol
+            return mid - tol / 2, mid + tol / 2
         elif sm == slo:
             lo = mid
         else:

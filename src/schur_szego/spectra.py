@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalMatrix, RationalPoly, binomial, kernel, neville_zero,
-                        solve_linear)
+from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, binomial, kernel,
+                        neville_zero, solve_linear)
 from .narayana import narayana_number
 
 
@@ -36,7 +36,7 @@ class StructureViolationError(RuntimeError):
 
 
 class SigmaInconsistencyError(RuntimeError):
-    """System (Sigma) left a nonzero residual (would falsify its derivation)."""
+    """System (Sigma) has a singular k = 1..j-1 block or a nonzero residual."""
 
 
 def eigenvalues_closed_form(n: int) -> list[Fraction]:
@@ -148,31 +148,11 @@ def _sigma_row(n: int, j: int, k: int) -> tuple[list[Fraction], Fraction]:
     return vec, const
 
 
-def _independent_rows(rows: list[tuple[list[Fraction], Fraction]], want: int) -> list[int]:
-    """Greedy selection of `want` linearly independent rows (by index)."""
-    picked: list[int] = []
-    basis: list[list[Fraction]] = []
-    for idx, (vec, _) in enumerate(rows):
-        v = list(vec)
-        for bvec in basis:
-            piv = next(i for i, x in enumerate(bvec) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / bvec[piv]
-                v = [a - f * b for a, b in zip(v, bvec)]
-        if any(x != 0 for x in v):
-            basis.append(v)
-            picked.append(idx)
-            if len(picked) == want:
-                return picked
-    raise SigmaInconsistencyError("system (Sigma) is rank deficient")
-
-
 def sigma_system_solve(n: int, j: int) -> RationalPoly:
     """Q_{j,n} from system (Sigma), independent of the Phi_n kernel route.
 
-    Solves the k = 1..j-1 block (falling back to a greedy independent row
-    selection over k = 1..n-1 if that block were singular), then checks
-    every equation k = 1..n-1 exactly.
+    Solves the k = 1..j-1 block, then checks every equation k = 1..n-1
+    exactly.
     """
     if n < 4 or not 1 <= j <= n - 3:
         raise ValueError(f"need n >= 4 and 1 <= j <= n-3, got n={n}, j={j}")
@@ -181,12 +161,11 @@ def sigma_system_solve(n: int, j: int) -> RationalPoly:
     if j >= 2:
         block = all_rows[:j - 1]
         try:
-            matrix = RationalMatrix.from_rows([r[0] for r in block])
-            q = solve_linear(matrix, [-r[1] for r in block])
-        except ValueError:
-            picked = _independent_rows(all_rows, j - 1)
-            matrix = RationalMatrix.from_rows([all_rows[i][0] for i in picked])
-            q = solve_linear(matrix, [-all_rows[i][1] for i in picked])
+            q = solve_linear(RationalMatrix.from_rows([r[0] for r in block]),
+                             [-r[1] for r in block])
+        except SingularMatrixError as exc:
+            raise SigmaInconsistencyError(
+                f"block k=1..{j - 1} is singular for n={n}, j={j}") from exc
     for k, (vec, const) in enumerate(all_rows, start=1):
         residual = sum((vi * qi for vi, qi in zip(vec, q)), const)
         if residual != 0:

@@ -180,6 +180,9 @@ def test_unknown_subcommand_exit_2(capsys):
     ("css", "--compose", "{tmp}/malformed.poly", "{tmp}/cubic.poly", "--m", "3"),
     ("css", "--compose", "{tmp}/cubic.poly", "{tmp}/cubic.poly", "--m", "2"),
     ("measure", "--n", "0", "--grid", "4", "--out", "{tmp}/fig1.csv"),
+    ("measure", "--n", "3", "--grid", "0", "--out", "{tmp}/fig1.csv"),
+    ("measure", "--n", "3", "--grid", "-2", "--out", "{tmp}/fig1.csv"),
+    ("measure", "--n", "3", "--grid", "4", "--out", "{tmp}/missing/fig1.csv"),
     ("poincare", "--preset", "fibonacci", "--tmax", "1"),
     ("poincare", "--preset", "narayana", "--x", "abc"),
     ("verify-all", "--max-n", "1"),

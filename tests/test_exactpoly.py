@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schur_szego.exactpoly import (
@@ -101,6 +102,39 @@ def test_solve_vandermonde_nodes_2_and_half():
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve_linear(RationalMatrix(2, 2, [1, 1, 1, 1]), [1, 2])
+    with pytest.raises(SingularMatrixError):  # consistent, but not unique
+        solve_linear(RationalMatrix(2, 2, [1, 1, 1, 1]), [1, 1])
+
+
+def _leibniz(rows):
+    total = F(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = F(-1) ** inversions
+        for i, c in enumerate(perm):
+            term *= rows[i][c]
+        total += term
+    return total
+
+
+zero_heavy = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(-1, 3)])
+
+
+@given(st.lists(zero_heavy, min_size=9, max_size=9), st.lists(zero_heavy, min_size=3, max_size=3))
+@example([1, 2, 3, 2, 4, 6, 0, 1, 1], [1, 2, 0])
+@example([0, 1, 0, 0, 0, 1, 1, 0, 0], [1, 2, 3])
+def test_determinant_kernel_solve_agree(entries, rhs):
+    m = RationalMatrix(3, 3, entries)
+    det = m.determinant()
+    assert det == _leibniz(m.to_rows())
+    assert (det == 0) == (len(kernel(m)) > 0)
+    try:
+        x = solve_linear(m, rhs)
+    except SingularMatrixError:
+        assert det == 0
+    else:
+        assert det != 0
+        assert m.matvec(x) == tuple(rhs)
 
 
 def test_symmetric_function_prefixes():

@@ -60,8 +60,10 @@ def test_isolate_multiplicity():
     iso = isolate_roots(P.binomial_power(5))  # (x+1)^5
     assert len(iso.intervals) == 1
     assert iso.multiplicities == (5,)
-    lo, hi = refine(iso, 0, F(1, 10**9))
+    tol = F(1, 10**9)
+    lo, hi = refine(iso, 0, tol)
     assert lo < -1 < hi
+    assert hi - lo <= tol
 
 
 def test_isolate_mixed_multiplicities():

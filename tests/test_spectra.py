@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from schur_szego import spectra
 from schur_szego.exactpoly import RationalPoly, interpolate
 from schur_szego.spectra import (
+    SigmaInconsistencyError,
     TheoremCheckFailed,
     eigenvalues_closed_form,
     eigenpolynomial,
@@ -138,6 +140,30 @@ def test_k1_equation_leading_balance():
             rhs += F(n - 1) ** nu * q.coeff(j - nu)
         rhs *= (n - 1)
         assert lhs == rhs
+
+
+def _edit_sigma_rows(monkeypatch, edit):
+    original = spectra._sigma_row
+
+    def row(n, j, k):
+        vec, const = original(n, j, k)
+        return edit(k, vec, const)
+
+    monkeypatch.setattr(spectra, "_sigma_row", row)
+
+
+def test_sigma_residual_check_catches_a_perturbed_equation(monkeypatch):
+    _edit_sigma_rows(monkeypatch,
+                     lambda k, vec, const: (vec, const + 1 if k == 7 else const))
+    with pytest.raises(SigmaInconsistencyError, match="k=7 for n=8, j=3"):
+        sigma_system_solve(8, 3)
+
+
+def test_sigma_singular_block_is_reported(monkeypatch):
+    _edit_sigma_rows(monkeypatch,
+                     lambda k, vec, const: ([0] * len(vec), 0) if k == 1 else (vec, const))
+    with pytest.raises(SigmaInconsistencyError, match="block k=1..2 is singular"):
+        sigma_system_solve(8, 3)
 
 
 def test_m_transform_examples():
