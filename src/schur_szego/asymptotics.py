@@ -20,7 +20,11 @@ from typing import Callable, Sequence
 
 from .exactpoly import RationalPoly, neville_zero
 from .narayana import narayana_poly_direct
-from .roots import roots_float
+from .roots import certify_roots, refined_roots, roots_float
+
+SIGN_CHANGES = "sign-changes"
+STURM = "sturm"
+_NEWTON_STEPS = 12
 
 
 class PoleError(ZeroDivisionError):
@@ -88,10 +92,69 @@ def ks_distance(cdf: StepCDF, theoretical: Callable[[float], float] = cdf_kappa)
     return d
 
 
+class RootSample(tuple):
+    """Sorted binary64 roots; `path` names the certificate that isolated them
+    (SIGN_CHANGES or STURM)."""
+
+    def __new__(cls, roots: Sequence[float], path: str):
+        sample = super().__new__(cls, roots)
+        sample.path = path
+        return sample
+
+
+def _lobatto_node(n: int, theta: float) -> float:
+    """Newton in theta on P_n'(cos theta) from `theta`, at most _NEWTON_STEPS steps.
+
+    With u = 1 - cos theta = 2 sin^2(theta/2), the Legendre recurrence runs
+    on P_k and D_k = P_k - P_{k-1} (Reinsch's form), which keeps relative
+    accuracy near theta = 0 where cos theta would round it away. Then
+    sin^2(theta) P_n'(cos theta) / n = u P_n - D_n, whose theta-derivative
+    is (n + 1) sin(theta) P_n.
+    """
+    for _ in range(_NEWTON_STEPS):
+        u = 2.0 * math.sin(theta / 2) ** 2
+        p, d = 1.0 - u, -u
+        for k in range(1, n):
+            d = (k * d - (2 * k + 1) * u * p) / (k + 1)
+            p += d
+        step = (u * p - d) / ((n + 1) * math.sin(theta) * p)
+        theta -= step
+        if abs(step) <= 2**-52 * theta:
+            break
+    return theta
+
+
+def _lobatto_proposals(n: int) -> list[float]:
+    """Float proposals for the n roots of N_n.
+
+    n N_n(x) = x (1-x)^{n-1} P^{(1,1)}_{n-1}((1+x)/(1-x)), and P^{(1,1)}_{n-1}
+    is a multiple of the Legendre derivative P_n'. So the roots are 0 and
+    -tan^2(theta/2) for the zeros cos(theta) of P_n' (the interior
+    Gauss-Lobatto nodes). Those come in pairs theta, pi - theta, i.e.
+    x, 1/x: only theta < pi/2 is computed (starting at pi k / n), and
+    for even n the middle node pi/2 gives x = -1.
+    """
+    half = [-math.tan(_lobatto_node(n, math.pi * k / n) / 2) ** 2
+            for k in range(1, (n - 1) // 2 + 1)]
+    middle = [-1.0] if n % 2 == 0 else []
+    return [0.0] + half + middle + [1.0 / x for x in half]
+
+
 @lru_cache(maxsize=8)
-def narayana_root_sample(n: int) -> tuple[float, ...]:
-    """Certified binary64 roots of N_n (refined to width 2^-40), sorted."""
-    return tuple(roots_float(narayana_poly_direct(n)))
+def narayana_root_sample(n: int) -> RootSample:
+    """Certified binary64 roots of N_n, 0 included, sorted: the midpoints of
+    exact brackets refined to width 2^-40.
+
+    Floats propose the roots (`_lobatto_proposals`) and exact sign changes
+    of N_n at dyadic bracket endpoints certify them (`roots.certify_roots`,
+    path SIGN_CHANGES). If that certificate fails, the roots come from
+    Sturm isolation (`roots.roots_float`, path STURM).
+    """
+    p = narayana_poly_direct(n)
+    iso = certify_roots(p, _lobatto_proposals(n))
+    if iso is None:
+        return RootSample(roots_float(p), STURM)
+    return RootSample(refined_roots(iso), SIGN_CHANGES)
 
 
 # ---------------------------------------------------------------------------

@@ -275,20 +275,21 @@ def cmd_measure(args) -> int:
     if args.n < 1 or args.grid < 1:
         print("measure: --n and --grid must be >= 1", file=sys.stderr)
         return 2
-    sample = asymptotics.narayana_root_sample(args.n)
-    cdf = asymptotics.empirical_cdf(sample)
-    ks = asymptotics.ks_distance(cdf)
     try:
         fh = open(args.out, "w", encoding="ascii")
     except OSError as exc:
         print(f"measure: cannot write --out: {exc}", file=sys.stderr)
         return 2
     with fh:
+        sample = asymptotics.narayana_root_sample(args.n)
+        cdf = asymptotics.empirical_cdf(sample)
+        ks = asymptotics.ks_distance(cdf)
         fh.write("x,empirical,theoretical\n")
         for i in range(args.grid):
             x = -1.0 + i / (args.grid - 1) if args.grid > 1 else 0.0
             fh.write(f"{_f17(x)},{_f17(cdf(x))},{_f17(asymptotics.cdf_kappa(x))}\n")
-    payload = {"ks": _f17(ks), "roots": len(sample), "csv": args.out}
+    payload = {"ks": _f17(ks), "roots": len(sample), "certificate": sample.path,
+               "csv": args.out}
     print(ReportEnvelope("measure", params, "info", payload).to_json())
     return 0
 

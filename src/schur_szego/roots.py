@@ -4,15 +4,16 @@ All certificates are exact: Sturm chains are sign-faithful primitive
 integer polynomial remainder sequences (only positive scalings, so sign
 variation counts are those of the classical rational chain), evaluated by
 integer-homogenized Horner at rational points. Interlacing verdicts come
-from the Cauchy index of one such sequence. Nothing here trusts the
-theorems it is used to test.
+from the Cauchy index of one such sequence. Float root proposals can be
+certified by exact sign changes alone (`certify_roots`); floats only
+choose where to look. Nothing here trusts the theorems it is used to test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
 from .exactpoly import RationalPoly
@@ -22,6 +23,7 @@ COMMON_ROOT = "common-root"
 FAIL = "fail"
 
 _REFINE_DEFAULT = Fraction(1, 2**40)
+_WIDENINGS = 6  # eightfold each, so a bracket grows at most 2^18-fold
 
 
 class EndpointRootError(ValueError):
@@ -182,9 +184,11 @@ def cauchy_bound(p: RationalPoly) -> Fraction:
 class RootIsolation:
     """Disjoint rational intervals, one distinct real root each.
 
-    `certificates[i]` stores the Sturm variation pair (V(lo), V(hi)) whose
-    difference of 1 certifies interval i. `_sqfree` holds the squarefree
-    integer coefficients used for sign-based refinement.
+    `certificates[i]` certifies interval i: the Sturm variation pair
+    (V(lo), V(hi)) with difference 1 from `isolate_roots`, or the endpoint
+    signs (sign p(lo), sign p(hi)) of opposite sign from `certify_roots`.
+    `_sqfree` holds the squarefree integer coefficients used for sign-based
+    refinement.
     """
 
     poly: RationalPoly
@@ -276,6 +280,43 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
                          tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree))
 
 
+def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation | None:
+    """Isolation of all deg p roots of p, certified from float proposals by
+    exact signs alone; None when the proposals do not certify.
+
+    Each proposal r gets a bracket with short dyadic endpoints and a
+    half-width of about 2^-46 |r|, at most 2^-42, widened eightfold up to
+    _WIDENINGS times until p changes sign strictly across it. deg p disjoint
+    brackets that each show a strict sign change hold a root each (the
+    intermediate value theorem) and p has no more: its roots are real,
+    simple and isolated by the brackets. No Sturm chain is built.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    poly = _primitive(_to_int_coeffs(p))
+    if len(proposals) != len(poly) - 1 or not all(map(isfinite, proposals)):
+        return None
+    intervals, signs = [], []
+    for r in sorted(proposals):
+        exponent = min(frexp(r)[1] - 46, -42)
+        for _ in range(_WIDENINGS + 1):
+            half = Fraction(2) ** exponent
+            centre = round(Fraction(r) / half)
+            lo, hi = (centre - 1) * half, (centre + 1) * half
+            slo, shi = _eval_sign(poly, lo), _eval_sign(poly, hi)
+            if slo * shi < 0:
+                break
+            exponent += 3
+        else:
+            return None
+        if intervals and intervals[-1][1] > lo:
+            return None
+        intervals.append((lo, hi))
+        signs.append((slo, shi))
+    return RootIsolation(p, tuple(intervals), (1,) * len(intervals), tuple(signs),
+                         tuple(poly))
+
+
 def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect isolating interval `index` below width `tol` (exact signs only)."""
     if tol <= 0:
@@ -299,15 +340,20 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
     return lo, hi
 
 
-def roots_float(p: RationalPoly, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
-    """All real roots as binary64, repeated per multiplicity, sorted."""
-    iso = isolate_roots(p)
+def refined_roots(iso: RootIsolation, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
+    """Midpoints of the intervals refined below width tol, as binary64,
+    repeated per multiplicity, sorted."""
     out = []
     for i, mult in enumerate(iso.multiplicities):
         lo, hi = refine(iso, i, tol)
         out.extend([float((lo + hi) / 2)] * mult)
     out.sort()
     return out
+
+
+def roots_float(p: RationalPoly, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
+    """All real roots as binary64, repeated per multiplicity, sorted."""
+    return refined_roots(isolate_roots(p), tol)
 
 
 def is_squarefree(p: RationalPoly) -> bool:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schur_szego import asymptotics
 from schur_szego.asymptotics import (
+    SIGN_CHANGES,
+    STURM,
     BranchCutError,
     PoleError,
     RatioPoleError,
@@ -33,6 +36,7 @@ from schur_szego.asymptotics import (
 )
 from schur_szego.exactpoly import RationalPoly
 from schur_szego.narayana import catalan, narayana_poly_direct
+from schur_szego.roots import roots_float
 
 P = RationalPoly
 
@@ -190,11 +194,44 @@ def test_plemelj_density():
 
 def test_narayana_root_sample_cached():
     roots = narayana_root_sample(20)
+    assert roots.path == SIGN_CHANGES
+    assert narayana_root_sample(20) is roots
     assert len(roots) == 20
     assert roots[-1] == pytest.approx(0.0, abs=1e-10)
     assert all(a <= b for a, b in zip(roots, roots[1:]))
     ks = ks_distance(empirical_cdf(roots))
     assert ks < 0.2
+
+
+def test_narayana_root_sample_matches_sturm():
+    # the sign-change route against Sturm isolation: both are midpoints of
+    # certified brackets of width <= 2^-40 around the same roots
+    for n in [*range(2, 41), 100]:
+        sample = narayana_root_sample(n)
+        reference = roots_float(narayana_poly_direct(n))
+        assert sample.path == SIGN_CHANGES
+        assert len(sample) == len(reference) == n
+        for got, ref in zip(sample, reference):
+            assert abs(F(got) - F(ref)) <= F(1, 2**40) + abs(F(ref)) / 2**52
+
+
+@pytest.fixture
+def cold_root_sample():
+    narayana_root_sample.cache_clear()
+    yield
+    narayana_root_sample.cache_clear()
+
+
+def test_narayana_root_sample_falls_back_to_sturm(monkeypatch, cold_root_sample):
+    # degree 30 with 0 and 27 other real roots plus the pair of x^2 + x + 1:
+    # no 30 sign changes exist, so the certificate must fail
+    fake = narayana_poly_direct(28) * P([1, 1, 1])
+    monkeypatch.setattr(asymptotics, "narayana_poly_direct",
+                        lambda n: fake if n == 30 else narayana_poly_direct(n))
+    sample = narayana_root_sample(30)
+    assert sample.path == STURM
+    assert sample == tuple(roots_float(fake))
+    assert len(sample) == 28
 
 
 def test_poincare_fibonacci():

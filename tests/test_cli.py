@@ -121,6 +121,7 @@ def test_measure(capsys, tmp_path):
     assert code == 0
     ks = float(env["payload"]["ks"])
     assert 0 < ks < 0.2
+    assert env["payload"]["certificate"] == "sign-changes"
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,empirical,theoretical"
     assert len(lines) == 17
@@ -195,6 +196,18 @@ def test_out_of_domain_input_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(argv[0] + ":")
+
+
+def test_measure_opens_out_before_computing(capsys, tmp_path, monkeypatch):
+    def must_not_run(n):
+        raise AssertionError("root sample computed before --out was opened")
+
+    monkeypatch.setattr(cli.asymptotics, "narayana_root_sample", must_not_run)
+    code, out, err = run_cli(capsys, "measure", "--n", "300", "--grid", "4",
+                             "--out", str(tmp_path / "missing" / "fig1.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("measure: cannot write --out")
 
 
 def test_verify_all_smoke(capsys):

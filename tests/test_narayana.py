@@ -118,3 +118,27 @@ def test_row_cofactor_self_reciprocal():
     for n in range(1, 61):
         over_x = narayana_poly_direct(n).exact_divide(RationalPoly.x())
         assert over_x.self_reciprocal_sign() == 1
+
+
+def test_jacobi_identity():
+    # n N_n(x) = x (1-x)^{n-1} P^{(1,1)}_{n-1}((1+x)/(1-x)), with
+    # P^{(1,1)}_{n-1} = 2 P_n' / (n+1) from the Legendre recurrence: the roots
+    # of N_n/x are -tan^2(theta/2) at the zeros cos(theta) of P_n'
+    z = RationalPoly.x()
+    legendre = [RationalPoly.one(), z]
+    for k in range(1, 30):
+        legendre.append((z * legendre[k]).scale(F(2 * k + 1, k + 1))
+                        - legendre[k - 1].scale(F(k, k + 1)))
+    one_plus, one_minus = RationalPoly([1, 1]), RationalPoly([1, -1])
+    for n in range(1, 31):
+        jacobi = legendre[n].derivative().scale(F(2, n + 1))
+        # (1-x)^{n-1} J((1+x)/(1-x)) = sum_j J_j (1+x)^j (1-x)^{n-1-j}
+        total = RationalPoly.zero()
+        for j in range(n):
+            term = RationalPoly([jacobi.coeff(j)])
+            for _ in range(j):
+                term = term * one_plus
+            for _ in range(n - 1 - j):
+                term = term * one_minus
+            total = total + term
+        assert RationalPoly.x() * total == narayana_poly_direct(n).scale(n)

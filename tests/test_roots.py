@@ -14,6 +14,7 @@ from schur_szego.roots import (
     STRICT_INTERLACE,
     EndpointRootError,
     cauchy_bound,
+    certify_roots,
     distinct_real_roots,
     interlace_check,
     is_hyperbolic,
@@ -95,6 +96,40 @@ def test_roots_float_narayana4():
     assert len(got) == 4
     assert got[1] == pytest.approx(-1.0, abs=1e-10)
     assert got[3] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_certify_roots_from_proposals():
+    p = narayana_poly_direct(20)
+    iso = certify_roots(p, roots_float(p))
+    assert iso.multiplicities == (1,) * 20
+    for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
+        assert slo * shi < 0
+        assert sturm_count(p, lo, hi) == 1
+    assert all(a[1] <= b[0] for a, b in zip(iso.intervals, iso.intervals[1:]))
+
+
+def _certify_controls():
+    n20 = narayana_poly_direct(20)
+    props = roots_float(n20)
+    shifted = props[:]
+    shifted[5] = (props[5] + props[6]) / 2  # no root there
+    complex_pair = n20.exact_divide(P.x()) * P([1, 1, 1])
+    double = P([-1, 1]) * P([-1, 1]) * P([2, 1]) * P([3, 1])
+    return [
+        (n20, props[:-1]),
+        (n20, props[:-1] + props[-2:-1]),
+        (n20, shifted),
+        (complex_pair, props[:-1] + [-0.5, -0.5 + 2**-20]),
+        (double, [-3.0, -2.0, 1.0, 1.0]),
+        (double, [-3.0, -2.0, 1.0 - 1e-3, 1.0 + 1e-3]),
+    ]
+
+
+@pytest.mark.parametrize("p, proposals", _certify_controls(),
+                         ids=["dropped", "duplicated", "shifted", "complex-pair",
+                              "double-root-twice", "double-root-split"])
+def test_certify_roots_negative_controls(p, proposals):
+    assert certify_roots(p, proposals) is None
 
 
 def test_is_hyperbolic():
