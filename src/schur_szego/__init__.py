@@ -13,7 +13,6 @@ from .exactpoly import (
 from .css import (
     INFINITY,
     AffineMapQ,
-    CompositionFactor,
     build_phi,
     composition_factor,
     css_compose,

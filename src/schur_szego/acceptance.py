@@ -50,9 +50,12 @@ def check_triangle():
 
 @_timed("recurrence-consistency")
 def check_recurrence():
-    for n in range(1, 61):
-        if narayana.narayana_poly_direct(n) != narayana.narayana_poly_recurrence(n):
+    rows = 0
+    for rows, (n, row) in enumerate(narayana.narayana_rows(60), start=1):
+        if n != rows or narayana.narayana_poly_direct(n) != RationalPoly(row):
             return False, f"direct != recurrence at n={n}"
+    if rows != 60:
+        return False, f"recurrence yielded {rows} rows, not 60"
     for n in range(1, 31):
         if narayana.narayana_poly_direct(n)(Fraction(1)) != narayana.catalan(n):
             return False, f"N_n(1) != Cat_n at n={n}"
@@ -60,7 +63,15 @@ def check_recurrence():
         for k in range(1, n + 1):
             if narayana.dyck_peak_count(n, k) != narayana.narayana_number(n, k):
                 return False, f"Dyck oracle mismatch at (n,k)=({n},{k})"
-    return True, "direct=recurrence n<=60; Catalan n<=30; Dyck n<=12"
+    rows = 0
+    for rows, (n, hist) in enumerate(narayana.dyck_automaton(60), start=1):
+        if n != rows or hist != tuple(narayana.narayana_number(n, k)
+                                      for k in range(1, n + 1)):
+            return False, f"Dyck automaton mismatch at n={n}"
+    if rows != 60:
+        return False, f"Dyck automaton yielded {rows} rows, not 60"
+    return True, ("direct=recurrence n<=60; Catalan n<=30; Dyck oracle n<=12, "
+                  "automaton n<=60")
 
 
 @_timed("spectrum")

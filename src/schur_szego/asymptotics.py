@@ -20,10 +20,8 @@ from typing import Callable, Sequence
 
 from .exactpoly import RationalPoly, neville_zero
 from .narayana import narayana_poly_direct
-from .roots import certify_roots, refined_roots, roots_float
+from .roots import SIGN_CHANGES, STURM, certify_roots, refined_roots, roots_float
 
-SIGN_CHANGES = "sign-changes"
-STURM = "sturm"
 _NEWTON_STEPS = 12
 
 

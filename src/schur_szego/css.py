@@ -63,18 +63,8 @@ def css_compose_multi(polys: Sequence[RationalPoly], m: int) -> RationalPoly:
     return RationalPoly(out)
 
 
-@dataclass(frozen=True)
-class CompositionFactor:
-    """K_a = (x+1)^{n-1}(x+a); a may be INFINITY, giving K_inf = (x+1)^{n-1}."""
-
-    a: Fraction | float
-    n: int
-
-    def expand(self) -> RationalPoly:
-        return composition_factor(self.a, self.n)
-
-
 def composition_factor(a: Fraction | int | float, n: int) -> RationalPoly:
+    """K_a = (x+1)^{n-1}(x+a); a may be INFINITY, giving K_inf = (x+1)^{n-1}."""
     if n < 2:
         raise ValueError("n must be >= 2")
     base = RationalPoly.binomial_power(n - 1)

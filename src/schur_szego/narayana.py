@@ -1,17 +1,20 @@
-"""Narayana numbers, triangle and polynomials, with a brute-force Dyck oracle.
+"""Narayana numbers, triangle and polynomials, with two Dyck-path oracles.
 
 Two independent constructions of N_n(x) are provided: the closed-form
 triangle row and the three-term recurrence
-(n+1) N_n = (2n-1)(1+x) N_{n-1} - (n-2)(x-1)^2 N_{n-2}.
-Their exact agreement is part of the acceptance suite.
+(n+1) N_n = (2n-1)(1+x) N_{n-1} - (n-2)(x-1)^2 N_{n-2},
+run once over integer rows (`narayana_rows`). Peak counts of Dyck paths
+come from brute-force enumeration (n <= DYCK_ORACLE_LIMIT) and from one
+sweep of the Dyck path automaton (`dyck_automaton`, any n). Their exact
+agreement is part of the acceptance suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .exactpoly import RationalPoly
 
@@ -47,26 +50,40 @@ def narayana_poly_direct(n: int) -> RationalPoly:
     return RationalPoly([0] + [narayana_number(n, k) for k in range(1, n + 1)])
 
 
-def narayana_poly_recurrence(n: int) -> RationalPoly:
-    """N_n(x) built iteratively from the three-term recurrence.
+def narayana_rows(max_n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (n, coefficients of N_n, constant term first) for n = 1..max_n.
 
-    Each step divides by (n+1); the result must come out with integer
-    coefficients, otherwise the recurrence claim itself is falsified.
+    One pass of the three-term recurrence on integer coefficient lists. Each
+    step divides by n+1; a remainder would mean the recurrence produced a
+    non-integer row, which falsifies the recurrence claim itself.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    prev, cur = (0,), (0, 1)           # N_0 = 0 (its factor m - 2 is 0 at m = 2), N_1 = x
+    yield 1, cur
+    for m in range(2, max_n + 1):
+        a, b = 2 * m - 1, m - 2
+        n1 = (0,) + cur + (0,)         # n1[i + 1] = [x^i] N_{m-1}, zero-padded
+        n2 = (0, 0) + prev + (0, 0)    # n2[i + 2] = [x^i] N_{m-2}, zero-padded
+        row = []
+        for i in range(m + 1):
+            # [x^i] of (2m-1)(1+x) N_{m-1} - (m-2)(x-1)^2 N_{m-2}
+            lhs = a * (n1[i + 1] + n1[i]) - b * (n2[i + 2] - 2 * n2[i + 1] + n2[i])
+            coeff, rem = divmod(lhs, m + 1)
+            if rem:
+                raise RecurrenceViolationError(f"non-integer coefficients at n={m}")
+            row.append(coeff)
+        prev, cur = cur, tuple(row)
+        yield m, cur
+
+
+def narayana_poly_recurrence(n: int) -> RationalPoly:
+    """N_n(x) from the three-term recurrence: the last row of narayana_rows(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    prev = RationalPoly([0, 1])        # N_1 = x
-    if n == 1:
-        return prev
-    cur = RationalPoly([0, 1, 1])      # N_2 = x^2 + x
-    for m in range(3, n + 1):
-        lhs = (RationalPoly([1, 1]) * cur).scale(2 * m - 1) \
-            - (RationalPoly([1, -2, 1]) * prev).scale(m - 2)
-        nxt = lhs.scale(Fraction(1, m + 1))
-        if any(c.denominator != 1 for c in nxt.coeffs):
-            raise RecurrenceViolationError(f"non-integer coefficients at n={m}")
-        prev, cur = cur, nxt
-    return cur
+    for _, row in narayana_rows(n):
+        pass
+    return RationalPoly(row)
 
 
 @lru_cache(maxsize=None)
@@ -90,6 +107,40 @@ def _dyck_peak_histogram(n: int) -> tuple[int, ...]:
 
     walk(0, 0, 0, False, 0)
     return tuple(hist)
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip(a, b)]
+
+
+def dyck_automaton(max_n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (n, peak-count histogram of Dyck paths of semilength n) for
+    n = 1..max_n, from one forward sweep of the Dyck path automaton.
+
+    The state is (height, whether the last step was up); each state carries
+    hist[k] = number of step prefixes reaching it with exactly k peaks. An
+    up step keeps k, a down step right after an up step closes a peak. The
+    prefixes back at height 0 after 2n steps are the Dyck paths of
+    semilength n (the transfer-matrix method, Stanley EC1 4.7). Entry k-1 of
+    a yielded histogram counts paths with k peaks, as in _dyck_peak_histogram;
+    no closed form is used.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    zero = [0] * (max_n + 1)           # peaks 0..max_n
+    after_up = {}                      # height -> histogram; last step up
+    after_down = {0: [1] + zero[1:]}   # the empty path
+    for step in range(1, 2 * max_n + 1):
+        top = min(step, 2 * max_n - step)  # higher prefixes cannot return in time
+        ups, downs = {}, {}
+        for h in range(step % 2, top + 1, 2):
+            ups[h] = _add(after_up.get(h - 1, zero), after_down.get(h - 1, zero))
+            peak = after_up.get(h + 1, zero)
+            downs[h] = _add(after_down.get(h + 1, zero), [0] + peak[:-1])
+        after_up, after_down = ups, downs
+        if step % 2 == 0:
+            n = step // 2
+            yield n, tuple(after_down[0][1:n + 1])
 
 
 def dyck_peak_count(n: int, k: int) -> int:

@@ -22,6 +22,10 @@ STRICT_INTERLACE = "strict-interlace"
 COMMON_ROOT = "common-root"
 FAIL = "fail"
 
+# RootIsolation.path: the certificate that isolated the roots
+STURM = "sturm"
+SIGN_CHANGES = "sign-changes"
+
 _REFINE_DEFAULT = Fraction(1, 2**40)
 _WIDENINGS = 6  # eightfold each, so a bracket grows at most 2^18-fold
 
@@ -184,11 +188,12 @@ def cauchy_bound(p: RationalPoly) -> Fraction:
 class RootIsolation:
     """Disjoint rational intervals, one distinct real root each.
 
-    `certificates[i]` certifies interval i: the Sturm variation pair
-    (V(lo), V(hi)) with difference 1 from `isolate_roots`, or the endpoint
-    signs (sign p(lo), sign p(hi)) of opposite sign from `certify_roots`.
-    `_sqfree` holds the squarefree integer coefficients used for sign-based
-    refinement.
+    `path` names the route that made it. `certificates[i]` certifies
+    interval i: on path STURM (`isolate_roots`) the Sturm variation pair
+    (V(lo), V(hi)) with difference 1; on path SIGN_CHANGES (`certify_roots`)
+    the endpoint signs (sign p(lo), sign p(hi)), of opposite sign, which
+    `refine` reuses. `_sqfree` holds the squarefree integer coefficients
+    used for sign-based refinement.
     """
 
     poly: RationalPoly
@@ -196,6 +201,7 @@ class RootIsolation:
     multiplicities: tuple[int, ...]
     certificates: tuple[tuple[int, int], ...]
     _sqfree: tuple
+    path: str
 
     def real_root_count(self) -> int:
         return sum(self.multiplicities)
@@ -277,7 +283,7 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
         mults.append(sum(counts))
     sqfree = _int_divide_exact(ip, chain.polys[-1]) if tower else ip
     return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
-                         tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree))
+                         tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree), STURM)
 
 
 def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation | None:
@@ -314,17 +320,23 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
         intervals.append((lo, hi))
         signs.append((slo, shi))
     return RootIsolation(p, tuple(intervals), (1,) * len(intervals), tuple(signs),
-                         tuple(poly))
+                         tuple(poly), SIGN_CHANGES)
 
 
 def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect isolating interval `index` below width `tol` (exact signs only)."""
+    """Bisect isolating interval `index` below width `tol` (exact signs only).
+
+    The endpoint signs come from the certificate on path SIGN_CHANGES (it
+    holds them) and are evaluated on path STURM.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = iso.intervals[index]
     poly = list(iso._sqfree)
-    slo = _eval_sign(poly, lo)
-    shi = _eval_sign(poly, hi)
+    if iso.path == SIGN_CHANGES:
+        slo, shi = iso.certificates[index]
+    else:
+        slo, shi = _eval_sign(poly, lo), _eval_sign(poly, hi)
     if not slo * shi < 0:
         raise AssertionError("isolating interval must bracket a simple root")
     while hi - lo > tol:

@@ -65,3 +65,50 @@ def test_hyperbolicity_check_negative_controls(monkeypatch, fake_n6):
     result = acceptance.check_hyperbolic_interlacing(8)
     assert not result.passed
     assert "N_6" in result.detail
+
+
+def _off_by_one_at_37(rows):
+    for n, row in rows:
+        yield n, (row[:3] + (row[3] + 1,) + row[4:]) if n == 37 else row
+
+
+def _without_row_37(rows):
+    return ((n, row) for n, row in rows if n != 37)
+
+
+@pytest.mark.parametrize("corrupt, tail", [
+    (_off_by_one_at_37, "direct != recurrence at n=37"),
+    (_without_row_37, "direct != recurrence at n=38"),
+    (lambda rows: (r for r in rows if r[0] < 60), "recurrence yielded 59 rows, not 60"),
+], ids=["off-by-one", "dropped", "truncated"])
+def test_recurrence_check_negative_controls(monkeypatch, corrupt, tail):
+    real = narayana.narayana_rows
+    monkeypatch.setattr(narayana, "narayana_rows", lambda max_n: corrupt(real(max_n)))
+    result = acceptance.check_recurrence()
+    assert not result.passed
+    assert result.detail.endswith(tail)
+
+
+def _valley_automaton(max_n):
+    """The Dyck path automaton with a valley (a down step followed by an up
+    step) counted where the real one counts a peak."""
+    zero = [0] * (max_n + 1)
+    after_up, after_down = {0: [1] + zero[1:]}, {}  # the empty path ends no valley
+    for step in range(1, 2 * max_n + 1):
+        ups, downs = {}, {}
+        for h in range(step % 2, step + 1, 2):
+            valley = after_down.get(h - 1, zero)
+            ups[h] = [a + b for a, b in zip(after_up.get(h - 1, zero), [0] + valley[:-1])]
+            downs[h] = [a + b for a, b in zip(after_up.get(h + 1, zero),
+                                              after_down.get(h + 1, zero))]
+        after_up, after_down = ups, downs
+        if step % 2 == 0:
+            yield step // 2, tuple(after_down[0][1:step // 2 + 1])
+
+
+def test_recurrence_check_rejects_a_valley_automaton(monkeypatch):
+    monkeypatch.setattr(narayana, "dyck_automaton", _valley_automaton)
+    result = acceptance.check_recurrence()
+    assert not result.passed
+    # a path of semilength n has one valley fewer than peaks: wrong from n = 1
+    assert result.detail.endswith("Dyck automaton mismatch at n=1")

@@ -4,11 +4,14 @@ import pytest
 
 from schur_szego.exactpoly import RationalPoly, binomial, interpolate
 from schur_szego.narayana import (
+    _dyck_peak_histogram,
     catalan,
+    dyck_automaton,
     dyck_peak_count,
     narayana_number,
     narayana_poly_direct,
     narayana_poly_recurrence,
+    narayana_rows,
     triangle_matrix,
 )
 
@@ -49,6 +52,17 @@ def test_direct_equals_recurrence_prefix():
         assert narayana_poly_direct(n) == narayana_poly_recurrence(n)
 
 
+def test_rows_are_one_pass_of_the_recurrence():
+    rows = list(narayana_rows(60))
+    assert [n for n, _ in rows] == list(range(1, 61))
+    for n, row in rows:
+        assert all(type(c) is int for c in row)
+        assert RationalPoly(row) == narayana_poly_direct(n)
+    assert narayana_poly_recurrence(60) == RationalPoly(rows[-1][1])
+    with pytest.raises(ValueError):
+        next(narayana_rows(0))
+
+
 def test_catalan():
     assert catalan(3) == 5
     assert catalan(4) == 14
@@ -75,6 +89,15 @@ def test_dyck_matches_closed_form():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert dyck_peak_count(n, k) == narayana_number(n, k)
+
+
+def test_dyck_automaton_matches_enumeration():
+    hists = dict(dyck_automaton(12))
+    assert list(hists) == list(range(1, 13))
+    for n in range(1, 13):
+        assert hists[n] == _dyck_peak_histogram(n)
+    with pytest.raises(ValueError):
+        next(dyck_automaton(0))
 
 
 def test_triangle_block():

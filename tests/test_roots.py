@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_szego import roots
+from schur_szego import asymptotics, roots
 from schur_szego.exactpoly import RationalPoly
 from schur_szego.narayana import narayana_poly_direct
 from schur_szego.roots import (
     COMMON_ROOT,
     FAIL,
+    SIGN_CHANGES,
     STRICT_INTERLACE,
+    STURM,
     EndpointRootError,
     cauchy_bound,
     certify_roots,
@@ -22,6 +25,7 @@ from schur_szego.roots import (
     isolate_roots,
     poly_gcd,
     refine,
+    refined_roots,
     roots_float,
     sturm_count,
 )
@@ -130,6 +134,34 @@ def _certify_controls():
                               "double-root-twice", "double-root-split"])
 def test_certify_roots_negative_controls(p, proposals):
     assert certify_roots(p, proposals) is None
+
+
+def test_refine_on_sturm_path_requires_a_sign_change():
+    iso = isolate_roots(P([1, 6, 6, 1]))
+    assert iso.path == STURM
+    # p(0) = 1 and p(1) = 14: no sign change, so no simple root is bracketed
+    broken = dataclasses.replace(iso, intervals=((F(0), F(1)),) + iso.intervals[1:])
+    with pytest.raises(AssertionError, match="bracket a simple root"):
+        refine(broken, 0, TOL40)
+
+
+def test_refine_reuses_certified_endpoint_signs(monkeypatch):
+    iso = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
+    assert iso.path == SIGN_CHANGES
+    endpoints = {x for interval in iso.intervals for x in interval}
+    evaluated = []
+    real = roots._eval_sign
+
+    def counting(c, x):
+        evaluated.append(x)
+        return real(c, x)
+
+    monkeypatch.setattr(roots, "_eval_sign", counting)
+    got = refined_roots(iso)
+    assert not endpoints & set(evaluated)
+    # re-evaluating the endpoint signs, as on the Sturm path, changes nothing
+    assert refined_roots(dataclasses.replace(iso, path=STURM)) == got
+    assert len(evaluated) >= 2 * len(iso.intervals)
 
 
 def test_is_hyperbolic():
