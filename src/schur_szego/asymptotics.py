@@ -318,7 +318,7 @@ class PoincareResult:
 
 def _extrapolate_tail(ratios: Sequence, t_max: int):
     """Neville extrapolation of the ratio tail in 1/t; exact if ratios are."""
-    ts = sorted({max(2, round(t_max * (1 - i / 8))) for i in range(5)})
+    ts = sorted({min(t_max, max(2, round(t_max * (1 - i / 8)))) for i in range(5)})
     pts = [(Fraction(1, t), ratios[t - 1]) for t in ts if ratios[t - 1] is not None]
     if len(pts) < 2:
         return None, math.inf

@@ -1,8 +1,12 @@
 """Command-line front end: every verification and data export in one tool.
 
 Output conventions: JSON report envelopes on stdout (CSV goes to --out
-files or stdout for `triangle --csv`), exit code 0 when every executed
-check passed, 1 when a theorem check was falsified, 2 on usage errors.
+files or stdout for `triangle --csv`). Exit code 0: every executed check
+passed (or the command only reports). Exit 1: a theorem check was
+falsified; stdout holds a `fail` envelope whose payload carries
+`falsified` and `witness`. Exit 2: out-of-domain input; stderr holds one
+`<command>: message` line and stdout is empty. Any other exception is a
+bug and escapes with a traceback.
 """
 
 from __future__ import annotations
@@ -76,103 +80,97 @@ def _f17(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its envelope (None when it printed CSV itself)
+# and raises UsageError on out-of-domain input
 # ---------------------------------------------------------------------------
 
 
-def cmd_triangle(args) -> int:
-    if args.rows < 1:
-        print("triangle: --rows must be >= 1", file=sys.stderr)
-        return 2
+class UsageError(Exception):
+    """Out-of-domain command-line input: exit 2. Deliberately not a
+    ValueError, so an internal ValueError never passes for bad input."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _verdict(command: str, parameters: dict, ok: bool, payload: dict,
+             falsified: str, witness) -> ReportEnvelope:
+    if ok:
+        return ReportEnvelope(command, parameters, "pass", payload)
+    return fail_envelope(command, parameters, falsified, witness)
+
+
+def cmd_triangle(args) -> ReportEnvelope | None:
+    _require(args.rows >= 1, "--rows must be >= 1")
     tri = narayana.triangle_matrix(args.rows)
     if args.csv:
         for row in tri.rows:
             print(",".join(str(v) for v in row))
-        return 0
-    env = ReportEnvelope("triangle", {"rows": args.rows}, "info",
-                         {"rows": [list(r) for r in tri.rows]})
-    print(env.to_json())
-    return 0
+        return None
+    return ReportEnvelope("triangle", {"rows": args.rows}, "info",
+                          {"rows": [list(r) for r in tri.rows]})
 
 
-def cmd_narayana(args) -> int:
+def cmd_narayana(args) -> ReportEnvelope:
     params = {"n": args.n, "check_recurrence": args.check_recurrence,
               "check_catalan": args.check_catalan, "check_dyck": args.check_dyck}
-    if args.n < 1:
-        print("narayana: --n must be >= 1", file=sys.stderr)
-        return 2
-    if args.check_dyck and args.n > narayana.DYCK_ORACLE_LIMIT:
-        print(f"narayana: --check-dyck needs n <= {narayana.DYCK_ORACLE_LIMIT}",
-              file=sys.stderr)
-        return 2
+    _require(args.n >= 1, "--n must be >= 1")
+    _require(not args.check_dyck or args.n <= narayana.DYCK_ORACLE_LIMIT,
+             f"--check-dyck needs n <= {narayana.DYCK_ORACLE_LIMIT}")
     poly = narayana.narayana_poly_direct(args.n)
     payload = {"coefficients": _fractions(poly.coeffs)}
     if args.check_recurrence:
         via_rec = narayana.narayana_poly_recurrence(args.n)
         payload["recurrence_matches"] = poly == via_rec
         if not payload["recurrence_matches"]:
-            print(fail_envelope("narayana", params, "recurrence-consistency",
-                                _fractions(via_rec.coeffs)).to_json())
-            return 1
+            return fail_envelope("narayana", params, "recurrence-consistency",
+                                 _fractions(via_rec.coeffs))
     if args.check_catalan:
         payload["catalan"] = narayana.catalan(args.n)
         payload["row_sum_matches"] = poly(Fraction(1)) == narayana.catalan(args.n)
         if not payload["row_sum_matches"]:
-            print(fail_envelope("narayana", params, "catalan-row-sum",
-                                str(poly(Fraction(1)))).to_json())
-            return 1
+            return fail_envelope("narayana", params, "catalan-row-sum", str(poly(Fraction(1))))
     if args.check_dyck:
         counts = [narayana.dyck_peak_count(args.n, k) for k in range(1, args.n + 1)]
         payload["dyck_matches"] = counts == [narayana.narayana_number(args.n, k)
                                              for k in range(1, args.n + 1)]
         if not payload["dyck_matches"]:
-            print(fail_envelope("narayana", params, "dyck-oracle", counts).to_json())
-            return 1
+            return fail_envelope("narayana", params, "dyck-oracle", counts)
     status = "pass" if (args.check_recurrence or args.check_catalan or args.check_dyck) \
         else "info"
-    print(ReportEnvelope("narayana", params, status, payload).to_json())
-    return 0
+    return ReportEnvelope("narayana", params, status, payload)
 
 
-def cmd_css(args) -> int:
+def cmd_css(args) -> ReportEnvelope:
     if args.phi is not None:
-        if args.phi < 3:
-            print("css: --phi must be >= 3", file=sys.stderr)
-            return 2
+        _require(args.phi >= 3, "--phi must be >= 3")
         phi = css.build_phi(args.phi)
         payload = {
             "n": args.phi,
             "linear": [_fractions(phi.linear.row(i)) for i in range(phi.linear.rows)],
             "offset": _fractions(phi.offset),
         }
-        print(ReportEnvelope("css", {"phi": args.phi}, "info", payload).to_json())
-        return 0
-    if args.compose is None or args.m is None:
-        print("css: need either --phi N or --compose FILE_P FILE_Q with --m M",
-              file=sys.stderr)
-        return 2
+        return ReportEnvelope("css", {"phi": args.phi}, "info", payload)
+    _require(args.compose is not None and args.m is not None,
+             "need either --phi N or --compose FILE_P FILE_Q with --m M")
     try:
         p = read_poly_file(args.compose[0])
         q = read_poly_file(args.compose[1])
         result = css.css_compose(p, q, args.m)
     except (OSError, ValueError, ZeroDivisionError) as exc:
-        print(f"css: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from exc
     params = {"compose": list(args.compose), "m": args.m}
     payload = {"coefficients": _fractions(result.coeffs),
                "degree": None if result.is_zero() else int(result.degree)}
-    print(ReportEnvelope("css", params, "info", payload).to_json())
-    return 0
+    return ReportEnvelope("css", params, "info", payload)
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> ReportEnvelope:
     params = {"n": args.n, "j": args.j}
-    if args.n < 3:
-        print("eigen: --n must be >= 3", file=sys.stderr)
-        return 2
-    if args.j is not None and not 1 <= args.j <= args.n - 1:
-        print("eigen: --j must be in 1..n-1", file=sys.stderr)
-        return 2
+    _require(args.n >= 3, "--n must be >= 3")
+    _require(args.j is None or 1 <= args.j <= args.n - 1, "--j must be in 1..n-1")
     report = spectra.spectrum_report(args.n)
     payload = {
         "eigenvalues": _fractions(report.eigenvalues),
@@ -187,34 +185,24 @@ def cmd_eigen(args) -> int:
         checks[f"vanish_at_1_iff_odd_j{j}"] = (q(Fraction(1)) == 0) == (j % 2 == 1)
         checks[f"sigma_route_matches_j{j}"] = q == spectra.sigma_system_solve(args.n, j)
     payload["structure_checks"] = checks
-    if not all(checks.values()):
-        bad = sorted(k for k, v in checks.items() if not v)
-        print(fail_envelope("eigen", params, bad[0], bad).to_json())
-        return 1
-    print(ReportEnvelope("eigen", params, "pass", payload).to_json())
-    return 0
+    bad = sorted(k for k, v in checks.items() if not v)
+    return _verdict("eigen", params, not bad, payload, bad[0] if bad else None, bad)
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> ReportEnvelope:
     try:
         n_list = tuple(int(tok) for tok in args.ns.split(","))
     except ValueError:
         n_list = ()
-    if len(n_list) < 3 or list(n_list) != sorted(set(n_list)):
-        print("limits: --ns needs >= 3 strictly increasing integers", file=sys.stderr)
-        return 2
-    if args.j < 2 or n_list[0] < args.j + 2:
-        print("limits: need --j >= 2 and every n >= j + 2", file=sys.stderr)
-        return 2
-    if not args.tol > 0:
-        print("limits: --tol must be positive", file=sys.stderr)
-        return 2
+    _require(len(n_list) >= 3 and list(n_list) == sorted(set(n_list)),
+             "--ns needs >= 3 strictly increasing integers")
+    _require(args.j >= 2 and n_list[0] >= args.j + 2, "need --j >= 2 and every n >= j + 2")
+    _require(args.tol > 0, "--tol must be positive")
     params = {"j": args.j, "ns": list(n_list), "tol": args.tol}
     try:
         report = spectra.verify_mjnj(args.j, n_list, args.tol)
     except spectra.TheoremCheckFailed as exc:
-        print(fail_envelope("limits", params, "limit-vs-narayana", str(exc)).to_json())
-        return 1
+        return fail_envelope("limits", params, "limit-vs-narayana", str(exc))
     payload = {
         "m_coefficients": [_f17(c) for c in report.m_coeffs],
         "narayana_coefficients": list(report.narayana_coeffs),
@@ -222,64 +210,43 @@ def cmd_limits(args) -> int:
         "error_bounds": [_f17(b) for b in report.error_bounds],
         "max_deviation": _f17(report.max_deviation),
     }
-    print(ReportEnvelope("limits", params, "pass", payload).to_json())
-    return 0
+    return ReportEnvelope("limits", params, "pass", payload)
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> ReportEnvelope:
     params = {"n": args.n, "isolate": args.isolate, "interlace": args.interlace}
-    if args.n < 1:
-        print("roots: --n must be >= 1", file=sys.stderr)
-        return 2
+    _require(args.n >= 1, "--n must be >= 1")
+    _require(not args.interlace or args.n >= 3, "--interlace needs n >= 3")
     poly = narayana.narayana_poly_direct(args.n)
     if args.interlace:
-        if args.n < 3:
-            print("roots: --interlace needs n >= 3", file=sys.stderr)
-            return 2
-        x = RationalPoly.x()
-        prev = narayana.narayana_poly_direct(args.n - 1).exact_divide(x)
-        cur = poly.exact_divide(x)
-        verdict = roots.interlace_check(prev, cur)
-        gcd_ok = roots.poly_gcd(narayana.narayana_poly_direct(args.n - 1), poly) == x
+        x, prev = RationalPoly.x(), narayana.narayana_poly_direct(args.n - 1)
+        verdict = roots.interlace_check(prev.exact_divide(x), poly.exact_divide(x))
+        gcd_ok = roots.poly_gcd(prev, poly) == x
         payload = {"verdict": verdict, "gcd_is_x": gcd_ok}
-        if verdict != roots.STRICT_INTERLACE or not gcd_ok:
-            print(fail_envelope("roots", params, "interlacing", payload).to_json())
-            return 1
-        print(ReportEnvelope("roots", params, "pass", payload).to_json())
-        return 0
-    if args.isolate:
+        ok, falsified = verdict == roots.STRICT_INTERLACE and gcd_ok, "interlacing"
+    elif args.isolate:
         iso = roots.isolate_roots(poly)
         payload = {
             "intervals": [[str(lo), str(hi)] for lo, hi in iso.intervals],
             "multiplicities": list(iso.multiplicities),
             "distinct_real_roots": len(iso.intervals),
         }
-        ok = iso.real_root_count() == args.n
-        if not ok:
-            print(fail_envelope("roots", params, "hyperbolicity", payload).to_json())
-            return 1
-        print(ReportEnvelope("roots", params, "pass", payload).to_json())
-        return 0
-    hyper = roots.is_hyperbolic(poly)
-    payload = {"hyperbolic": hyper, "degree": args.n,
-               "distinct_real_roots": roots.distinct_real_roots(poly)}
-    if not hyper:
-        print(fail_envelope("roots", params, "hyperbolicity", payload).to_json())
-        return 1
-    print(ReportEnvelope("roots", params, "pass", payload).to_json())
-    return 0
+        ok, falsified = iso.real_root_count() == args.n, "hyperbolicity"
+    else:
+        hyper = roots.is_hyperbolic(poly)
+        payload = {"hyperbolic": hyper, "degree": args.n,
+                   "distinct_real_roots": roots.distinct_real_roots(poly)}
+        ok, falsified = hyper, "hyperbolicity"
+    return _verdict("roots", params, ok, payload, falsified, payload)
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> ReportEnvelope:
     params = {"n": args.n, "grid": args.grid, "out": args.out}
-    if args.n < 1 or args.grid < 1:
-        print("measure: --n and --grid must be >= 1", file=sys.stderr)
-        return 2
+    _require(args.n >= 1 and args.grid >= 1, "--n and --grid must be >= 1")
     try:
         fh = open(args.out, "w", encoding="ascii")
     except OSError as exc:
-        print(f"measure: cannot write --out: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write --out: {exc}") from exc
     with fh:
         sample = asymptotics.narayana_root_sample(args.n)
         cdf = asymptotics.empirical_cdf(sample)
@@ -290,28 +257,21 @@ def cmd_measure(args) -> int:
             fh.write(f"{_f17(x)},{_f17(cdf(x))},{_f17(asymptotics.cdf_kappa(x))}\n")
     payload = {"ks": _f17(ks), "roots": len(sample), "certificate": sample.path,
                "csv": args.out}
-    print(ReportEnvelope("measure", params, "info", payload).to_json())
-    return 0
+    return ReportEnvelope("measure", params, "info", payload)
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> ReportEnvelope:
     params = {"preset": args.preset, "x": args.x, "tmax": args.tmax}
     if args.preset == "fibonacci":
         spec = asymptotics.fibonacci_recurrence()
     else:
-        if args.x is None:
-            print("poincare: --preset narayana requires --x", file=sys.stderr)
-            return 2
+        _require(args.x is not None, "--preset narayana requires --x")
         try:
             x = Fraction(args.x)
-        except (ValueError, ZeroDivisionError):
-            print("poincare: --x must be a rational number such as 2 or -1/2",
-                  file=sys.stderr)
-            return 2
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError("--x must be a rational number such as 2 or -1/2") from exc
         spec = asymptotics.narayana_recurrence(x)
-    if args.tmax < spec.order:
-        print(f"poincare: --tmax must be >= {spec.order}", file=sys.stderr)
-        return 2
+    _require(args.tmax >= spec.order, f"--tmax must be >= {spec.order}")
     result = asymptotics.poincare_ratio(spec, args.tmax)
     payload = {
         "no_limit_claim": result.no_limit_claim,
@@ -325,32 +285,22 @@ def cmd_poincare(args) -> int:
         payload["limit"] = _f17(float(result.limit))
         payload["error_estimate"] = _f17(result.error_estimate)
         payload["classified_root"] = str(result.classified_root)
-    print(ReportEnvelope("poincare", params, "info", payload).to_json())
-    return 0
+    return ReportEnvelope("poincare", params, "info", payload)
 
 
-def cmd_verify_all(args) -> int:
-    if args.max_n < 2:
-        print("verify-all: --max-n must be >= 2", file=sys.stderr)
-        return 2
+def cmd_verify_all(args) -> ReportEnvelope:
+    _require(args.max_n >= 2, "--max-n must be >= 2")
     results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.seconds:.1f}s)  {r.detail}",
               file=sys.stderr)
-    all_ok = all(r.passed for r in results)
-    failed = [r.name for r in results if not r.passed]
     payload = {"checks": {r.name: {"passed": r.passed, "detail": r.detail,
                                    "seconds": round(r.seconds, 3)} for r in results}}
-    if all_ok:
-        env = ReportEnvelope("verify-all", {"max_n": args.max_n, "seed": args.seed},
-                             "pass", payload)
-    else:
-        payload["falsified"] = failed[0]
-        payload["witness"] = payload["checks"][failed[0]]["detail"]
-        env = ReportEnvelope("verify-all", {"max_n": args.max_n, "seed": args.seed},
-                             "fail", payload)
-    print(env.to_json())
-    return 0 if all_ok else 1
+    failed = [r for r in results if not r.passed]
+    if failed:  # the fail envelope keeps every check beside the falsified one
+        payload.update(falsified=failed[0].name, witness=failed[0].detail)
+    return ReportEnvelope("verify-all", {"max_n": args.max_n, "seed": args.seed},
+                          "fail" if failed else "pass", payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,8 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the only place that prints an envelope, reports a
+    usage error and picks the exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        envelope = args.fn(args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    if envelope is None:
+        return 0
+    print(envelope.to_json())
+    return 1 if envelope.status == "fail" else 0
 
 
 if __name__ == "__main__":

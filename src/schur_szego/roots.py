@@ -49,6 +49,14 @@ def _primitive(c: list[int]) -> list[int]:
     return [x // g for x in c] if g > 1 else c
 
 
+def _int_poly(p: RationalPoly) -> list[int]:
+    """Primitive integer coefficients of a nonzero p (root questions on the
+    zero polynomial have no answer)."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return _primitive(_to_int_coeffs(p))
+
+
 def _trim(c: list[int]) -> list[int]:
     while len(c) > 1 and c[-1] == 0:
         c.pop()
@@ -168,9 +176,7 @@ class SturmChain:
 
 def sturm_count(p: RationalPoly, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in (lo, hi], certified by a Sturm chain."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return SturmChain(_to_int_coeffs(p)).count(Fraction(lo), Fraction(hi))
+    return SturmChain(_int_poly(p)).count(Fraction(lo), Fraction(hi))
 
 
 def cauchy_bound(p: RationalPoly) -> Fraction:
@@ -265,9 +271,7 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     root of G_0 .. G_{m-1}. No isolating endpoint is a root of p, hence of
     any G_k, so each tower count on an isolating interval is exact.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    ip = _primitive(_to_int_coeffs(p))
+    ip = _int_poly(p)
     chain = SturmChain(ip)
     iso = _isolate(chain)
     tower = []
@@ -297,9 +301,7 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
     intermediate value theorem) and p has no more: its roots are real,
     simple and isolated by the brackets. No Sturm chain is built.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    poly = _primitive(_to_int_coeffs(p))
+    poly = _int_poly(p)
     if len(proposals) != len(poly) - 1 or not all(map(isfinite, proposals)):
         return None
     intervals, signs = [], []
@@ -370,16 +372,12 @@ def roots_float(p: RationalPoly, tol: Fraction = _REFINE_DEFAULT) -> list[float]
 
 def is_squarefree(p: RationalPoly) -> bool:
     """True iff p has no repeated factor (gcd(p, p') is constant)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return SturmChain(_to_int_coeffs(p)).is_squarefree()
+    return SturmChain(_int_poly(p)).is_squarefree()
 
 
 def distinct_real_roots(p: RationalPoly) -> int:
     """Number of distinct real roots, from variations at -inf and +inf."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return SturmChain(_to_int_coeffs(p)).total_real_roots()
+    return SturmChain(_int_poly(p)).total_real_roots()
 
 
 def is_hyperbolic(p: RationalPoly) -> bool:
@@ -388,9 +386,7 @@ def is_hyperbolic(p: RationalPoly) -> bool:
     p and its squarefree part p / gcd(p, p') share their roots, so p is
     hyperbolic iff its distinct real roots number deg p - deg gcd(p, p').
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    chain = SturmChain(_to_int_coeffs(p))
+    chain = SturmChain(_int_poly(p))
     return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
 
 

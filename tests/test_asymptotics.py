@@ -275,6 +275,14 @@ def test_poincare_cp_selection_exact():
     assert all(r == l2 for r in res.ratios)
 
 
+def test_poincare_order_one_at_its_order():
+    # t_max = order leaves a single ratio: no tail to extrapolate
+    res = poincare_ratio(constant_recurrence([F(-3), F(1)], [F(1)]), 1)
+    assert res.ratios == (3,)
+    assert res.limit == 3
+    assert res.error_estimate == math.inf
+
+
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec(2, (lambda t: 1,), (1, 1), (1, 1))

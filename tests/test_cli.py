@@ -4,7 +4,7 @@ import math
 import jsonschema
 import pytest
 
-from schur_szego import cli
+from schur_szego import acceptance, cli, narayana, roots, spectra
 from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file, write_poly_file
 from schur_szego.exactpoly import RationalPoly
 from fractions import Fraction as F
@@ -187,6 +187,11 @@ def test_unknown_subcommand_exit_2(capsys):
     ("poincare", "--preset", "fibonacci", "--tmax", "1"),
     ("poincare", "--preset", "narayana", "--x", "abc"),
     ("verify-all", "--max-n", "1"),
+    ("limits", "--j", "3", "--ns", "a,b,c"),
+    ("limits", "--j", "1"),
+    ("roots", "--n", "2", "--interlace"),
+    ("poincare", "--preset", "narayana"),
+    ("css", "--compose", "{tmp}/cubic.poly", "{tmp}/cubic.poly"),
 ])
 def test_out_of_domain_input_exit_2(capsys, tmp_path, argv):
     write_poly_file(str(tmp_path / "cubic.poly"), RationalPoly([1, 3, 3, 1]))
@@ -217,3 +222,65 @@ def test_verify_all_smoke(capsys):
     assert env["status"] == "pass"
     assert len(env["payload"]["checks"]) == 10
     assert err.count("PASS") == 10
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(n):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(narayana, "narayana_poly_direct", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["roots", "--n", "5"])
+    assert capsys.readouterr().err == ""
+
+
+def _limit_deviates(*args):
+    raise spectra.TheoremCheckFailed("M_3 deviates from N_3")
+
+
+def _isolate_one_root_short(p, real=roots.isolate_roots):
+    return real(p.exact_divide(RationalPoly.x()))
+
+
+def assert_falsified(code, out, err, command, falsified):
+    env = parse_envelope(out)
+    assert code == 1
+    assert env["status"] == "fail"
+    assert env["payload"]["falsified"] == falsified
+    assert "witness" in env["payload"]
+    assert not any(line.startswith(command + ":") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("argv, module, name, fake, falsified", [
+    (("narayana", "--n", "7", "--check-recurrence"), narayana, "narayana_poly_recurrence",
+     lambda n: narayana.narayana_poly_direct(n) + RationalPoly.x(), "recurrence-consistency"),
+    (("narayana", "--n", "7", "--check-catalan"), narayana, "catalan",
+     lambda n: 0, "catalan-row-sum"),
+    (("narayana", "--n", "7", "--check-dyck"), narayana, "dyck_peak_count",
+     lambda n, k: 0, "dyck-oracle"),
+    (("eigen", "--n", "6"), spectra, "sigma_system_solve",
+     lambda n, j: RationalPoly([1]), "sigma_route_matches_j1"),
+    (("limits", "--j", "3"), spectra, "verify_mjnj", _limit_deviates, "limit-vs-narayana"),
+    (("roots", "--n", "6"), roots, "is_hyperbolic", lambda p: False, "hyperbolicity"),
+    (("roots", "--n", "6", "--isolate"), roots, "isolate_roots", _isolate_one_root_short,
+     "hyperbolicity"),
+    (("roots", "--n", "6", "--interlace"), roots, "interlace_check",
+     lambda p, q: roots.FAIL, "interlacing"),
+])
+def test_falsified_theorem_exit_1(capsys, monkeypatch, argv, module, name, fake, falsified):
+    monkeypatch.setattr(module, name, fake)
+    assert_falsified(*run_cli(capsys, *argv), argv[0], falsified)
+
+
+def test_verify_all_falsified_exit_1(capsys, monkeypatch):
+    for attr, check in list(vars(acceptance).items()):
+        if hasattr(check, "check_name"):
+            outcome = (False, "Q_2 off") if check.check_name == "spectrum" else (True, "ok")
+            monkeypatch.setattr(acceptance, attr,
+                                acceptance._timed(check.check_name)(lambda *a, o=outcome: o))
+    code, out, err = run_cli(capsys, "verify-all", "--max-n", "8")
+    assert_falsified(code, out, err, "verify-all", "spectrum")
+    env = json.loads(out)
+    assert env["payload"]["witness"] == "Q_2 off"
+    assert len(env["payload"]["checks"]) == 10
+    assert err.count("PASS") == 9 and err.count("FAIL") == 1

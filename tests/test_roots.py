@@ -164,6 +164,15 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
     assert len(evaluated) >= 2 * len(iso.intervals)
 
 
+@pytest.mark.parametrize("question", [
+    lambda p: sturm_count(p, -1, 1), isolate_roots, lambda p: certify_roots(p, []),
+    is_squarefree, distinct_real_roots, is_hyperbolic,
+])
+def test_zero_polynomial_rejected(question):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        question(P([0]))
+
+
 def test_is_hyperbolic():
     assert is_hyperbolic(narayana_poly_direct(5))
     assert not is_hyperbolic(P([1, 0, 1]))
