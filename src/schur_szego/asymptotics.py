@@ -160,9 +160,15 @@ def narayana_root_sample(n: int) -> RootSample:
 # ---------------------------------------------------------------------------
 
 
+def _float_pair(coeffs: Sequence[Fraction]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Binary64 coefficients of (p', p), each rounded once from the exact value."""
+    return tuple(float(i * c) for i, c in enumerate(coeffs))[1:], tuple(map(float, coeffs))
+
+
 @lru_cache(maxsize=512)
-def _float_coeffs(p: RationalPoly) -> tuple[float, ...]:
-    return tuple(float(c) for c in p.coeffs)
+def _float_coeffs(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """_float_pair of N_n, keyed by n so that a hit neither rebuilds nor hashes N_n."""
+    return _float_pair(narayana_poly_direct(n).coeffs)
 
 
 def _eval_float(coeffs: Sequence[float], x: complex) -> complex:
@@ -172,13 +178,16 @@ def _eval_float(coeffs: Sequence[float], x: complex) -> complex:
     return acc
 
 
-def _quotient(num: RationalPoly, den: RationalPoly, x, scale=1) -> complex | Fraction:
-    """num(x) / (scale * den(x)); exact when x is a Fraction (or int)."""
+def _quotient(x, exact, floats, scale=1) -> complex | Fraction:
+    """num(x) / (scale * den(x)): exact from exact() = (num, den) as RationalPolys
+    when x is a Fraction (or int), else from floats() = their binary64 coefficients."""
     if isinstance(x, (Fraction, int)):
         x = Fraction(x)
+        num, den = exact()
         top, bottom = num(x), den(x)
     else:
-        top, bottom = _eval_float(_float_coeffs(num), x), _eval_float(_float_coeffs(den), x)
+        num, den = floats()
+        top, bottom = _eval_float(num, x), _eval_float(den, x)
     if bottom == 0:
         raise PoleError(f"denominator vanishes at {x}")
     return top / (scale * bottom)
@@ -186,12 +195,14 @@ def _quotient(num: RationalPoly, den: RationalPoly, x, scale=1) -> complex | Fra
 
 def psi_n(n: int, x) -> complex | Fraction:
     """N_{n+1}(x) / N_n(x); exact when x is a Fraction (or int)."""
-    return _quotient(narayana_poly_direct(n + 1), narayana_poly_direct(n), x)
+    return _quotient(x, lambda: (narayana_poly_direct(n + 1), narayana_poly_direct(n)),
+                     lambda: (_float_coeffs(n + 1)[1], _float_coeffs(n)[1]))
 
 
 def theta_n(n: int, x) -> complex | Fraction:
     """N_n'(x) / (n N_n(x)); exact when x is a Fraction (or int)."""
-    return cauchy_transform(narayana_poly_direct(n), x)
+    return _quotient(x, lambda: ((p := narayana_poly_direct(n)).derivative(), p),
+                     lambda: _float_coeffs(n), n)
 
 
 def _check_off_cut(x: complex) -> complex:
@@ -218,7 +229,7 @@ def cauchy_transform(p: RationalPoly, x) -> complex | Fraction:
     deg = p.degree
     if deg == float("-inf") or deg == 0:
         raise ValueError("need a nonconstant polynomial")
-    return _quotient(p.derivative(), p, x, deg)
+    return _quotient(x, lambda: (p.derivative(), p), lambda: _float_pair(p.coeffs), deg)
 
 
 def plemelj_density(x: float, eps: float) -> float:

@@ -1,9 +1,9 @@
 """Exact rational univariate polynomials and small dense linear algebra.
 
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
-matrices are dense row-major Fraction arrays, and one rational Gauss-Jordan
-reduction, _rref, serves kernel, solve_linear and RationalMatrix.determinant
-(sizes in this project stay well under 200).
+matrices are dense row-major Fraction arrays, and one fraction-free (Bareiss)
+Gauss-Jordan reduction on integers, _rref, serves kernel, solve_linear and
+RationalMatrix.determinant (sizes in this project stay well under 200).
 Floating point is deliberately kept out of this module, save the binary64
 error estimate that neville_zero returns beside its exact value.
 """
@@ -291,6 +291,8 @@ class RationalMatrix:
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("rows of a matrix must have equal length")
         return cls(r, c, [e for row in rows for e in row])
 
     @classmethod
@@ -330,48 +332,46 @@ class RationalMatrix:
         return det if len(piv_cols) == self.rows else Fraction(0)
 
 
-def _select_pivot(m: list[list[Fraction]], from_row: int, col: int) -> int | None:
-    """Pivot row with the largest |numerator| in `col` (None if all zero)."""
-    best, best_key = None, None
-    for r in range(from_row, len(m)):
-        v = m[r][col]
-        if v != 0:
-            key = abs(v.numerator)
-            if best is None or key > best_key:
-                best, best_key = r, key
-    return best
-
-
 def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan reduction of `m` in place: (rows, pivot columns, det).
+    """Fraction-free Gauss-Jordan reduction of `m`: (rows, pivot columns, det).
 
-    det is the signed product of the pivots, which is the determinant when
-    `m` is square and every column has a pivot.
+    Rows are scaled once to integers (lcm of their denominators), then Bareiss
+    steps row <- (p * row - row[c] * pivot row) / prev divide exactly, since every
+    entry is an integer minor. Every pivot row ends with the last pivot in its
+    pivot column. det is the determinant when `m` is square of full rank.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    a, scale = [], 1
+    for row in m:
+        s = math.lcm(*(v.denominator for v in row))
+        scale *= s
+        a.append([v.numerator * (s // v.denominator) for v in row])
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     piv_cols: list[int] = []
-    det = Fraction(1)
-    r = 0
+    sign = prev = 1
     for c in range(cols):
+        r = len(piv_cols)
         if r >= rows:
             break
-        piv = _select_pivot(m, r, c)
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
+        p = a[piv][c]
         if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][c]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                qr = [divmod(p * x - f * y, prev) for x, y in zip(row, top)]
+                if any(rem for _, rem in qr):
+                    raise AssertionError(f"Bareiss step at column {c} is not exact")
+                a[i] = [q for q, _ in qr]
         piv_cols.append(c)
-        r += 1
-    return m, piv_cols, det
+        prev = p
+    reduced = [[Fraction(x, prev) for x in row] for row in a]
+    return reduced, piv_cols, Fraction(sign * prev, scale)
 
 
 def kernel(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:

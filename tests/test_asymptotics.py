@@ -182,6 +182,18 @@ def test_cauchy_transform_is_theta():
             assert cauchy_transform(poly, x) == theta_n(n, x)
 
 
+def test_float_quotients_keyed_by_n():
+    # the binary64 path agrees bit for bit with the generic transform, and a
+    # repeated call is a cache hit on the integer n, not a rebuild of N_n
+    asymptotics._float_coeffs.cache_clear()
+    for n in (4, 9, 60):
+        for x in (2.0 + 0j, complex(-3, 1e-3), 0.5 + 2j):
+            assert theta_n(n, x) == cauchy_transform(narayana_poly_direct(n), x)
+            psi_n(n, x)  # reads N_{n+1} and N_n from the same cache
+    info = asymptotics._float_coeffs.cache_info()
+    assert info.currsize == 6 and info.misses == 6
+
+
 def test_plemelj_density():
     assert plemelj_density(-1.0, 1e-6) == pytest.approx(1 / (2 * math.pi), abs=1e-4)
     assert plemelj_density(-4.0, 1e-6) == pytest.approx(density_rho(-4.0), abs=1e-6)

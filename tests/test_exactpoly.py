@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from schur_szego.css import build_phi
 from schur_szego.exactpoly import (
     NotDivisibleError,
     RationalMatrix,
     RationalPoly,
     SingularMatrixError,
+    _rref,
     binomial,
     elementary_symmetric_prefix,
     interpolate,
@@ -17,6 +19,7 @@ from schur_szego.exactpoly import (
     power_sum,
     solve_linear,
 )
+from schur_szego.spectra import eigenvalues_closed_form
 
 P = RationalPoly
 
@@ -83,6 +86,13 @@ def test_kernel_examples():
     m = RationalMatrix.from_rows([[0, F(-1, 2)], [0, F(-1, 2)]])
     assert kernel(m) == [(F(1), F(0))]
     assert len(kernel(RationalMatrix(2, 2, [0] * 4))) == 2
+
+
+def test_from_rows_rejects_ragged_rows():
+    # rows of length 2, 3 and 1 hold six entries, which fit a 3 x 2 shape by count alone
+    with pytest.raises(ValueError):
+        RationalMatrix.from_rows([[1, 2], [3, 4, 5], [6]])
+    assert RationalMatrix.from_rows([[1, 2], [3, 4]]).to_rows() == [[1, 2], [3, 4]]
 
 
 def test_solve_identity():
@@ -192,3 +202,86 @@ def test_kernel_vectors_annihilate(entries):
     m = RationalMatrix(2, 3, entries)
     for v in kernel(m):
         assert m.matvec(v) == (F(0), F(0))
+
+
+# -- the fraction-free elimination against a rational Gauss-Jordan oracle ----
+
+
+def _oracle_rref(m):
+    """Gauss-Jordan on Fractions, pivoting on the largest |numerator|."""
+    m = [[F(v) for v in row] for row in m]
+    rows, cols = len(m), len(m[0])
+    piv_cols, det = [], F(1)
+    for c in range(cols):
+        r = len(piv_cols)
+        candidates = [i for i in range(r, rows) if m[i][c] != 0]
+        if not candidates:
+            continue
+        piv = max(candidates, key=lambda i: abs(m[i][c].numerator))
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][c]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+    return m, piv_cols, det
+
+
+def _oracle_kernel(m):
+    red, piv_cols, _ = _oracle_rref(m)
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in piv_cols):
+        v = [F(0)] * len(m[0])
+        v[fc] = F(1)
+        for r, pc in enumerate(piv_cols):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+sparse_fractions = st.tuples(st.booleans(), small_fractions).map(lambda t: F(0) if t[0] else t[1])
+
+
+@st.composite
+def rational_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    m = [[draw(sparse_fractions) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):  # one row a combination of two others
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(small_fractions), draw(small_fractions)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@given(rational_matrices(), st.lists(small_fractions, min_size=6, max_size=6))
+@example([[0, 1], [1, 0]], [1, 2] * 3)  # one swap: det -1
+@example([[F(1, 2), 0], [0, F(1, 3)]], [0] * 6)  # row scales 2 and 3
+@example([[1, 1, 0], [0, 0, 1], [2, 2, 1]], [0] * 6)  # rank 2, a skipped column
+def test_fraction_free_rref_matches_rational_oracle(rows, rhs):
+    red, piv_cols, _ = _oracle_rref(rows)
+    assert _rref([[F(v) for v in row] for row in rows])[:2] == (red, piv_cols)
+    assert kernel(RationalMatrix.from_rows(rows)) == _oracle_kernel(rows)
+    n = min(len(rows), len(rows[0]))  # the leading square block
+    square = RationalMatrix.from_rows([row[:n] for row in rows[:n]])
+    _, piv_cols, det = _oracle_rref(square.to_rows())
+    assert square.determinant() == (det if len(piv_cols) == n else 0)
+    red, piv_cols, _ = _oracle_rref([row + [v] for row, v in zip(square.to_rows(), rhs)])
+    if piv_cols != list(range(n)):
+        with pytest.raises(SingularMatrixError):
+            solve_linear(square, rhs[:n])
+    else:
+        assert solve_linear(square, rhs[:n]) == tuple(row[n] for row in red)
+
+
+def test_phi_12_kernels_match_rational_oracle():
+    linear = build_phi(12).linear
+    for lam in eigenvalues_closed_form(12):
+        shifted = linear.shifted(lam)
+        basis = kernel(shifted)
+        assert len(basis) == 1
+        assert basis == _oracle_kernel(shifted.to_rows())
