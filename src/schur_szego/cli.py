@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -197,7 +198,7 @@ def cmd_limits(args) -> ReportEnvelope:
     _require(len(n_list) >= 3 and list(n_list) == sorted(set(n_list)),
              "--ns needs >= 3 strictly increasing integers")
     _require(args.j >= 2 and n_list[0] >= args.j + 2, "need --j >= 2 and every n >= j + 2")
-    _require(args.tol > 0, "--tol must be positive")
+    _require(0 < args.tol < math.inf, "--tol must be positive and finite")
     params = {"j": args.j, "ns": list(n_list), "tol": args.tol}
     try:
         report = spectra.verify_mjnj(args.j, n_list, args.tol)
@@ -270,6 +271,7 @@ def cmd_poincare(args) -> ReportEnvelope:
             x = Fraction(args.x)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError("--x must be a rational number such as 2 or -1/2") from exc
+        _require(x != 0, "--x must be nonzero: N_n(0) = 0 for every n")
         spec = asymptotics.narayana_recurrence(x)
     _require(args.tmax >= spec.order, f"--tmax must be >= {spec.order}")
     result = asymptotics.poincare_ratio(spec, args.tmax)

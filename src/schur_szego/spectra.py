@@ -2,9 +2,10 @@
 
 Two independent routes to Q_{j,n} are implemented:
 
-* extract_q: kernel of (A - lambda I) for the linear part A of Phi_n. The
-  kernel vector is the coefficient vector of the direction polynomial
-  V/(x+1), so the eigenpolynomial is V = (x+1) * D normalized monic.
+* spectrum_report: one kernel of (A - lambda I) per eigenvalue, A the linear
+  part of Phi_n. The kernel vector is the coefficient vector of the direction
+  polynomial V/(x+1), so the eigenpolynomial is V = (x+1) * D normalized
+  monic; Q_{j,n} is V for lambda_{j+2,n} divided by x(x+1)^{n-j-2}.
 * sigma_system_solve: the linear system L_k = R_k in the unknown interior
   coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant (-1)^j fixed),
   assembled from the coefficient identities of the eigen-relation, solved
@@ -16,6 +17,7 @@ n -> infinity limits are estimated by Richardson extrapolation in 1/(n-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,9 +96,14 @@ def extract_q(n: int, j: int) -> RationalPoly:
     """Q_{j,n}: eigenpolynomial for lambda_{j+2,n} divided by x(x+1)^{n-j-2}."""
     if n < 4 or not 1 <= j <= n - 3:
         raise ValueError(f"need n >= 4 and 1 <= j <= n-3, got n={n}, j={j}")
+    return _cofactor(eigenpolynomial(n, j + 2), n, j)
+
+
+def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
+    """Q_{j,n} from the eigenpolynomial for lambda_{j+2,n}, shape-checked."""
     divisor = RationalPoly([0, 1]) * RationalPoly.binomial_power(n - j - 2)
     try:
-        q = eigenpolynomial(n, j + 2).exact_divide(divisor)
+        q = eigenpoly.exact_divide(divisor)
     except ArithmeticError as exc:
         raise StructureViolationError(str(exc)) from exc
     if q.degree != j or not q.is_monic() or q(Fraction(-1)) == 0:
@@ -116,9 +123,10 @@ class SpectrumReport:
 
 @lru_cache(maxsize=None)
 def spectrum_report(n: int) -> SpectrumReport:
+    """Every eigenpolynomial of Phi_n (one kernel each) and the Q_{j,n} cut from them."""
     eig = eigenvalues_closed_form(n)
     polys = tuple(eigenpolynomial(n, j) for j in range(1, n))
-    qs = tuple(extract_q(n, j) for j in range(1, n - 2)) if n >= 4 else ()
+    qs = tuple(_cofactor(polys[j + 1], n, j) for j in range(1, n - 2))
     return SpectrumReport(n, tuple(eig), polys, qs)
 
 
@@ -127,25 +135,26 @@ def spectrum_report(n: int) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_row(n: int, j: int, k: int) -> tuple[list[Fraction], Fraction]:
-    """Equation L_k - R_k = 0 as (coefficients of q_1..q_{j-1}, constant)."""
-    l_next = Fraction(1)
-    for i in range(1, j + 2):
-        l_next *= (n - i)
-    # left side: l_{j+1} * sum over the coefficients of Q, low-to-high degree
-    vec = [Fraction(0)] * (j - 1)
-    const = l_next * (Fraction(-1) ** j * binomial(n - j - 2, k - 1)
-                      + binomial(n - j - 2, k - 1 - j))
+def _sigma_row(n: int, j: int, k: int) -> tuple[list[int], int]:
+    """Equation L_k - R_k = 0 as (coefficients of q_1..q_{j-1}, constant) in
+    integers: times C(n,k)^{j+1} > 0, then divided by its content, which would
+    otherwise inflate every number the elimination in solve_linear makes."""
+    a, b = binomial(n - 1, k - 1), binomial(n - 1, k)
+    # left side: l_{j+1} * C(n,k)^{j+1} * sum over the coefficients of Q,
+    # low-to-high degree
+    left = math.perm(n - 1, j + 1) * binomial(n, k) ** (j + 1)
+    sign = (-1) ** j
+    vec = [0] * (j - 1)
+    const = left * (sign * binomial(n - j - 2, k - 1) + binomial(n - j - 2, k - 1 - j))
     for nu in range(1, j):  # coefficient of x^nu in Q is q_{j-nu}
-        vec[j - nu - 1] += l_next * binomial(n - j - 2, k - 1 - nu)
+        vec[j - nu - 1] += left * binomial(n - j - 2, k - 1 - nu)
     # right side
-    f = Fraction(n) ** (j + 1) * binomial(n - 1, k - 1) * binomial(n - 1, k) \
-        / Fraction(binomial(n, k)) ** (j + 1)
-    a, b = Fraction(binomial(n - 1, k - 1)), Fraction(binomial(n - 1, k))
-    const -= f * (a ** j + Fraction(-1) ** j * b ** j)
+    f = n ** (j + 1) * a * b
+    const -= f * (a ** j + sign * b ** j)
     for nu in range(1, j):
         vec[nu - 1] -= f * a ** (j - nu) * b ** nu
-    return vec, const
+    g = math.gcd(const, *vec) or 1  # the row may vanish identically
+    return [v // g for v in vec], const // g
 
 
 def sigma_system_solve(n: int, j: int) -> RationalPoly:
@@ -216,18 +225,6 @@ def richardson_limit(j: int, n_list: Sequence[int]) -> list[ExpansionEstimate]:
     return out
 
 
-def q_star_estimate(j: int, n_list: Sequence[int]) -> tuple[list[float], list[float]]:
-    """Float coefficients (constant first) of Q_j* and per-coefficient bounds."""
-    coeffs = [0.0] * (j + 1)
-    bounds = [0.0] * (j + 1)
-    coeffs[j] = 1.0
-    coeffs[0] = (-1.0) ** j
-    for est in richardson_limit(j, n_list):
-        coeffs[j - est.nu] = est.extrapolated_q0
-        bounds[j - est.nu] = est.error_bound
-    return coeffs, bounds
-
-
 def m_transform(q: RationalPoly, j: int) -> RationalPoly:
     """M_j(x) = (-1)^{j-1} x Q_{j-1}(-x) for deg Q = j-1."""
     if q.degree != j - 1:
@@ -258,10 +255,15 @@ def verify_mjnj(j: int, n_list: Sequence[int], tol: float) -> MjNjReport:
     row: extrapolate Q_{j-1}*, transform, compare coefficientwise at `tol`."""
     if j < 2:
         raise ValueError("j must be >= 2")
-    coeffs, bounds = q_star_estimate(j - 1, n_list)
+    # float coefficients (constant first) of Q_{j-1}* and their error bounds
+    coeffs, bounds = [0.0] * j, [0.0] * j
+    coeffs[j - 1], coeffs[0] = 1.0, (-1.0) ** (j - 1)
+    for est in richardson_limit(j - 1, n_list):
+        coeffs[j - 1 - est.nu] = est.extrapolated_q0
+        bounds[j - 1 - est.nu] = est.error_bound
     sign = (-1.0) ** (j - 1)
     m_coeffs = tuple(sign * (-1.0) ** i * coeffs[i] for i in range(j))
-    m_bounds = tuple(bounds[i] for i in range(j))
+    m_bounds = tuple(bounds)
     target = tuple(narayana_number(j, k) for k in range(1, j + 1))
     deviations = tuple(abs(mc - t) for mc, t in zip(m_coeffs, target))
     report = MjNjReport(j, tuple(n_list), tol, m_coeffs, target, deviations,

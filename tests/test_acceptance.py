@@ -3,7 +3,7 @@ tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
 import pytest
 
-from schur_szego import acceptance, narayana
+from schur_szego import acceptance, css, narayana, spectra
 from schur_szego.exactpoly import RationalPoly as P
 
 
@@ -112,3 +112,26 @@ def test_recurrence_check_rejects_a_valley_automaton(monkeypatch):
     assert not result.passed
     # a path of semilength n has one valley fewer than peaks: wrong from n = 1
     assert result.detail.endswith("Dyck automaton mismatch at n=1")
+
+
+def test_spectrum_check_rejects_a_two_dimensional_kernel(monkeypatch, cold_spectrum_report):
+    target = css.build_phi(7).linear.shifted(spectra.eigenvalues_closed_form(7)[3])
+    real = spectra.kernel
+
+    def kernel(m):
+        basis = real(m)
+        return basis + [tuple(range(1, m.cols + 1))] if m == target else basis
+
+    monkeypatch.setattr(spectra, "kernel", kernel)
+    result = acceptance.check_spectrum()
+    assert not result.passed
+    assert result.detail.endswith("kernel of A - lambda_(4,7) I has dimension 2")
+
+
+def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum_report):
+    real = spectra.sigma_system_solve
+    monkeypatch.setattr(spectra, "sigma_system_solve",
+                        lambda n, j: real(n, j) + P([1]) if (n, j) == (8, 3) else real(n, j))
+    result = acceptance.check_q_structure()
+    assert not result.passed
+    assert result.detail == "kernel and sigma routes disagree at (n,j)=(8,3)"

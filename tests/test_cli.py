@@ -192,6 +192,8 @@ def test_unknown_subcommand_exit_2(capsys):
     ("roots", "--n", "2", "--interlace"),
     ("poincare", "--preset", "narayana"),
     ("css", "--compose", "{tmp}/cubic.poly", "{tmp}/cubic.poly"),
+    ("poincare", "--preset", "narayana", "--x", "0"),
+    ("limits", "--j", "3", "--tol", "inf"),
 ])
 def test_out_of_domain_input_exit_2(capsys, tmp_path, argv):
     write_poly_file(str(tmp_path / "cubic.poly"), RationalPoly([1, 3, 3, 1]))

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from schur_szego import spectra
-from schur_szego.exactpoly import RationalPoly, interpolate
+from schur_szego.exactpoly import RationalPoly, binomial, interpolate
 from schur_szego.spectra import (
     SigmaInconsistencyError,
     TheoremCheckFailed,
@@ -87,6 +88,16 @@ def test_spectrum_report_shape():
     assert all(p.degree == 5 and p.is_monic() for p in rep.eigenpolys)
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_spectrum_report_eliminates_once_per_eigenvalue(monkeypatch, cold_spectrum_report, n):
+    calls = []
+    real = spectra.kernel
+    monkeypatch.setattr(spectra, "kernel", lambda m: calls.append(m) or real(m))
+    rep = spectrum_report(n)
+    assert len(calls) == n - 1
+    assert rep.q_polys == tuple(extract_q(n, j) for j in range(1, n - 2))
+
+
 def test_richardson_j2_exact():
     ests = richardson_limit(2, (20, 40, 80))
     assert len(ests) == 1
@@ -140,6 +151,41 @@ def test_k1_equation_leading_balance():
             rhs += F(n - 1) ** nu * q.coeff(j - nu)
         rhs *= (n - 1)
         assert lhs == rhs
+
+
+def _fraction_sigma_row(n, j, k):
+    """The equation L_k - R_k = 0 of system (Sigma) as first written, in
+    Fraction arithmetic and without the C(n,k)^{j+1} scale (test oracle)."""
+    l_next = F(1)
+    for i in range(1, j + 2):
+        l_next *= (n - i)
+    vec = [F(0)] * (j - 1)
+    const = l_next * (F(-1) ** j * binomial(n - j - 2, k - 1)
+                      + binomial(n - j - 2, k - 1 - j))
+    for nu in range(1, j):
+        vec[j - nu - 1] += l_next * binomial(n - j - 2, k - 1 - nu)
+    f = F(n) ** (j + 1) * binomial(n - 1, k - 1) * binomial(n - 1, k) \
+        / F(binomial(n, k)) ** (j + 1)
+    a, b = F(binomial(n - 1, k - 1)), F(binomial(n - 1, k))
+    const -= f * (a ** j + F(-1) ** j * b ** j)
+    for nu in range(1, j):
+        vec[nu - 1] -= f * a ** (j - nu) * b ** nu
+    return vec, const
+
+
+def test_sigma_rows_are_the_fraction_rows_scaled_to_primitive_integers():
+    # C(n,k)^{j+1} clears every denominator; the gcd of the entries is then
+    # divided out, so the row is a positive multiple of the oracle row
+    for n in range(4, 15):
+        for j in range(1, n - 2):
+            for k in range(1, n):
+                vec, const = spectra._sigma_row(n, j, k)
+                assert all(type(e) is int for e in [*vec, const])
+                old_vec, old_const = _fraction_sigma_row(n, j, k)
+                scaled = [binomial(n, k) ** (j + 1) * e for e in [*old_vec, old_const]]
+                assert all(e.denominator == 1 for e in scaled)
+                g = math.gcd(*(int(e) for e in scaled)) or 1
+                assert [*vec, const] == [e / g for e in scaled]
 
 
 def _edit_sigma_rows(monkeypatch, edit):
@@ -222,7 +268,6 @@ def test_series_coefficients_polynomial_in_j(nu, i):
 
 def test_q1_first_series_coefficient_is_binomial():
     # the h^1 coefficient of q_1(n) comes out as C(j+2, 4) on the nose
-    from schur_szego.exactpoly import binomial
     ests = _series_coefficient_estimates(1, 1, range(3, 8))
     for j, est in zip(range(3, 8), ests):
         assert est == pytest.approx(binomial(j + 2, 4), rel=1e-2)
