@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
@@ -63,7 +64,7 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _derivative(c: list[int]) -> list[int]:
+def _derivative(c: Sequence[int]) -> list[int]:
     return _trim([i * c[i] for i in range(1, len(c))]) or [0]
 
 
@@ -71,10 +72,22 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
+def _int_prs(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Primitive PRS of (a, b) with Sturm signs: each step appends a positive
-    rescaling of -(a mod b). Ends at the (primitive) gcd."""
-    chain = [_primitive(list(a)), _primitive(list(b))]
+    rescaling of -(a mod b). Ends at the (primitive) gcd.
+
+    Memoized on the primitive pair, so a Sturm chain of q, the interlacing
+    sequence of (q, c*q') and a gcd of the two share one build."""
+    return _prs(tuple(_primitive(list(a))), tuple(_primitive(list(b))))
+
+
+# maxsize 2: roots_float(q) builds q's chain, then a gcd-tower chain, before
+# is_hyperbolic(q) asks for q's chain again. Members are built as lists and
+# frozen once at the end; building each as a tuple from a generator left
+# about 0.6 MB more allocated after the hyperbolicity-interlacing check
+@lru_cache(maxsize=2)
+def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    chain = [a, b]
     while True:
         f, g = chain[-2], chain[-1]
         if len(g) == 1:
@@ -97,33 +110,35 @@ def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
             break  # g divides f: g is the gcd, chain ends there
         flip = -1 if mult > 0 else 1
         chain.append(_primitive([flip * x for x in r]))
-    return chain
+    return tuple(map(tuple, chain))
 
 
-def _int_divide_exact(a: list[int], d: list[int]) -> list[int]:
+def _int_divide_exact(a: Sequence[int], d: Sequence[int]) -> list[int]:
     """Exact quotient of integer polynomials (rational division, must clear)."""
     return _primitive(_to_int_coeffs(RationalPoly(a).exact_divide(RationalPoly(d))))
 
 
-def _den_powers(den: int, degree: int) -> list[int]:
-    out = [1]
-    for _ in range(degree):
-        out.append(out[-1] * den)
-    return out
-
-
-def _horner(c: Sequence[int], num: int, den_powers: Sequence[int]) -> int:
-    """den^deg(c) * c(num/den), homogenized Horner; den_powers[k] = den^k."""
+def _horner(c: Sequence[int], x: Fraction) -> int:
+    """den^deg(c) * c(num/den) for x = num/den, by homogenized Horner; a
+    power-of-two den shifts the coefficients instead of multiplying them."""
+    num, den = x.numerator, x.denominator
     d = len(c) - 1
     acc = c[-1]
-    for i in range(d - 1, -1, -1):
-        acc = acc * num + c[i] * den_powers[d - i]
+    if den & (den - 1) == 0:
+        e = den.bit_length() - 1
+        for i in range(d - 1, -1, -1):
+            acc = acc * num + (c[i] << e * (d - i))
+    else:
+        dp = 1
+        for i in range(d - 1, -1, -1):
+            dp *= den
+            acc = acc * num + c[i] * dp
     return acc
 
 
 def _eval_sign(c: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial at a rational point."""
-    return _sign(_horner(c, x.numerator, _den_powers(x.denominator, len(c) - 1)))
+    return _sign(_horner(c, x))
 
 
 def _variations(signs) -> int:
@@ -132,7 +147,7 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
-def _cauchy_index(polys: list[list[int]]) -> int:
+def _cauchy_index(polys: Sequence[Sequence[int]]) -> int:
     """V(-inf) - V(+inf) of the signed remainder sequence (f, g, ...): the
     Cauchy index of g/f over the real line."""
     at_pos = [_sign(c[-1]) for c in polys]
@@ -148,18 +163,16 @@ class SturmChain:
     at non-root points, leaving variation counts intact).
     """
 
-    def __init__(self, int_coeffs: list[int]):
+    def __init__(self, int_coeffs: Sequence[int]):
         p = _primitive(list(int_coeffs))
-        self.polys = [p] if len(p) == 1 else _int_prs(p, _derivative(p))
+        self.polys = (tuple(p),) if len(p) == 1 else _int_prs(p, _derivative(p))
         self.poly = p
 
     def is_squarefree(self) -> bool:
         return len(self.poly) == 1 or len(self.polys[-1]) == 1
 
     def variations_at(self, x: Fraction) -> int:
-        num = x.numerator
-        den_powers = _den_powers(x.denominator, len(self.poly) - 1)
-        return _variations([_sign(_horner(c, num, den_powers)) for c in self.polys])
+        return _variations([_eval_sign(c, x) for c in self.polys])
 
     def total_real_roots(self) -> int:
         """Number of distinct real roots (the Cauchy index of p'/p)."""
@@ -425,8 +438,9 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     prs = _int_prs(_to_int_coeffs(q), _to_int_coeffs(p))
     if len(prs[-1]) == 1:
         return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
-    del prs  # release it first: holding it beside the chains below raises peak memory
-    for operand in (p, q):
+    # q first: a non-squarefree q fails without building p's chain, and when
+    # p is a positive multiple of q', q's chain is prs, which the memo holds
+    for operand in (q, p):
         chain = SturmChain(_to_int_coeffs(operand))
         if not chain.is_squarefree() or chain.total_real_roots() != operand.degree:
             return FAIL

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from schur_szego import spectra
+from schur_szego import roots, spectra
 
 settings.register_profile(
     "exact", deadline=None, max_examples=40,
@@ -15,3 +15,13 @@ def cold_spectrum_report():
     spectra.spectrum_report.cache_clear()
     yield
     spectra.spectrum_report.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_remainder_sequences():
+    """The _int_prs memo is shared by the whole session; clear it around each
+    test so that no count of remainder-sequence builds depends on test order."""
+    memo = roots._prs
+    memo.cache_clear()
+    yield
+    memo.cache_clear()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_szego import asymptotics, roots
+from schur_szego import asymptotics, cli, roots
 from schur_szego.exactpoly import RationalPoly
 from schur_szego.narayana import narayana_poly_direct
 from schur_szego.roots import (
@@ -349,6 +350,63 @@ def test_remainder_sequences_per_question(monkeypatch):
     calls.clear()
     assert isolate_roots(poly).multiplicities == (2, 1, 1)
     assert len(calls) == 2
+
+
+def _record_builds(monkeypatch):
+    """Rebuild the _int_prs memo around a kernel that records each (a, b) it
+    builds, i.e. each memo miss."""
+    built = []
+    kernel = roots._prs.__wrapped__
+
+    def recording(a, b):
+        built.append((a, b))
+        return kernel(a, b)
+
+    maxsize = roots._prs.cache_parameters()["maxsize"]
+    monkeypatch.setattr(roots, "_prs", functools.lru_cache(maxsize=maxsize)(recording))
+    return built
+
+
+def test_one_remainder_sequence_per_pair_across_questions(monkeypatch):
+    built = _record_builds(monkeypatch)
+    q = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1]) * P([1, 2])  # doubled root -1
+    dq = q.derivative()
+    assert roots_float(q) == [-1.0, -1.0, -0.5, 2.0, 3.0]
+    assert is_hyperbolic(q)
+    assert interlace_check(dq, q) == FAIL
+    q_key = tuple(roots._int_poly(q))
+    dq_key = tuple(roots._primitive(roots._derivative(q_key)))
+    # the chain of q, then the one gcd-tower level: gcd(q, q') = x + 1
+    assert built == [(q_key, dq_key), ((1, 1), (1,))]
+    assert not any(a == dq_key for a, _ in built)  # q' never gets a chain
+
+
+def test_cli_roots_builds_one_remainder_sequence(monkeypatch, capsys):
+    # is_hyperbolic and distinct_real_roots both ask for the chain of N_30
+    built = _record_builds(monkeypatch)
+    assert cli.main(["roots", "--n", "30"]) == 0
+    assert '"hyperbolic": true' in capsys.readouterr().out
+    assert [a for a, _ in built] == [tuple(roots._int_poly(narayana_poly_direct(30)))]
+
+
+def test_warm_memo_negative_controls():
+    q = P([1])
+    for r in (F(-3), F(-1), F(-1, 2), F(1, 3), F(2), F(5)):
+        q = q * P([-r, 1])
+    assert is_hyperbolic(q)  # warms the memo with q's chain
+    assert interlace_check(q.derivative(), q) == STRICT_INTERLACE
+    assert roots._prs.cache_info().hits == 1
+    bad = q * P([F(1, 3), 0, 1])  # x^2 + 1/3 has no real root
+    assert interlace_check(bad.derivative(), bad) == FAIL
+    assert not is_hyperbolic(bad)
+    assert interlace_check(q.exact_divide(P([-2, 1])), q) == COMMON_ROOT
+    c = roots._int_poly(q)
+    seq = roots._int_prs(c, roots._derivative(c))
+    with pytest.raises(TypeError):
+        seq[0] = (1,)
+    with pytest.raises(TypeError):
+        seq[0][0] = 1
+    assert roots._int_prs(c, roots._derivative(c))[0] == tuple(c)
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
