@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, css, narayana, roots, spectra
-from .exactpoly import RationalPoly
+from .exactpoly import RationalPoly, interpolate
 
 TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 
@@ -204,6 +204,12 @@ def check_quotient_limits():
 
 @_timed("poincare-engine")
 def check_poincare(seed: int = 0):
+    # the limit equation's discriminant as an identity in x: c and b are
+    # quadratics in x, so the engine's limits at three nodes determine them
+    nodes = [(t, asymptotics.narayana_recurrence(Fraction(t)).limits) for t in (1, 2, 3)]
+    c, b = (interpolate([(t, lim[i]) for t, lim in nodes]) for i in (0, 1))
+    if b * b - c.scale(4) != RationalPoly([0, 16]):
+        return False, f"limit discriminant b^2 - 4c = {b * b - c.scale(4)}, not 16*x"
     fib = asymptotics.poincare_ratio(asymptotics.fibonacci_recurrence(), 50)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     if abs(float(fib.limit) - phi) > 1e-10:
@@ -215,7 +221,7 @@ def check_poincare(seed: int = 0):
     if abs(complex(nar.classified_root) - larger) > 1e-9:
         return False, "x=2 estimate classified against the wrong root"
     neg = asymptotics.poincare_ratio(asymptotics.narayana_recurrence(Fraction(-1)), 60)
-    if not neg.no_limit_claim or not asymptotics.equimodular_check(-1.0):
+    if not neg.no_limit_claim or not asymptotics.equimodular_check(Fraction(-1)):
         return False, "x=-1 should refuse a limit claim (equimodular roots)"
     rng = random.Random(seed)
     for _ in range(20):
@@ -239,7 +245,8 @@ def check_poincare(seed: int = 0):
         res = asymptotics.poincare_ratio(spec_sub, 60)
         if res.limit != l2 or any(r != l2 for r in res.ratios):
             return False, f"C_p selection not exact for root {l2}"
-    return True, "Fibonacci 1e-10; Narayana x=2 1e-3; x=-1 no-limit; C_p exact"
+    return True, ("discriminant 16x: equimodular on the real line iff x <= 0; Fibonacci "
+                  "1e-10; Narayana x=2 1e-3; x=-1 no-limit (exact); C_p exact")
 
 
 def run_all(max_n: int = 100, seed: int = 0) -> list[CheckResult]:

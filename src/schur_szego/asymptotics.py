@@ -11,6 +11,7 @@ Floating point lives here; everything exact stays in the other modules.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -64,14 +65,7 @@ class StepCDF:
     n: int
 
     def __call__(self, x: float) -> float:
-        lo, hi = 0, self.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo / self.n
+        return bisect.bisect_right(self.points, x) / self.n
 
 
 def empirical_cdf(roots: Sequence[float]) -> StepCDF:
@@ -253,38 +247,47 @@ def plemelj_density(x: float, eps: float) -> float:
 
 
 def characteristic_roots(coeffs: Sequence[complex]) -> list[complex]:
-    """Roots of a monic characteristic polynomial given as an ascending
-    coefficient list [a_0, ..., a_{k-1}, 1]."""
+    """Roots, sorted by modulus, of a monic characteristic polynomial of
+    degree <= 2 given as an ascending coefficient list [a_0, ..., a_{k-1}, 1]."""
     cs = [complex(c) for c in coeffs]
-    if not cs or cs[-1] != 1:
-        raise ValueError("characteristic polynomial must be monic")
-    k = len(cs) - 1
-    if k == 0:
-        return []
-    if k == 1:
-        return [-cs[0]]
-    if k == 2:
-        b, c = cs[1], cs[0]
-        disc = cmath.sqrt(b * b - 4.0 * c)
-        return sorted([(-b + disc) / 2.0, (-b - disc) / 2.0], key=abs)
-    import numpy as np
+    if not 0 < len(cs) <= 3 or cs[-1] != 1:
+        raise ValueError("characteristic polynomial must be monic of degree <= 2")
+    if len(cs) < 3:
+        return [-c for c in cs[:-1]]
+    c, b = cs[0], cs[1]
+    disc = cmath.sqrt(b * b - 4.0 * c)
+    return sorted([(-b + disc) / 2.0, (-b - disc) / 2.0], key=abs)
 
-    return sorted((complex(r) for r in np.roots(list(reversed(cs)))), key=abs)
+
+def _equimodular(limits: Sequence) -> bool:
+    """True iff two roots of z^k + limits[k-1] z^{k-1} + ... + limits[0]
+    (k <= 2) share a modulus. Exact at rational (c, b): b^2 <= 4c (a conjugate
+    pair or a double root) or b = 0 (roots +-r); else binary64 at a relative
+    1e-12."""
+    if len(limits) == 1:
+        return False
+    c, b = limits
+    if all(isinstance(v, (Fraction, int)) for v in limits):
+        return b * b <= 4 * c or b == 0
+    r1, r2 = characteristic_roots([c, b, 1])
+    return abs(r2) - abs(r1) <= 1e-12 * abs(r2)
+
+
+def _limit_coefficients(x) -> tuple:
+    """(c, b) of the quotient's limit equation Psi^2 + b Psi + c = 0:
+    c = (x-1)^2, b = -2(x+1), whose discriminant is 16x."""
+    return (x - 1) ** 2, -2 * (x + 1)
 
 
 def limit_recurrence_roots(x) -> list[complex]:
     """Roots of Psi^2 - 2(x+1) Psi + (x-1)^2 = 0 (the quotient's limit)."""
-    x = complex(x)
-    return characteristic_roots([(x - 1.0) ** 2, -2.0 * (x + 1.0), 1.0])
+    return characteristic_roots([*_limit_coefficients(complex(x)), 1])
 
 
-def equimodular_check(x, rel_tol: float = 1e-12) -> bool:
-    """True iff the two limit-recurrence roots at x share an absolute value."""
-    r1, r2 = limit_recurrence_roots(x)
-    scale = max(abs(r1), abs(r2))
-    if scale == 0:
-        return True
-    return abs(abs(r1) - abs(r2)) <= rel_tol * scale
+def equimodular_check(x) -> bool:
+    """True iff the two limit-recurrence roots at x share an absolute value;
+    exact when x is a Fraction (or int)."""
+    return _equimodular(_limit_coefficients(x))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +309,8 @@ class RecurrenceSpec:
     initial: tuple[complex | Fraction, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
         if not (len(self.coefficient_fns) == len(self.limits)
                 == len(self.initial) == self.order):
             raise ValueError("coefficient/limit/initial lengths must equal the order")
@@ -348,10 +351,8 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     k = spec.order
     if t_max < k:
         raise ValueError("t_max must be at least the order")
-    char = tuple(characteristic_roots(list(spec.limits) + [1]))
-    mods = sorted(abs(r) for r in char)
-    scale = mods[-1] if mods[-1] > 0 else 1.0
-    equimodular = any(b - a <= 1e-12 * scale for a, b in zip(mods, mods[1:]))
+    char = tuple(characteristic_roots([*spec.limits, 1]))
+    equimodular = _equimodular(spec.limits)
 
     values = list(spec.initial)
     for t in range(t_max - k + 1):
@@ -390,20 +391,11 @@ def narayana_recurrence(x) -> RecurrenceSpec:
 
     Exact (Fraction) when x is rational, binary64 otherwise.
     """
-    exact = isinstance(x, (Fraction, int))
-    x = Fraction(x) if exact else float(x)
-    one = Fraction(1) if exact else 1.0
-
-    def p0(t):
-        return (t + one) * (x - 1) ** 2 / (t + 4)
-
-    def p1(t):
-        return -(2 * t + 5 * one) * (x + 1) / (t + 4)
-
-    limits = ((x - one) ** 2, -2 * (x + one))
-    f0 = x
-    f1 = x * x + x
-    return RecurrenceSpec(2, (p0, p1), limits, (f0, f1))
+    x = Fraction(x) if isinstance(x, (Fraction, int)) else float(x)
+    c, b = _limit_coefficients(x)
+    return RecurrenceSpec(2, (lambda t: (t + 1) * c / (t + 4),
+                              lambda t: -(2 * t + 5) * (x + 1) / (t + 4)),
+                          (c, b), (x, x * x + x))
 
 
 def constant_recurrence(char_coeffs: Sequence[Fraction],

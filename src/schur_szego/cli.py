@@ -270,7 +270,7 @@ def cmd_poincare(args) -> ReportEnvelope:
         try:
             x = Fraction(args.x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("--x must be a rational number such as 2 or -1/2") from exc
+            raise UsageError("--x must be a rational number such as 2 or --x=-1/2") from exc
         _require(x != 0, "--x must be nonzero: N_n(0) = 0 for every n")
         spec = asymptotics.narayana_recurrence(x)
     _require(args.tmax >= spec.order, f"--tmax must be >= {spec.order}")
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poincare", help="ratio limits of difference equations")
     p.add_argument("--preset", choices=("fibonacci", "narayana"), required=True)
     p.add_argument("--x", type=str, default=None,
-                   help="evaluation point for the narayana preset (exact, e.g. 2 or -1/2)")
+                   help="evaluation point for the narayana preset (exact, e.g. 2 or --x=-1/2)")
     p.add_argument("--tmax", type=int, default=60)
     p.set_defaults(fn=cmd_poincare)
 

@@ -3,7 +3,7 @@ tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
 import pytest
 
-from schur_szego import acceptance, css, narayana, spectra
+from schur_szego import acceptance, asymptotics, css, narayana, spectra
 from schur_szego.exactpoly import RationalPoly as P
 
 
@@ -135,3 +135,12 @@ def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum
     result = acceptance.check_q_structure()
     assert not result.passed
     assert result.detail == "kernel and sigma routes disagree at (n,j)=(8,3)"
+
+
+def test_poincare_check_rejects_a_wrong_discriminant(monkeypatch):
+    # c = (x-1)^2 + 1 gives b^2 - 4c = 16x - 4: equimodular on x <= 1/4
+    monkeypatch.setattr(asymptotics, "_limit_coefficients",
+                        lambda x: ((x - 1) ** 2 + 1, -2 * (x + 1)))
+    result = acceptance.check_poincare()
+    assert not result.passed
+    assert result.detail == "limit discriminant b^2 - 4c = -4 + 16*x, not 16*x"

@@ -80,6 +80,15 @@ def test_step_cdf_and_ks():
         empirical_cdf([])
 
 
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
+def test_step_cdf_counts_points_at_or_below(points):
+    cdf = empirical_cdf(points)
+    xs = sorted(points)
+    probes = [xs[0] - 1.0, xs[-1] + 1.0, *xs, *((a + b) / 2 for a, b in zip(xs, xs[1:]))]
+    for x in probes:
+        assert cdf(x) == sum(p <= x for p in points) / len(points)
+
+
 def test_ks_against_exact_quantiles():
     # sample placed exactly at kappa quantiles i/n: KS = 1/n at the jumps
     n = 8
@@ -153,8 +162,8 @@ def test_quotient_bound_property(re, im, n):
 
 def test_characteristic_roots():
     assert characteristic_roots([0, -4, 1]) == [0, 4]  # the limit equation at x=1
-    r = characteristic_roots([-6, 11, -6, 1])
-    assert sorted(x.real for x in r) == pytest.approx([1, 2, 3], abs=1e-9)
+    with pytest.raises(ValueError):
+        characteristic_roots([-6, 11, -6, 1])  # degree 3: no spec has order > 2
     with pytest.raises(ValueError):
         characteristic_roots([1, 2])  # not monic
 
@@ -166,6 +175,23 @@ def test_limit_recurrence_and_equimodular():
     assert not equimodular_check(1.0)
     assert equimodular_check(-0.37)      # the whole cut is equimodular
     assert not equimodular_check(complex(0.2, 0.9))
+
+
+def test_equimodular_exact_at_rational_input():
+    # roots 1 and 1 + 10^-13 differ in modulus, though by less than a
+    # relative 1e-12: the exact test does not call them equimodular
+    l1, l2 = F(1), 1 + F(1, 10**13)
+    spec = constant_recurrence([l1 * l2, -(l1 + l2), F(1)], [F(2), l1 + l2])
+    assert not poincare_ratio(spec, 20).no_limit_claim
+    # +-3 (b = 0, c = -9) and the double root of (z - 2)^2 share a modulus
+    for char in ([F(-9), F(0), F(1)], [F(4), F(-4), F(1)]):
+        res = poincare_ratio(constant_recurrence(char, [F(1), F(1)]), 20)
+        assert res.no_limit_claim and res.limit is None
+    # discriminant 16x: equimodular exactly on x <= 0, the support of rho
+    assert equimodular_check(F(-1, 3))
+    assert not equimodular_check(F(1, 3))
+    assert all(equimodular_check(F(k, 4)) == (k <= 0) for k in range(-12, 13))
+    assert equimodular_check(1e-20) and not equimodular_check(F(1, 10**20))
 
 
 def test_cauchy_transform_examples():
@@ -300,6 +326,8 @@ def test_recurrence_spec_validation():
         RecurrenceSpec(2, (lambda t: 1,), (1, 1), (1, 1))
     with pytest.raises(ValueError):
         RecurrenceSpec(1, (lambda t: 1,), (1,), (0,))
+    with pytest.raises(ValueError):  # order 3: rejected when built
+        constant_recurrence([F(-6), F(11), F(-6), F(1)], [F(1), F(2), F(3)])
     with pytest.raises(ValueError):
         poincare_ratio(fibonacci_recurrence(), 1)
 

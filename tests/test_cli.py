@@ -151,6 +151,17 @@ def test_poincare_narayana_no_limit(capsys):
     assert "limit" not in env["payload"]
 
 
+def test_poincare_negative_fraction_as_one_token(capsys):
+    # "--x -1/2" reads -1/2 as an option; "--x=-1/2" passes it as the value.
+    # Every rational x < 0 is exactly equimodular, so no limit is claimed.
+    code, out, _ = run_cli(capsys, "poincare", "--preset", "narayana",
+                           "--x=-1/2", "--tmax", "40")
+    env = parse_envelope(out)
+    assert code == 0
+    assert env["parameters"]["x"] == "-1/2"
+    assert env["payload"]["no_limit_claim"] is True
+
+
 def test_poincare_narayana_x2(capsys):
     code, out, _ = run_cli(capsys, "poincare", "--preset", "narayana",
                            "--x", "2", "--tmax", "60")
