@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import RationalPoly, neville_zero
+from .exactpoly import RationalPoly, _derivative, horner, neville_zero
 from .narayana import narayana_poly_direct
 from .roots import SIGN_CHANGES, STURM, certify_roots, refined_roots, roots_float
 
@@ -156,7 +156,7 @@ def narayana_root_sample(n: int) -> RootSample:
 
 def _float_pair(coeffs: Sequence[Fraction]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Binary64 coefficients of (p', p), each rounded once from the exact value."""
-    return tuple(float(i * c) for i, c in enumerate(coeffs))[1:], tuple(map(float, coeffs))
+    return tuple(map(float, _derivative(coeffs))), tuple(map(float, coeffs))
 
 
 @lru_cache(maxsize=512)
@@ -165,23 +165,16 @@ def _float_coeffs(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _float_pair(narayana_poly_direct(n).coeffs)
 
 
-def _eval_float(coeffs: Sequence[float], x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _quotient(x, exact, floats, scale=1) -> complex | Fraction:
     """num(x) / (scale * den(x)): exact from exact() = (num, den) as RationalPolys
-    when x is a Fraction (or int), else from floats() = their binary64 coefficients."""
+    at a Fraction (or int) x, else from floats() = their binary64 coefficients."""
     if isinstance(x, (Fraction, int)):
         x = Fraction(x)
         num, den = exact()
         top, bottom = num(x), den(x)
     else:
         num, den = floats()
-        top, bottom = _eval_float(num, x), _eval_float(den, x)
+        top, bottom = horner(num, complex(x)), horner(den, complex(x))
     if bottom == 0:
         raise PoleError(f"denominator vanishes at {x}")
     return top / (scale * bottom)

@@ -5,8 +5,8 @@ files or stdout for `triangle --csv`). Exit code 0: every executed check
 passed (or the command only reports). Exit 1: a theorem check was
 falsified; stdout holds a `fail` envelope whose payload carries
 `falsified` and `witness`. Exit 2: out-of-domain input; stderr holds one
-`<command>: message` line and stdout is empty. Any other exception is a
-bug and escapes with a traceback.
+`<command>: message` line and stdout is empty. A reader closing stdout early
+(`| head`) keeps the exit code. Any other exception is a bug and escapes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -374,15 +375,20 @@ def main(argv=None) -> int:
     """Run one command: the only place that prints an envelope, reports a
     usage error and picks the exit code."""
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         envelope = args.fn(args)
+        if envelope is not None:
+            code = 1 if envelope.status == "fail" else 0
+            print(envelope.to_json())
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    if envelope is None:
-        return 0
-    print(envelope.to_json())
-    return 1 if envelope.status == "fail" else 0
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's own flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

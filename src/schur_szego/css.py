@@ -85,17 +85,9 @@ class AffineMapQ:
         return tuple(v + o for v, o in zip(self.linear.matvec(c), self.offset))
 
 
-def _p_from_c(c: Sequence[Fraction], n: int) -> list[Fraction]:
+def _p_from_c(c: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients p_0..p_n of P = (x+1)(x^{n-1} + c_1 x^{n-2} + ... + c_{n-1})."""
-    cof = [Fraction(1)] + [Fraction(v) for v in c]  # cof[i] is the coeff of x^{n-1-i}
-    base = [Fraction(0)] * n
-    for i, v in enumerate(cof):
-        base[n - 1 - i] = v
-    p = [Fraction(0)] * (n + 1)
-    for i, v in enumerate(base):
-        p[i] += v
-        p[i + 1] += v
-    return p
+    return list((RationalPoly([1, 1]) * RationalPoly([*reversed(c), 1])).coeffs)
 
 
 def _sigma_from_p(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -132,12 +124,12 @@ def build_phi(n: int) -> AffineMapQ:
     if n < 3:
         raise ValueError("n must be >= 3")
     zero = (Fraction(0),) * (n - 1)
-    b = _sigma_from_p(_p_from_c(zero, n), n)
+    b = _sigma_from_p(_p_from_c(zero), n)
     cols = []
     for i in range(n - 1):
         e = [Fraction(0)] * (n - 1)
         e[i] = Fraction(1)
-        s = _sigma_from_p(_p_from_c(e, n), n)
+        s = _sigma_from_p(_p_from_c(e), n)
         cols.append([s[r] - b[r] for r in range(n - 1)])
     entries = [cols[c][r] for r in range(n - 1) for c in range(n - 1)]
     return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(b), n)

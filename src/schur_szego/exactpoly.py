@@ -1,11 +1,14 @@
-"""Exact rational univariate polynomials and small dense linear algebra.
+"""Exact rational univariate polynomials, their coefficient kernels, and small
+dense linear algebra.
 
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
-matrices are dense row-major Fraction arrays, and one fraction-free (Bareiss)
-Gauss-Jordan reduction on integers, _rref, serves kernel, solve_linear and
-RationalMatrix.determinant (sizes in this project stay well under 200).
-Floating point is deliberately kept out of this module, save the binary64
-error estimate that neville_zero returns beside its exact value.
+matrices are dense row-major Fraction arrays. Each coefficient-vector job has
+one kernel here for the whole package: clearing denominators, content, trim,
+derivative, integer pseudo-division (RationalPoly.divmod, the remainder
+sequences in roots) and a generic Horner (RationalPoly.__call__, the binary64
+quotients in asymptotics). One fraction-free (Bareiss) Gauss-Jordan reduction,
+_rref, serves kernel, solve_linear and RationalMatrix.determinant. Floats stay
+out, save the binary64 error estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -37,13 +40,57 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _canonical(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        cs = [Fraction(0)]
-    return tuple(cs)
+# ---------------------------------------------------------------------------
+# coefficient-vector kernels (constant term first)
+# ---------------------------------------------------------------------------
+
+
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with values[i] = ints[i] / den, den the least common one."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """c divided by its content (c itself when the content is 0 or 1)."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _trim(c: list) -> list:
+    """c without trailing zero coefficients (dropped in place); [0] if empty."""
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c or [0]
+
+
+def _derivative(c: Sequence) -> list:
+    return _trim([i * c[i] for i in range(1, len(c))])
+
+
+def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(m, q, r) with m * f = q * g + r over Z[x], m = lead(g)^(deg f - deg g + 1)
+    and deg r < deg g (r = [0] when g divides m * f); needs deg f >= deg g."""
+    dg, lead = len(g) - 1, g[-1]
+    m = lead ** (len(f) - dg)
+    r = [x * m for x in f]
+    q = [0] * (len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        if r[i]:
+            q[i - dg] = t = r[i] // lead
+            for k in range(dg + 1):
+                r[i - dg + k] -= t * g[k]
+    del r[dg:]
+    return m, q, _trim(r)
+
+
+def horner(coeffs: Sequence, x):
+    """coeffs(x) by Horner: exact for Fraction/int coefficients at a Fraction/int
+    x, complex at a complex x."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -57,7 +104,7 @@ class RationalPoly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        object.__setattr__(self, "coeffs", _canonical(coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim([Fraction(c) for c in coeffs])))
 
     # -- constructors -------------------------------------------------
 
@@ -109,10 +156,7 @@ class RationalPoly:
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int arguments."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     # -- ring operations -------------------------------------------------
 
@@ -144,28 +188,23 @@ class RationalPoly:
         return RationalPoly([c * Fraction(factor) for c in self.coeffs])
 
     def derivative(self) -> "RationalPoly":
-        if len(self.coeffs) == 1:
-            return RationalPoly.zero()
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return RationalPoly(_derivative(self.coeffs))
 
     def divmod(self, divisor: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        """Euclidean division over Q: self = divisor * quot + rem."""
+        """Euclidean division over Q: self = divisor * quot + rem.
+
+        With self = f / a and divisor = g / b for integer f, g, the integer
+        pseudo-division m f = q g + r gives quot = b q / (m a), rem = r / (m a).
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        dd = len(d) - 1
-        lead = d[-1]
-        if len(rem) - 1 < dd:
-            return RationalPoly.zero(), RationalPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(quot) - 1, -1, -1):
-            q = rem[i + dd] / lead
-            quot[i] = q
-            if q != 0:
-                for k, dk in enumerate(d):
-                    rem[i + k] -= q * dk
-        return RationalPoly(quot), RationalPoly(rem[:dd] if dd else [0])
+        if len(self.coeffs) < len(divisor.coeffs):
+            return RationalPoly.zero(), self
+        f, a = _clear_denominators(self.coeffs)
+        g, b = _clear_denominators(divisor.coeffs)
+        m, q, r = _pseudo_divmod(f, g)
+        return (RationalPoly([Fraction(c * b, m * a) for c in q]),
+                RationalPoly([Fraction(c, m * a) for c in r]))
 
     def exact_divide(self, divisor: "RationalPoly") -> "RationalPoly":
         """Quotient when the division is exact; raises otherwise.
@@ -335,16 +374,13 @@ class RationalMatrix:
 def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
     """Fraction-free Gauss-Jordan reduction of `m`: (rows, pivot columns, det).
 
-    Rows are scaled once to integers (lcm of their denominators), then Bareiss
-    steps row <- (p * row - row[c] * pivot row) / prev divide exactly, since every
+    Rows are cleared of denominators once, then Bareiss steps
+    row <- (p * row - row[c] * pivot row) / prev divide exactly, since every
     entry is an integer minor. Every pivot row ends with the last pivot in its
     pivot column. det is the determinant when `m` is square of full rank.
     """
-    a, scale = [], 1
-    for row in m:
-        s = math.lcm(*(v.denominator for v in row))
-        scale *= s
-        a.append([v.numerator * (s // v.denominator) for v in row])
+    cleared = [_clear_denominators(row) for row in m]
+    a, scale = [ints for ints, _ in cleared], math.prod(s for _, s in cleared)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     piv_cols: list[int] = []

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import frexp, gcd, isfinite, lcm
+from math import frexp, isfinite
 from typing import Sequence
 
-from .exactpoly import RationalPoly
+from .exactpoly import RationalPoly, _clear_denominators, _derivative, _primitive, _pseudo_divmod
 
 STRICT_INTERLACE = "strict-interlace"
 COMMON_ROOT = "common-root"
@@ -40,32 +40,12 @@ class EndpointRootError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _to_int_coeffs(p: RationalPoly) -> list[int]:
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
-def _primitive(c: list[int]) -> list[int]:
-    g = gcd(*c)
-    return [x // g for x in c] if g > 1 else c
-
-
 def _int_poly(p: RationalPoly) -> list[int]:
     """Primitive integer coefficients of a nonzero p (root questions on the
     zero polynomial have no answer)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return _primitive(_to_int_coeffs(p))
-
-
-def _trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _derivative(c: Sequence[int]) -> list[int]:
-    return _trim([i * c[i] for i in range(1, len(c))]) or [0]
+    return _primitive(_clear_denominators(p.coeffs)[0])
 
 
 def _sign(x: int) -> int:
@@ -94,19 +74,10 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             if g[0] == 0:
                 chain.pop()
             break
-        da, db = len(f) - 1, len(g) - 1
-        if da < db:
+        if len(f) < len(g):
             raise AssertionError("PRS degree order violated")
-        lead = g[-1]
-        mult = lead ** (da - db + 1)
-        r = [x * mult for x in f]
-        for i in range(da, db - 1, -1):
-            if r[i]:
-                q = r[i] // lead
-                for k in range(db + 1):
-                    r[i - db + k] -= q * g[k]
-        _trim(r)
-        if len(r) == 1 and r[0] == 0:
+        mult, _, r = _pseudo_divmod(f, g)
+        if r == [0]:
             break  # g divides f: g is the gcd, chain ends there
         flip = -1 if mult > 0 else 1
         chain.append(_primitive([flip * x for x in r]))
@@ -115,7 +86,7 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _int_divide_exact(a: Sequence[int], d: Sequence[int]) -> list[int]:
     """Exact quotient of integer polynomials (rational division, must clear)."""
-    return _primitive(_to_int_coeffs(RationalPoly(a).exact_divide(RationalPoly(d))))
+    return _int_poly(RationalPoly(a).exact_divide(RationalPoly(d)))
 
 
 def _horner(c: Sequence[int], x: Fraction) -> int:
@@ -409,7 +380,7 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
         return q if q.is_zero() else q.scale(1 / q.leading())
     if q.is_zero():
         return p.scale(1 / p.leading())
-    a, b = _to_int_coeffs(p), _to_int_coeffs(q)
+    a, b = _int_poly(p), _int_poly(q)
     if len(a) < len(b):
         a, b = b, a
     g = RationalPoly(_int_prs(a, b)[-1])
@@ -435,13 +406,13 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     """
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
-    prs = _int_prs(_to_int_coeffs(q), _to_int_coeffs(p))
+    prs = _int_prs(_clear_denominators(q.coeffs)[0], _clear_denominators(p.coeffs)[0])
     if len(prs[-1]) == 1:
         return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
     # q first: a non-squarefree q fails without building p's chain, and when
     # p is a positive multiple of q', q's chain is prs, which the memo holds
     for operand in (q, p):
-        chain = SturmChain(_to_int_coeffs(operand))
+        chain = SturmChain(_int_poly(operand))
         if not chain.is_squarefree() or chain.total_real_roots() != operand.degree:
             return FAIL
     return COMMON_ROOT

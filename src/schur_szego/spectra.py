@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, binomial, kernel,
-                        neville_zero, solve_linear)
+from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, _primitive, binomial,
+                        kernel, neville_zero, solve_linear)
 from .narayana import narayana_number
 
 
@@ -153,8 +153,8 @@ def _sigma_row(n: int, j: int, k: int) -> tuple[list[int], int]:
     const -= f * (a ** j + sign * b ** j)
     for nu in range(1, j):
         vec[nu - 1] -= f * a ** (j - nu) * b ** nu
-    g = math.gcd(const, *vec) or 1  # the row may vanish identically
-    return [v // g for v in vec], const // g
+    row = _primitive(vec + [const])
+    return row[:-1], row[-1]
 
 
 def sigma_system_solve(n: int, j: int) -> RationalPoly:

@@ -1,6 +1,9 @@
 """Acceptance suite: one test per criterion, at the stated scale and
 tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
+import dataclasses
+from fractions import Fraction as F
+
 import pytest
 
 from schur_szego import acceptance, asymptotics, css, narayana, spectra
@@ -135,6 +138,29 @@ def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum
     result = acceptance.check_q_structure()
     assert not result.passed
     assert result.detail == "kernel and sigma routes disagree at (n,j)=(8,3)"
+
+
+@pytest.mark.parametrize("j, bad, detail", [
+    (2, P([1, 3, 1]), "Q roots not all positive at (n,j)=(5,2)"),
+    (4, P([1, F(-5, 2), 1]) * P([1, F(-5, 2), 1]),
+     "Q does not have 4 distinct real roots at (7,4)"),
+], ids=["negative-roots", "double-roots"])
+def test_q_structure_check_negative_controls(monkeypatch, j, bad, detail):
+    """Both routes return a Q_j that has the claimed shape (self-reciprocal
+    sign, Q(1) != 0 for even j, constant (-1)^j) but negative or double roots."""
+    real_report, real_sigma = spectra.spectrum_report, spectra.sigma_system_solve
+
+    def report(n):
+        full = real_report(n)
+        return dataclasses.replace(full, q_polys=tuple(
+            bad if k == j else q for k, q in enumerate(full.q_polys, start=1)))
+
+    monkeypatch.setattr(spectra, "spectrum_report", report)
+    monkeypatch.setattr(spectra, "sigma_system_solve",
+                        lambda n, k: bad if k == j else real_sigma(n, k))
+    result = acceptance.check_q_structure()
+    assert not result.passed
+    assert result.detail == detail
 
 
 def test_poincare_check_rejects_a_wrong_discriminant(monkeypatch):

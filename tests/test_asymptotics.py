@@ -201,6 +201,15 @@ def test_cauchy_transform_examples():
         cauchy_transform(P([-1, 0, 1]), F(1))
 
 
+def test_quotients_at_a_float_point_are_complex():
+    p = narayana_poly_direct(7)
+    for value in (psi_n(7, 2.5), theta_n(7, -0.5), theta_n(1, 2.0),  # N_1' is constant
+                  cauchy_transform(p, 2.5), cauchy_transform(p, -3.0)):
+        assert type(value) is complex
+    with pytest.raises(PoleError):
+        theta_n(2, -1.0)  # N_2(-1) = 0
+
+
 def test_cauchy_transform_is_theta():
     for n in (4, 9):
         poly = narayana_poly_direct(n)

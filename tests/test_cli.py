@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import schur_szego
 from schur_szego import acceptance, cli, narayana, roots, spectra
 from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file, write_poly_file
 from schur_szego.exactpoly import RationalPoly
@@ -297,3 +302,42 @@ def test_verify_all_falsified_exit_1(capsys, monkeypatch):
     assert env["payload"]["witness"] == "Q_2 off"
     assert len(env["payload"]["checks"]) == 10
     assert err.count("PASS") == 9 and err.count("FAIL") == 1
+
+
+def _cli_process(*argv, flags=(), unbuffered="1"):
+    """`python [flags] -m schur_szego.cli argv` on this checkout's package."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(schur_szego.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen([sys.executable, *flags, "-m", "schur_szego.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv, read", [
+    # the envelope print: the reader is gone before the command writes
+    (("poincare", "--preset", "narayana", "--x=-1/2"), 0),
+    # rows the command prints itself, about 1 MB: the reader takes a few bytes
+    (("triangle", "--csv", "--rows", "200"), 8),
+])
+def test_closed_stdout_is_not_a_traceback(argv, read, unbuffered):
+    proc = _cli_process(*argv, unbuffered=unbuffered)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_verify_all_under_python_O():
+    """`python -O` strips assert statements; no check may go with them."""
+    proc = _cli_process("verify-all", "--max-n", "8", flags=("-O",))
+    out, err = proc.communicate(timeout=120)
+    env = parse_envelope(out.decode())
+    assert proc.returncode == 0
+    assert env["status"] == "pass"
+    checks = env["payload"]["checks"].values()
+    assert len(checks) == 10 and all(c["passed"] for c in checks)
+    assert err.decode().count("PASS") == 10

@@ -11,6 +11,8 @@ from schur_szego.exactpoly import (
     RationalMatrix,
     RationalPoly,
     SingularMatrixError,
+    _clear_denominators,
+    _pseudo_divmod,
     _rref,
     binomial,
     elementary_symmetric_prefix,
@@ -72,6 +74,42 @@ def test_exact_divide_examples():
 def test_exact_divide_nonzero_remainder():
     with pytest.raises(NotDivisibleError):
         P([1, 0, 1]).exact_divide(P([1, 1]))
+
+
+def _long_divmod(f, g):
+    """Euclidean division by a Fraction long-division loop: the reference."""
+    rem, d = list(f.coeffs), g.coeffs
+    dd, lead = len(d) - 1, d[-1]
+    if len(rem) - 1 < dd:
+        return P.zero(), P(rem)
+    quot = [F(0)] * (len(rem) - dd)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + dd] / lead
+        if q != 0:
+            for k, dk in enumerate(d):
+                rem[i + k] -= q * dk
+    return P(quot), P(rem[:dd] if dd else [0])
+
+
+divisors = polys.filter(lambda p: not p.is_zero())
+
+
+@given(polys, divisors, polys)
+@example(P([F(1, 2), 3, F(-5, 3), 7]), P([F(4, 7)]), P.zero())       # constant divisor
+@example(P([1, F(2, 3)]), P([F(1, 3), 0, F(-9, 2)]), P.zero())        # deg f < deg g
+@example(P([3, 1, 4, 1, 5]), P([2, 0, -3]), P([F(2, 3), F(-7, 5)]))  # non-monic
+def test_divmod_matches_fraction_long_division(f, g, q):
+    assert f.divmod(g) == _long_divmod(f, g)
+    # an exact quotient comes back with a zero remainder
+    assert (q * g).divmod(g) == (q, P.zero())
+    assert (q * g).exact_divide(g) == q
+    # the integer pseudo-division underneath: m a = quot b + rem, deg rem < deg b
+    a, b = _clear_denominators(f.coeffs)[0], _clear_denominators(g.coeffs)[0]
+    if len(a) >= len(b):
+        m, quot, rem = _pseudo_divmod(a, b)
+        assert m == b[-1] ** (len(a) - len(b) + 1)
+        assert P(a).scale(m) == P(quot) * P(b) + P(rem)
+        assert rem == [0] or (rem[-1] != 0 and len(rem) < len(b))
 
 
 def test_binomial_convention():
