@@ -11,9 +11,13 @@ gives, for each index j,
 
     p_j * C(n,j)^(n-2) = sum_nu C(n-1,j-1)^(n-1-nu) * C(n-1,j)^nu * sigma_nu
 
-(sigma_0 = 1). The j = 0 row isolates sigma_{n-1}; rows j = 1..n-2, after
-scaling by C(n-1,j-1)^(n-1), form a Vandermonde system in the distinct
-nodes t_j = (n-j)/j, solved exactly by Newton interpolation. The remaining
+(sigma_0 = 1). P = (x+1)(x^{n-1} + c_1 x^{n-2} + ... + c_{n-1}) has
+p_j = c_{n-1-j} + c_{n-j} (c_0 = 1, c_n = 0), so rows j = 0..n-2 are linear
+in sigma and c together. They are written as one integer matrix
+[sigma | c | 1] and reduced once by fraction-free elimination, which leaves
+sigma = A c + b. The sigma block is nonsingular: the j = 0 row isolates
+sigma_{n-1}, and rows j = 1..n-2, after scaling by C(n-1,j-1)^(n-1), form a
+Vandermonde system in the distinct nodes t_j = (n-j)/j. The remaining
 identities (j = n-1, n) are verified, not assumed.
 """
 
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactpoly import RationalMatrix, RationalPoly, binomial, interpolate
+from .exactpoly import RationalMatrix, RationalPoly, _primitive, _rref, binomial
 
 INFINITY = math.inf
 
@@ -85,28 +89,6 @@ class AffineMapQ:
         return tuple(v + o for v, o in zip(self.linear.matvec(c), self.offset))
 
 
-def _p_from_c(c: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients p_0..p_n of P = (x+1)(x^{n-1} + c_1 x^{n-2} + ... + c_{n-1})."""
-    return list((RationalPoly([1, 1]) * RationalPoly([*reversed(c), 1])).coeffs)
-
-
-def _sigma_from_p(p: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Solve rows j = 0..n-2 of the coefficient identities for sigma_1..sigma_{n-1}."""
-    sigma_last = p[0]  # j = 0 row
-    points = []
-    for j in range(1, n - 1):
-        t = Fraction(n - j, j)
-        scale = Fraction(binomial(n - 1, j - 1)) ** (n - 1)
-        r = (p[j] * Fraction(binomial(n, j)) ** (n - 2) - scale) / scale
-        r -= t ** (n - 1) * sigma_last
-        points.append((t, r / t))
-    s_poly = interpolate(points)
-    if s_poly.degree != float("-inf") and s_poly.degree > n - 3:
-        raise ConstructionBugError("sigma interpolant degree too large")
-    inner = tuple(s_poly.coeff(i) for i in range(n - 2))
-    return inner + (sigma_last,)
-
-
 def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: int) -> None:
     full = (Fraction(1),) + tuple(sigma)  # sigma_0 = 1
     for j in range(n + 1):
@@ -120,19 +102,24 @@ def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: 
 
 @lru_cache(maxsize=None)
 def build_phi(n: int) -> AffineMapQ:
-    """Construct Phi_n exactly by probing the origin and the basis of c-space."""
+    """Construct Phi_n exactly by one fraction-free elimination of the
+    coefficient identities j = 0..n-2 (see the module docstring)."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    zero = (Fraction(0),) * (n - 1)
-    b = _sigma_from_p(_p_from_c(zero), n)
-    cols = []
-    for i in range(n - 1):
-        e = [Fraction(0)] * (n - 1)
-        e[i] = Fraction(1)
-        s = _sigma_from_p(_p_from_c(e), n)
-        cols.append([s[r] - b[r] for r in range(n - 1)])
-    entries = [cols[c][r] for r in range(n - 1) for c in range(n - 1)]
-    return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(b), n)
+    # columns: sigma_1..sigma_{n-1}, then c_k at n-2+k, then the constant
+    rows = []
+    for j in range(n - 1):
+        a, b, s = binomial(n - 1, j - 1), binomial(n - 1, j), binomial(n, j) ** (n - 2)
+        row = [a ** (n - 1 - nu) * b ** nu for nu in range(1, n)] + [0] * (n - 1) + [-a ** (n - 1)]
+        row[2 * n - 3 - j] = s  # p_j = c_{n-1-j} + c_{n-j}, with c_n = 0
+        if j:
+            row[2 * n - 2 - j] = s
+        rows.append(_primitive(row))
+    m, piv_cols, _ = _rref(rows)
+    if piv_cols != list(range(n - 1)):
+        raise ConstructionBugError("identities j = 0..n-2 do not determine sigma")
+    entries = [x for r in m for x in r[n - 1:2 * n - 2]]
+    return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(r[2 * n - 2] for r in m), n)
 
 
 def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:

@@ -224,13 +224,13 @@ def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction, tuple[int, int
     while True:
         if t >= bound:
             t = bound  # roots are strictly inside (-B, B), so +-B are safe
-        if _eval_sign(poly, -t) != 0 and _eval_sign(poly, t) != 0 \
-                and chain.count(-t, t) == total:
-            break
+        if _eval_sign(poly, -t) != 0 and _eval_sign(poly, t) != 0:
+            vlo, vhi = chain.variations_at(-t), chain.variations_at(t)
+            if vlo - vhi == total:
+                break
         t *= 2
     out = []
-    vlo0, vhi0 = chain.variations_at(-t), chain.variations_at(t)
-    stack = [(-t, t, vlo0, vhi0)]
+    stack = [(-t, t, vlo, vhi)]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         cnt = vlo - vhi
@@ -406,11 +406,14 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     """
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
-    prs = _int_prs(_clear_denominators(q.coeffs)[0], _clear_denominators(p.coeffs)[0])
+    a, b = _int_poly(q), _int_poly(p)
+    if (a[-1] > 0) != (b[-1] > 0):
+        b = [-x for x in b]  # p and -p share a memo key; only Ind(p/q)'s sign flips
+    prs = _int_prs(a, b)
     if len(prs[-1]) == 1:
         return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
     # q first: a non-squarefree q fails without building p's chain, and when
-    # p is a positive multiple of q', q's chain is prs, which the memo holds
+    # p is a nonzero multiple of q', q's chain is prs, which the memo holds
     for operand in (q, p):
         chain = SturmChain(_int_poly(operand))
         if not chain.is_squarefree() or chain.total_real_roots() != operand.degree:

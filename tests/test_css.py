@@ -14,7 +14,7 @@ from schur_szego.css import (
     css_compose_multi,
     factor_symmetric_functions,
 )
-from schur_szego.exactpoly import RationalPoly, kernel
+from schur_szego.exactpoly import RationalPoly, binomial, interpolate, kernel
 from schur_szego.spectra import eigenvalues_closed_form
 
 P = RationalPoly
@@ -68,6 +68,33 @@ def test_build_phi_3_closed_form():
     assert phi.offset == (F(-1, 2), F(0))
     assert phi.apply((F(2), F(1))) == (F(2), F(1))   # (x+1)^2 is fixed
     assert phi.apply((F(1), F(0))) == (F(1), F(0))   # x(x+1) is fixed too
+
+
+def _phi_by_probing(n):
+    """Phi_n built the other way: sigma at c = 0 and at each basis vector of
+    c-space, from the j = 0 identity and a Newton interpolant of identities
+    j = 1..n-2 in the nodes t_j = (n-j)/j."""
+    def sigma(c):
+        p = (P([1, 1]) * P([*reversed(c), 1])).coeffs
+        points = []
+        for j in range(1, n - 1):
+            t = F(n - j, j)
+            scale = F(binomial(n - 1, j - 1)) ** (n - 1)
+            r = (p[j] * F(binomial(n, j)) ** (n - 2) - scale) / scale - t ** (n - 1) * p[0]
+            points.append((t, r / t))
+        inner = interpolate(points)
+        return [inner.coeff(i) for i in range(n - 2)] + [p[0]]
+
+    b = sigma([0] * (n - 1))
+    cols = [sigma([int(i == k) for i in range(n - 1)]) for k in range(n - 1)]
+    return [[cols[k][r] - b[r] for k in range(n - 1)] for r in range(n - 1)], tuple(b)
+
+
+def test_build_phi_matches_probe_and_interpolate():
+    for n in range(3, 18):
+        rows, offset = _phi_by_probing(n)
+        assert build_phi(n).linear.to_rows() == rows
+        assert build_phi(n).offset == offset
 
 
 def test_build_phi_requires_n_3():

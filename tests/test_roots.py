@@ -167,7 +167,7 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
 
 @pytest.mark.parametrize("question", [
     lambda p: sturm_count(p, -1, 1), isolate_roots, lambda p: certify_roots(p, []),
-    is_squarefree, distinct_real_roots, is_hyperbolic,
+    is_squarefree, distinct_real_roots, is_hyperbolic, lambda p: interlace_check(p, p),
 ])
 def test_zero_polynomial_rejected(question):
     with pytest.raises(ValueError, match="zero polynomial"):
@@ -367,13 +367,14 @@ def _record_builds(monkeypatch):
     return built
 
 
-def test_one_remainder_sequence_per_pair_across_questions(monkeypatch):
+@pytest.mark.parametrize("c", [1, -1])
+def test_one_remainder_sequence_per_pair_across_questions(monkeypatch, c):
     built = _record_builds(monkeypatch)
     q = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1]) * P([1, 2])  # doubled root -1
     dq = q.derivative()
     assert roots_float(q) == [-1.0, -1.0, -0.5, 2.0, 3.0]
     assert is_hyperbolic(q)
-    assert interlace_check(dq, q) == FAIL
+    assert interlace_check(dq.scale(c), q) == FAIL  # c*q' shares the chain of q
     q_key = tuple(roots._int_poly(q))
     dq_key = tuple(roots._primitive(roots._derivative(q_key)))
     # the chain of q, then the one gcd-tower level: gcd(q, q') = x + 1
