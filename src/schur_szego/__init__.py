@@ -4,10 +4,8 @@ from .exactpoly import (
     RationalMatrix,
     RationalPoly,
     binomial,
-    elementary_symmetric_prefix,
     interpolate,
     kernel,
-    power_sum,
     solve_linear,
 )
 from .css import (
@@ -20,7 +18,6 @@ from .css import (
     factor_symmetric_functions,
 )
 from .narayana import (
-    NarayanaTriangle,
     catalan,
     dyck_peak_count,
     narayana_number,
@@ -53,7 +50,6 @@ from .roots import (
 from .asymptotics import (
     RecurrenceSpec,
     StepCDF,
-    cauchy_transform,
     cdf_kappa,
     characteristic_roots,
     density_rho,
@@ -62,7 +58,6 @@ from .asymptotics import (
     ks_distance,
     plemelj_density,
     poincare_ratio,
-    psi_limit,
     psi_n,
     theta_limit,
     theta_n,

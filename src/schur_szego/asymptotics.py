@@ -1,12 +1,12 @@
 """Asymptotic root-measure machinery for the Narayana sequence.
 
 Closed-form density/distribution, empirical CDFs and KS distance, the
-asymptotic quotient Psi and logarithmic derivative Theta with their
-finite-n versions, Cauchy transforms, Plemelj boundary recovery of the
-density, and a Poincare ratio engine for linear difference equations with
-convergent variable coefficients.
+finite-n quotients Psi_n and Theta_n with the limit Theta, Plemelj boundary
+recovery of the density, and a Poincare ratio engine for linear difference
+equations with convergent variable coefficients.
 
 Floating point lives here; everything exact stays in the other modules.
+`_exact` is the one test that picks the exact or the binary64 route.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import RationalPoly, _derivative, horner, neville_zero
+from .exactpoly import _derivative, horner, neville_zero
 from .narayana import narayana_poly_direct
 from .roots import SIGN_CHANGES, STURM, certify_roots, refined_roots, roots_float
 
@@ -62,7 +62,10 @@ class StepCDF:
     """Right-continuous empirical CDF of a finite root sample."""
 
     points: tuple[float, ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
 
     def __call__(self, x: float) -> float:
         return bisect.bisect_right(self.points, x) / self.n
@@ -71,8 +74,7 @@ class StepCDF:
 def empirical_cdf(roots: Sequence[float]) -> StepCDF:
     if not roots:
         raise ValueError("empty sample")
-    pts = tuple(sorted(roots))
-    return StepCDF(pts, len(pts))
+    return StepCDF(tuple(sorted(roots)))
 
 
 def ks_distance(cdf: StepCDF, theoretical: Callable[[float], float] = cdf_kappa) -> float:
@@ -154,21 +156,24 @@ def narayana_root_sample(n: int) -> RootSample:
 # ---------------------------------------------------------------------------
 
 
-def _float_pair(coeffs: Sequence[Fraction]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Binary64 coefficients of (p', p), each rounded once from the exact value."""
-    return tuple(map(float, _derivative(coeffs))), tuple(map(float, coeffs))
+def _exact(*values) -> bool:
+    """True iff every value is a Fraction or an int: the one test that sends
+    a computation down the exact route rather than the binary64 one."""
+    return all(isinstance(v, (Fraction, int)) for v in values)
 
 
 @lru_cache(maxsize=512)
 def _float_coeffs(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """_float_pair of N_n, keyed by n so that a hit neither rebuilds nor hashes N_n."""
-    return _float_pair(narayana_poly_direct(n).coeffs)
+    """Binary64 coefficients of (N_n', N_n), each rounded once from the exact
+    value; keyed by n so that a hit neither rebuilds nor hashes N_n."""
+    coeffs = narayana_poly_direct(n).coeffs
+    return tuple(map(float, _derivative(coeffs))), tuple(map(float, coeffs))
 
 
 def _quotient(x, exact, floats, scale=1) -> complex | Fraction:
     """num(x) / (scale * den(x)): exact from exact() = (num, den) as RationalPolys
     at a Fraction (or int) x, else from floats() = their binary64 coefficients."""
-    if isinstance(x, (Fraction, int)):
+    if _exact(x):
         x = Fraction(x)
         num, den = exact()
         top, bottom = num(x), den(x)
@@ -192,31 +197,12 @@ def theta_n(n: int, x) -> complex | Fraction:
                      lambda: _float_coeffs(n), n)
 
 
-def _check_off_cut(x: complex) -> complex:
+def theta_limit(x) -> complex:
+    """Theta(x) = 1 / (x + sqrt(x)), principal branch, off the cut."""
     x = complex(x)
     if x.imag == 0 and x.real <= 0:
         raise BranchCutError(f"{x} lies on the branch cut (-inf, 0]")
-    return x
-
-
-def psi_limit(x) -> complex:
-    """Psi(x) = (sqrt(x) + 1)^2, principal branch, off the cut."""
-    x = _check_off_cut(x)
-    return (cmath.sqrt(x) + 1.0) ** 2
-
-
-def theta_limit(x) -> complex:
-    """Theta(x) = 1 / (x + sqrt(x)), principal branch, off the cut."""
-    x = _check_off_cut(x)
     return 1.0 / (x + cmath.sqrt(x))
-
-
-def cauchy_transform(p: RationalPoly, x) -> complex | Fraction:
-    """Cauchy transform of the root-counting measure: P'(x) / (deg P * P(x))."""
-    deg = p.degree
-    if deg == float("-inf") or deg == 0:
-        raise ValueError("need a nonconstant polynomial")
-    return _quotient(x, lambda: (p.derivative(), p), lambda: _float_pair(p.coeffs), deg)
 
 
 def plemelj_density(x: float, eps: float) -> float:
@@ -260,7 +246,7 @@ def _equimodular(limits: Sequence) -> bool:
     if len(limits) == 1:
         return False
     c, b = limits
-    if all(isinstance(v, (Fraction, int)) for v in limits):
+    if _exact(c, b):
         return b * b <= 4 * c or b == 0
     r1, r2 = characteristic_roots([c, b, 1])
     return abs(r2) - abs(r1) <= 1e-12 * abs(r2)
@@ -293,19 +279,22 @@ class RecurrenceSpec:
     """f(t+k) + P_{k-1}(t) f(t+k-1) + ... + P_0(t) f(t) = 0.
 
     coefficient_fns[i] evaluates P_i at integer t (binary64 or exact
-    rationals); limits[i] is lim P_i; initial holds f(0..k-1).
+    rationals); limits[i] is lim P_i; initial holds f(0..k-1). The order k
+    is len(limits).
     """
 
-    order: int
     coefficient_fns: tuple[Callable[[int], complex | Fraction], ...]
     limits: tuple[complex | Fraction, ...]
     initial: tuple[complex | Fraction, ...]
 
+    @property
+    def order(self) -> int:
+        return len(self.limits)
+
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        if not (len(self.coefficient_fns) == len(self.limits)
-                == len(self.initial) == self.order):
+        if not len(self.coefficient_fns) == len(self.limits) == len(self.initial):
             raise ValueError("coefficient/limit/initial lengths must equal the order")
         if not any(v != 0 for v in self.initial):
             raise ValueError("initial values must not all be zero")
@@ -375,19 +364,19 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
 def fibonacci_recurrence() -> RecurrenceSpec:
     """f(t+2) - f(t+1) - f(t) = 0 with f(0) = f(1) = 1, exact."""
     minus_one = Fraction(-1)
-    return RecurrenceSpec(2, (lambda t: minus_one, lambda t: minus_one),
+    return RecurrenceSpec((lambda t: minus_one, lambda t: minus_one),
                           (minus_one, minus_one), (Fraction(1), Fraction(1)))
 
 
 def narayana_recurrence(x) -> RecurrenceSpec:
     """The normalized Narayana recurrence at fixed x, with f(t) = N_{t+1}(x).
 
-    Exact (Fraction) when x is rational, binary64 otherwise.
+    Exact (Fraction) when x is rational, complex binary64 otherwise.
     """
-    x = Fraction(x) if isinstance(x, (Fraction, int)) else float(x)
+    x = Fraction(x) if _exact(x) else complex(x)
     c, b = _limit_coefficients(x)
-    return RecurrenceSpec(2, (lambda t: (t + 1) * c / (t + 4),
-                              lambda t: -(2 * t + 5) * (x + 1) / (t + 4)),
+    return RecurrenceSpec((lambda t: (t + 1) * c / (t + 4),
+                           lambda t: -(2 * t + 5) * (x + 1) / (t + 4)),
                           (c, b), (x, x * x + x))
 
 
@@ -400,4 +389,4 @@ def constant_recurrence(char_coeffs: Sequence[Fraction],
         raise ValueError("characteristic polynomial must be monic")
     body = tuple(cs[:-1])
     fns = tuple((lambda t, c=c: c) for c in body)
-    return RecurrenceSpec(len(body), fns, body, tuple(initial))
+    return RecurrenceSpec(fns, body, tuple(initial))

@@ -106,13 +106,13 @@ def _verdict(command: str, parameters: dict, ok: bool, payload: dict,
 
 def cmd_triangle(args) -> ReportEnvelope | None:
     _require(args.rows >= 1, "--rows must be >= 1")
-    tri = narayana.triangle_matrix(args.rows)
+    rows = narayana.triangle_matrix(args.rows)
     if args.csv:
-        for row in tri.rows:
+        for row in rows:
             print(",".join(str(v) for v in row))
         return None
     return ReportEnvelope("triangle", {"rows": args.rows}, "info",
-                          {"rows": [list(r) for r in tri.rows]})
+                          {"rows": [list(r) for r in rows]})
 
 
 def cmd_narayana(args) -> ReportEnvelope:

@@ -113,16 +113,8 @@ class RationalPoly:
         return cls([0])
 
     @classmethod
-    def one(cls) -> "RationalPoly":
-        return cls([1])
-
-    @classmethod
     def x(cls) -> "RationalPoly":
         return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Fraction | int = 1) -> "RationalPoly":
-        return cls([0] * degree + [coeff])
 
     @classmethod
     def binomial_power(cls, k: int) -> "RationalPoly":
@@ -219,14 +211,9 @@ class RationalPoly:
 
     # -- reversal / self-reciprocity --------------------------------------
 
-    def reverse(self, n: int | None = None) -> "RationalPoly":
-        """The reverted polynomial x^n * P(1/x) for declared degree n >= deg P."""
-        if n is None:
-            n = len(self.coeffs) - 1
-        if n < len(self.coeffs) - 1 or (not self.is_zero() and n < self.degree):
-            raise ValueError(f"declared degree {n} below actual degree {self.degree}")
-        padded = list(self.coeffs) + [Fraction(0)] * (n + 1 - len(self.coeffs))
-        return RationalPoly(reversed(padded))
+    def reverse(self) -> "RationalPoly":
+        """The reverted polynomial x^n * P(1/x), n = deg P."""
+        return RationalPoly(reversed(self.coeffs))
 
     def self_reciprocal_sign(self) -> int | None:
         """+1 if P^R = P, -1 if P^R = -P (n = deg P), else None."""
@@ -288,25 +275,6 @@ def neville_zero(points: Sequence[tuple]) -> tuple[object, float]:
     return tab[0], float(abs(tab[0] - prev))
 
 
-def elementary_symmetric_prefix(k: int, j: int) -> Fraction:
-    """e_k(j): the k-th elementary symmetric function of (1, 2, ..., j)."""
-    if k < 1 or j < 0:
-        raise ValueError("need k >= 1, j >= 0")
-    # e-vector update: multiply prod (1 + m t) for m = 1..j, track t^0..t^k
-    e = [Fraction(1)] + [Fraction(0)] * k
-    for m in range(1, j + 1):
-        for i in range(min(k, m), 0, -1):
-            e[i] += m * e[i - 1]
-    return e[k]
-
-
-def power_sum(k: int, j: int) -> Fraction:
-    """phi_k(j) = 1^k + 2^k + ... + j^k."""
-    if k < 1 or j < 0:
-        raise ValueError("need k >= 1, j >= 0")
-    return Fraction(sum(m**k for m in range(1, j + 1)))
-
-
 # ---------------------------------------------------------------------------
 # small dense exact linear algebra
 # ---------------------------------------------------------------------------
@@ -333,10 +301,6 @@ class RationalMatrix:
         if any(len(row) != c for row in rows):
             raise ValueError("rows of a matrix must have equal length")
         return cls(r, c, [e for row in rows for e in row])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

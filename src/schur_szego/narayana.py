@@ -12,7 +12,6 @@ agreement is part of the acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -152,21 +151,9 @@ def dyck_peak_count(n: int, k: int) -> int:
     return _dyck_peak_histogram(n)[k - 1]
 
 
-@dataclass(frozen=True)
-class NarayanaTriangle:
-    """Rows of the Narayana triangle; row n holds N_{n,1} .. N_{n,n}."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def as_matrix(self) -> list[list[int]]:
-        """Lower-triangular square block, zero-padded on the right."""
-        size = len(self.rows)
-        return [list(r) + [0] * (size - len(r)) for r in self.rows]
-
-
-def triangle_matrix(rows: int) -> NarayanaTriangle:
+def triangle_matrix(rows: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..rows of the Narayana triangle; row n holds N_{n,1} .. N_{n,n}."""
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    return NarayanaTriangle(tuple(
-        tuple(narayana_number(n, k) for k in range(1, n + 1))
-        for n in range(1, rows + 1)))
+    return tuple(tuple(narayana_number(n, k) for k in range(1, n + 1))
+                 for n in range(1, rows + 1))

@@ -71,8 +71,6 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     while True:
         f, g = chain[-2], chain[-1]
         if len(g) == 1:
-            if g[0] == 0:
-                chain.pop()
             break
         if len(f) < len(g):
             raise AssertionError("PRS degree order violated")
@@ -82,11 +80,6 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         flip = -1 if mult > 0 else 1
         chain.append(_primitive([flip * x for x in r]))
     return tuple(map(tuple, chain))
-
-
-def _int_divide_exact(a: Sequence[int], d: Sequence[int]) -> list[int]:
-    """Exact quotient of integer polynomials (rational division, must clear)."""
-    return _int_poly(RationalPoly(a).exact_divide(RationalPoly(d)))
 
 
 def _horner(c: Sequence[int], x: Fraction) -> int:
@@ -269,7 +262,8 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
         if any(c not in (0, 1) for c in counts) or counts != sorted(counts, reverse=True):
             raise AssertionError(f"gcd tower counts {counts} on ({lo}, {hi}]")
         mults.append(sum(counts))
-    sqfree = _int_divide_exact(ip, chain.polys[-1]) if tower else ip
+    sqfree = (_int_poly(RationalPoly(ip).exact_divide(RationalPoly(chain.polys[-1])))
+              if tower else ip)
     return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
                          tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree), STURM)
 
@@ -352,11 +346,6 @@ def refined_roots(iso: RootIsolation, tol: Fraction = _REFINE_DEFAULT) -> list[f
 def roots_float(p: RationalPoly, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
     """All real roots as binary64, repeated per multiplicity, sorted."""
     return refined_roots(isolate_roots(p), tol)
-
-
-def is_squarefree(p: RationalPoly) -> bool:
-    """True iff p has no repeated factor (gcd(p, p') is constant)."""
-    return SturmChain(_int_poly(p)).is_squarefree()
 
 
 def distinct_real_roots(p: RationalPoly) -> int:

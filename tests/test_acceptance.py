@@ -2,6 +2,7 @@
 tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -170,3 +171,30 @@ def test_poincare_check_rejects_a_wrong_discriminant(monkeypatch):
     result = acceptance.check_poincare()
     assert not result.passed
     assert result.detail == "limit discriminant b^2 - 4c = -4 + 16*x, not 16*x"
+
+
+def _scaled_sample(real):
+    return lambda n: asymptotics.RootSample([4 * r for r in real(n)], real(n).path)
+
+
+@pytest.mark.parametrize("check, module, name, corrupt, prefix", [
+    ("check_spectrum", spectra, "eigenvalues_closed_form",
+     lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
+     "det(A - 1501/1000 I) != 0 at n=3"),
+    ("check_ks", asymptotics, "narayana_root_sample", _scaled_sample,
+     "KS(N_100)=0.216888 > 0.05; KS(N_200)=0.216617 < KS(N_100); "),
+    ("check_ks", asymptotics, "narayana_root_sample", lambda real: lambda n: real(100),
+     "KS(N_100)=0.012222 <= 0.05; KS(N_200)=0.012222 >= KS(N_100); "),
+    ("check_analytic_identities", asymptotics, "density_rho",
+     lambda real: lambda x: 1.0 / (math.pi * (1.0 + x) * math.sqrt(-x)),
+     "x^2 rho(x) != rho(1/x)"),
+    ("check_quotient_limits", asymptotics, "psi_n",
+     lambda real: lambda n, x: real(n + 1, x), "Psi_n(1) identity fails at n=1"),
+], ids=["spectrum-eigenvalue", "ks-scaled-roots", "ks-no-decrease", "density-sign",
+        "psi-index"])
+def test_check_negative_controls(monkeypatch, check, module, name, corrupt, prefix):
+    """Criteria 3, 7, 8 and 9 fail, and say what failed, on a falsifying input."""
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    result = getattr(acceptance, check)()
+    assert result.passed is False
+    assert result.detail.startswith(prefix)

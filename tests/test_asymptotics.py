@@ -14,8 +14,6 @@ from schur_szego.asymptotics import (
     PoleError,
     RatioPoleError,
     RecurrenceSpec,
-    StepCDF,
-    cauchy_transform,
     cdf_kappa,
     characteristic_roots,
     constant_recurrence,
@@ -29,16 +27,28 @@ from schur_szego.asymptotics import (
     narayana_root_sample,
     plemelj_density,
     poincare_ratio,
-    psi_limit,
     psi_n,
     theta_limit,
     theta_n,
 )
-from schur_szego.exactpoly import RationalPoly
+from schur_szego.exactpoly import RationalPoly, horner
 from schur_szego.narayana import catalan, narayana_poly_direct
 from schur_szego.roots import roots_float
 
 P = RationalPoly
+
+
+def psi_limit(w):
+    """Psi(w) = (sqrt(w) + 1)^2, principal branch: the limit of psi_n off the cut."""
+    return (cmath.sqrt(w) + 1) ** 2
+
+
+def _binary64_quotient(num, den, x, scale=1):
+    """num(x) / (scale * den(x)) by exactpoly.horner on the coefficients of
+    num and den, each rounded once to binary64."""
+    x = complex(x)
+    return (horner([float(c) for c in num.coeffs], x)
+            / (scale * horner([float(c) for c in den.coeffs], x)))
 
 
 def test_density_and_cdf_closed_forms():
@@ -114,7 +124,7 @@ def test_psi_limit_values():
     w = complex(0.3, 1.2)
     assert z == pytest.approx(w + 1 + 2 * cmath.sqrt(w), rel=1e-15)
     with pytest.raises(BranchCutError):
-        psi_limit(-2.0)
+        theta_limit(-2.0)
     with pytest.raises(BranchCutError):
         theta_limit(0.0)
 
@@ -194,18 +204,16 @@ def test_equimodular_exact_at_rational_input():
     assert equimodular_check(1e-20) and not equimodular_check(F(1, 10**20))
 
 
-def test_cauchy_transform_examples():
-    assert cauchy_transform(P([-1, 0, 1]), F(2)) == F(2, 3)
-    assert cauchy_transform(P([0, 1]), F(5)) == F(1, 5)
-    with pytest.raises(PoleError):
-        cauchy_transform(P([-1, 0, 1]), F(1))
-
-
 def test_quotients_at_a_float_point_are_complex():
-    p = narayana_poly_direct(7)
-    for value in (psi_n(7, 2.5), theta_n(7, -0.5), theta_n(1, 2.0),  # N_1' is constant
-                  cauchy_transform(p, 2.5), cauchy_transform(p, -3.0)):
+    n1, n7, n8 = (narayana_poly_direct(n) for n in (1, 7, 8))
+    for value, reference in (
+            (psi_n(7, 2.5), _binary64_quotient(n8, n7, 2.5)),
+            (theta_n(7, -0.5), _binary64_quotient(n7.derivative(), n7, -0.5, 7)),
+            (theta_n(1, 2.0), _binary64_quotient(n1.derivative(), n1, 2.0)),  # N_1' is constant
+            (theta_n(7, 2.5), _binary64_quotient(n7.derivative(), n7, 2.5, 7)),
+            (theta_n(7, -3.0), _binary64_quotient(n7.derivative(), n7, -3.0, 7))):
         assert type(value) is complex
+        assert value == reference
     with pytest.raises(PoleError):
         theta_n(2, -1.0)  # N_2(-1) = 0
 
@@ -214,17 +222,20 @@ def test_cauchy_transform_is_theta():
     for n in (4, 9):
         poly = narayana_poly_direct(n)
         for x in (F(2), F(-3), F(1, 2)):
-            assert cauchy_transform(poly, x) == theta_n(n, x)
+            assert theta_n(n, x) == poly.derivative()(x) / (n * poly(x))
 
 
 def test_float_quotients_keyed_by_n():
-    # the binary64 path agrees bit for bit with the generic transform, and a
-    # repeated call is a cache hit on the integer n, not a rebuild of N_n
+    # the binary64 path agrees bit for bit with Horner on the once-rounded
+    # coefficients, and a repeated call is a cache hit on the integer n, not
+    # a rebuild of N_n
     asymptotics._float_coeffs.cache_clear()
     for n in (4, 9, 60):
+        p, q = narayana_poly_direct(n), narayana_poly_direct(n + 1)
         for x in (2.0 + 0j, complex(-3, 1e-3), 0.5 + 2j):
-            assert theta_n(n, x) == cauchy_transform(narayana_poly_direct(n), x)
-            psi_n(n, x)  # reads N_{n+1} and N_n from the same cache
+            assert theta_n(n, x) == _binary64_quotient(p.derivative(), p, x, n)
+            # reads N_{n+1} and N_n from the same cache
+            assert psi_n(n, x) == _binary64_quotient(q, p, x)
     info = asymptotics._float_coeffs.cache_info()
     assert info.currsize == 6 and info.misses == 6
 
@@ -299,6 +310,15 @@ def test_poincare_narayana_x2():
     assert abs(float(res.raw_last_ratio) - target) > 0.1  # raw ratio is O(1/t) away
 
 
+@pytest.mark.parametrize("x", [complex(0.2, 0.9), 2.0, complex(3, -1)])
+def test_poincare_narayana_binary64(x):
+    # off the cut the binary64 spec converges to the larger-modulus limit root
+    res = poincare_ratio(narayana_recurrence(x), 60)
+    larger = max(limit_recurrence_roots(x), key=abs)
+    assert abs(res.limit - larger) < 1e-5
+    assert res.classified_root == larger
+
+
 def test_poincare_narayana_equimodular():
     res = poincare_ratio(narayana_recurrence(F(-1)), 60)
     assert res.no_limit_claim
@@ -332,9 +352,9 @@ def test_poincare_order_one_at_its_order():
 
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
-        RecurrenceSpec(2, (lambda t: 1,), (1, 1), (1, 1))
+        RecurrenceSpec((lambda t: 1,), (1, 1), (1, 1))
     with pytest.raises(ValueError):
-        RecurrenceSpec(1, (lambda t: 1,), (1,), (0,))
+        RecurrenceSpec((lambda t: 1,), (1,), (0,))
     with pytest.raises(ValueError):  # order 3: rejected when built
         constant_recurrence([F(-6), F(11), F(-6), F(1)], [F(1), F(2), F(3)])
     with pytest.raises(ValueError):

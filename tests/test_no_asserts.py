@@ -2,7 +2,8 @@
 
 Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
-took peak RSS from 17 to 29 MB).
+took peak RSS from 17 to 29 MB). The choice between the exact and the
+binary64 route is made in one place, `asymptotics._exact`.
 """
 
 import ast
@@ -35,3 +36,22 @@ def test_no_numpy_imports_in_package():
     found = [where for where, node in _nodes()
              if any(name.split(".")[0] == "numpy" for name in _imported_modules(node))]
     assert found == []
+
+
+def _is_exact_test(node):
+    """An `isinstance(_, (Fraction, int))` call, in either order."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+            and sorted(getattr(e, "id", "") for e in node.args[1].elts)
+            == ["Fraction", "int"])
+
+
+def test_one_exact_float_dispatch():
+    inside = set()
+    for where, node in _nodes():
+        if where.startswith("asymptotics.py:") and isinstance(node, ast.FunctionDef) \
+                and node.name == "_exact":
+            inside |= {f"asymptotics.py:{n.lineno}" for n in ast.walk(node) if _is_exact_test(n)}
+    found = {where for where, node in _nodes() if _is_exact_test(node)}
+    assert sorted(found - inside) == []
+    assert len(inside) == 1
