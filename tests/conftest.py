@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -25,3 +27,19 @@ def cold_remainder_sequences():
     memo.cache_clear()
     yield
     memo.cache_clear()
+
+
+@pytest.fixture
+def remainder_sequence_builds(monkeypatch):
+    """Rebuild the _int_prs memo around a kernel that records each (a, b) it
+    builds, i.e. each memo miss; the list of them is the fixture's value."""
+    built = []
+    kernel = roots._prs.__wrapped__
+
+    def recording(a, b):
+        built.append((a, b))
+        return kernel(a, b)
+
+    maxsize = roots._prs.cache_parameters()["maxsize"]
+    monkeypatch.setattr(roots, "_prs", functools.lru_cache(maxsize=maxsize)(recording))
+    return built

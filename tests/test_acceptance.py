@@ -61,6 +61,9 @@ def test_criterion_10_poincare_engine():
     P([0, 1]) * P([1, 1, 1]) * P.binomial_power(3),                          # complex pair
     P([0, 1]) * P([-1, 1]) * P([1, 1]) * P([2, 1]) * P([3, 1]) * P([4, 1]),  # positive root
     P([0, 1]) * P.binomial_power(2) * P([2, 1]) * P([3, 1]) * P([4, 1]),     # double root
+    narayana.narayana_poly_direct(5) * P([1, 1]),                             # shares N_5's roots
+    P([0, 1]) * P([1, 1]) * P([2, 1]) * P([3, 1]) * P([4, 1]) * P([5, 1]),   # not interlaced
+    narayana.narayana_poly_direct(5) * P([1, 1]) * P([2, 1]),                 # degree 7
 ])
 def test_hyperbolicity_check_negative_controls(monkeypatch, fake_n6):
     real = narayana.narayana_poly_direct
@@ -69,6 +72,15 @@ def test_hyperbolicity_check_negative_controls(monkeypatch, fake_n6):
     result = acceptance.check_hyperbolic_interlacing(8)
     assert not result.passed
     assert "N_6" in result.detail
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 8])
+def test_hyperbolicity_check_builds_one_remainder_sequence_per_n(remainder_sequence_builds,
+                                                                  max_n):
+    """One Cauchy index per n >= 3 certifies criterion 6, and nothing else
+    builds a remainder sequence."""
+    assert acceptance.check_hyperbolic_interlacing(max_n).passed
+    assert len(remainder_sequence_builds) == max_n - 2
 
 
 def _off_by_one_at_37(rows):
@@ -180,7 +192,7 @@ def _scaled_sample(real):
 @pytest.mark.parametrize("check, module, name, corrupt, prefix", [
     ("check_spectrum", spectra, "eigenvalues_closed_form",
      lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
-     "det(A - 1501/1000 I) != 0 at n=3"),
+     "SpectrumViolationError: kernel of A - lambda_(2,3) I has dimension 0"),
     ("check_ks", asymptotics, "narayana_root_sample", _scaled_sample,
      "KS(N_100)=0.216888 > 0.05; KS(N_200)=0.216617 < KS(N_100); "),
     ("check_ks", asymptotics, "narayana_root_sample", lambda real: lambda n: real(100),
@@ -192,8 +204,10 @@ def _scaled_sample(real):
      lambda real: lambda n, x: real(n + 1, x), "Psi_n(1) identity fails at n=1"),
 ], ids=["spectrum-eigenvalue", "ks-scaled-roots", "ks-no-decrease", "density-sign",
         "psi-index"])
-def test_check_negative_controls(monkeypatch, check, module, name, corrupt, prefix):
-    """Criteria 3, 7, 8 and 9 fail, and say what failed, on a falsifying input."""
+def test_check_negative_controls(monkeypatch, cold_spectrum_report, check, module, name, corrupt,
+                                 prefix):
+    """Criteria 3, 7, 8 and 9 fail, and say what failed, on a falsifying input.
+    A warm spectrum_report would hide a falsified eigenvalue."""
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     result = getattr(acceptance, check)()
     assert result.passed is False

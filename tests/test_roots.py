@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from fractions import Fraction as F
 
@@ -350,24 +349,9 @@ def test_remainder_sequences_per_question(monkeypatch):
     assert len(calls) == 2
 
 
-def _record_builds(monkeypatch):
-    """Rebuild the _int_prs memo around a kernel that records each (a, b) it
-    builds, i.e. each memo miss."""
-    built = []
-    kernel = roots._prs.__wrapped__
-
-    def recording(a, b):
-        built.append((a, b))
-        return kernel(a, b)
-
-    maxsize = roots._prs.cache_parameters()["maxsize"]
-    monkeypatch.setattr(roots, "_prs", functools.lru_cache(maxsize=maxsize)(recording))
-    return built
-
-
 @pytest.mark.parametrize("c", [1, -1])
-def test_one_remainder_sequence_per_pair_across_questions(monkeypatch, c):
-    built = _record_builds(monkeypatch)
+def test_one_remainder_sequence_per_pair_across_questions(remainder_sequence_builds, c):
+    built = remainder_sequence_builds
     q = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1]) * P([1, 2])  # doubled root -1
     dq = q.derivative()
     assert roots_float(q) == [-1.0, -1.0, -0.5, 2.0, 3.0]
@@ -380,9 +364,9 @@ def test_one_remainder_sequence_per_pair_across_questions(monkeypatch, c):
     assert not any(a == dq_key for a, _ in built)  # q' never gets a chain
 
 
-def test_cli_roots_builds_one_remainder_sequence(monkeypatch, capsys):
+def test_cli_roots_builds_one_remainder_sequence(remainder_sequence_builds, capsys):
     # is_hyperbolic and distinct_real_roots both ask for the chain of N_30
-    built = _record_builds(monkeypatch)
+    built = remainder_sequence_builds
     assert cli.main(["roots", "--n", "30"]) == 0
     assert '"hyperbolic": true' in capsys.readouterr().out
     assert [a for a, _ in built] == [tuple(roots._int_poly(narayana_poly_direct(30)))]
