@@ -30,7 +30,6 @@ from .spectra import (
     SpectrumReport,
     eigenpolynomial,
     eigenvalues_closed_form,
-    extract_q,
     m_transform,
     richardson_limit,
     sigma_system_solve,

@@ -110,7 +110,8 @@ def check_q_structure():
 
 
 @_timed("limit-polynomials")
-def check_limit_polynomials(n_list=(20, 40, 80), tol: float = 1e-2):
+def check_limit_polynomials():
+    n_list, tol = (20, 40, 80), 1e-2
     details = []
     for j in range(2, 7):
         report = spectra.verify_mjnj(j, n_list, tol)
@@ -156,7 +157,8 @@ def check_hyperbolic_interlacing(max_n: int = 100):
 
 
 @_timed("fig1-ks")
-def check_ks(tol: float = 0.05):
+def check_ks():
+    tol = 0.05
     s100 = asymptotics.narayana_root_sample(100)
     s200 = asymptotics.narayana_root_sample(200)
     ks100 = asymptotics.ks_distance(asymptotics.empirical_cdf(s100))

@@ -77,11 +77,11 @@ def empirical_cdf(roots: Sequence[float]) -> StepCDF:
     return StepCDF(tuple(sorted(roots)))
 
 
-def ks_distance(cdf: StepCDF, theoretical: Callable[[float], float] = cdf_kappa) -> float:
+def ks_distance(cdf: StepCDF) -> float:
     """sup |F - kappa|, evaluated at and just below every jump point."""
     d = 0.0
     for i, x in enumerate(cdf.points, start=1):
-        t = theoretical(x)
+        t = cdf_kappa(x)
         d = max(d, abs(i / cdf.n - t), abs((i - 1) / cdf.n - t))
     return d
 
@@ -226,25 +226,20 @@ def plemelj_density(x: float, eps: float) -> float:
 
 
 def characteristic_roots(coeffs: Sequence[complex]) -> list[complex]:
-    """Roots, sorted by modulus, of a monic characteristic polynomial of
-    degree <= 2 given as an ascending coefficient list [a_0, ..., a_{k-1}, 1]."""
+    """Roots, sorted by modulus, of a monic quadratic characteristic
+    polynomial given as an ascending coefficient list [c, b, 1]."""
     cs = [complex(c) for c in coeffs]
-    if not 0 < len(cs) <= 3 or cs[-1] != 1:
-        raise ValueError("characteristic polynomial must be monic of degree <= 2")
-    if len(cs) < 3:
-        return [-c for c in cs[:-1]]
+    if len(cs) != 3 or cs[-1] != 1:
+        raise ValueError("characteristic polynomial must be monic of degree 2")
     c, b = cs[0], cs[1]
     disc = cmath.sqrt(b * b - 4.0 * c)
     return sorted([(-b + disc) / 2.0, (-b - disc) / 2.0], key=abs)
 
 
 def _equimodular(limits: Sequence) -> bool:
-    """True iff two roots of z^k + limits[k-1] z^{k-1} + ... + limits[0]
-    (k <= 2) share a modulus. Exact at rational (c, b): b^2 <= 4c (a conjugate
-    pair or a double root) or b = 0 (roots +-r); else binary64 at a relative
-    1e-12."""
-    if len(limits) == 1:
-        return False
+    """True iff the two roots of z^2 + b z + c, (c, b) = limits, share a
+    modulus. Exact at rational (c, b): b^2 <= 4c (a conjugate pair or a double
+    root) or b = 0 (roots +-r); else binary64 at a relative 1e-12."""
     c, b = limits
     if _exact(c, b):
         return b * b <= 4 * c or b == 0
@@ -276,11 +271,11 @@ def equimodular_check(x) -> bool:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """f(t+k) + P_{k-1}(t) f(t+k-1) + ... + P_0(t) f(t) = 0.
+    """f(t+2) + P_1(t) f(t+1) + P_0(t) f(t) = 0.
 
     coefficient_fns[i] evaluates P_i at integer t (binary64 or exact
-    rationals); limits[i] is lim P_i; initial holds f(0..k-1). The order k
-    is len(limits).
+    rationals); limits[i] is lim P_i; initial holds f(0), f(1). The order
+    is len(limits), which must be 2.
     """
 
     coefficient_fns: tuple[Callable[[int], complex | Fraction], ...]
@@ -292,8 +287,8 @@ class RecurrenceSpec:
         return len(self.limits)
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+        if self.order != 2:
+            raise ValueError("order must be 2")
         if not len(self.coefficient_fns) == len(self.limits) == len(self.initial):
             raise ValueError("coefficient/limit/initial lengths must equal the order")
         if not any(v != 0 for v in self.initial):
@@ -382,8 +377,8 @@ def narayana_recurrence(x) -> RecurrenceSpec:
 
 def constant_recurrence(char_coeffs: Sequence[Fraction],
                         initial: Sequence[Fraction]) -> RecurrenceSpec:
-    """Constant-coefficient recurrence from an ascending monic characteristic
-    coefficient list [a_0, ..., a_{k-1}, 1] (exact when inputs are exact)."""
+    """Constant-coefficient recurrence from an ascending monic quadratic
+    characteristic coefficient list [a_0, a_1, 1] (exact when inputs are exact)."""
     cs = list(char_coeffs)
     if cs[-1] != 1:
         raise ValueError("characteristic polynomial must be monic")

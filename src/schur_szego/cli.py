@@ -223,7 +223,9 @@ def cmd_roots(args) -> ReportEnvelope:
     if args.interlace:
         x, prev = RationalPoly.x(), narayana.narayana_poly_direct(args.n - 1)
         verdict = roots.interlace_check(prev.exact_divide(x), poly.exact_divide(x))
-        gcd_ok = roots.poly_gcd(prev, poly) == x
+        # a strict interlacing of N_{n-1}/x and N_n/x certifies gcd = x, as in criterion 6's
+        # lemma (a) and (b); on any other verdict the witness computes it
+        gcd_ok = verdict == roots.STRICT_INTERLACE or roots.poly_gcd(prev, poly) == x
         payload = {"verdict": verdict, "gcd_is_x": gcd_ok}
         ok, falsified = verdict == roots.STRICT_INTERLACE and gcd_ok, "interlacing"
     elif args.isolate:

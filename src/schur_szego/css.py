@@ -83,7 +83,6 @@ class AffineMapQ:
 
     linear: RationalMatrix
     offset: tuple[Fraction, ...]
-    n: int
 
     def apply(self, c: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         return tuple(v + o for v, o in zip(self.linear.matvec(c), self.offset))
@@ -119,7 +118,7 @@ def build_phi(n: int) -> AffineMapQ:
     if piv_cols != list(range(n - 1)):
         raise ConstructionBugError("identities j = 0..n-2 do not determine sigma")
     entries = [x for r in m for x in r[n - 1:2 * n - 2]]
-    return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(r[2 * n - 2] for r in m), n)
+    return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(r[2 * n - 2] for r in m))
 
 
 def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:

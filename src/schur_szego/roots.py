@@ -27,7 +27,7 @@ FAIL = "fail"
 STURM = "sturm"
 SIGN_CHANGES = "sign-changes"
 
-_REFINE_DEFAULT = Fraction(1, 2**40)
+_REFINE_WIDTH = Fraction(1, 2**40)  # bracket width behind refined_roots and roots_float
 _WIDENINGS = 6  # eightfold each, so a bracket grows at most 2^18-fold
 
 
@@ -171,15 +171,13 @@ def cauchy_bound(p: RationalPoly) -> Fraction:
 class RootIsolation:
     """Disjoint rational intervals, one distinct real root each.
 
-    `path` names the route that made it. `certificates[i]` certifies
-    interval i: on path STURM (`isolate_roots`) the Sturm variation pair
-    (V(lo), V(hi)) with difference 1; on path SIGN_CHANGES (`certify_roots`)
-    the endpoint signs (sign p(lo), sign p(hi)), of opposite sign, which
-    `refine` reuses. `_sqfree` holds the squarefree integer coefficients
-    used for sign-based refinement.
+    `path` names the route that made it: STURM (`isolate_roots`) or
+    SIGN_CHANGES (`certify_roots`). On both, `certificates[i]` holds the
+    endpoint signs (sign s(lo), sign s(hi)) of interval i, opposite, where
+    s is the squarefree part whose integer coefficients `_sqfree` holds;
+    `refine` bisects on s from those signs.
     """
 
-    poly: RationalPoly
     intervals: tuple[tuple[Fraction, Fraction], ...]
     multiplicities: tuple[int, ...]
     certificates: tuple[tuple[int, int], ...]
@@ -205,7 +203,7 @@ def _find_nonroot_split(poly: list, lo: Fraction, hi: Fraction) -> Fraction:
         k += 2
 
 
-def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction, tuple[int, int]]]:
+def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for all distinct real roots of the chain's polynomial
     (squarefree or not); no endpoint is a root."""
     poly = chain.poly
@@ -230,7 +228,7 @@ def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction, tuple[int, int
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append((lo, hi, (vlo, vhi)))
+            out.append((lo, hi))
             continue
         mid = _find_nonroot_split(poly, lo, hi)
         vmid = chain.variations_at(mid)
@@ -246,7 +244,9 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     Multiplicities come from the gcd tower G_0 = p, G_{k+1} = gcd(G_k, G_k')
     (the last member of G_k's chain): a root has multiplicity m iff it is a
     root of G_0 .. G_{m-1}. No isolating endpoint is a root of p, hence of
-    any G_k, so each tower count on an isolating interval is exact.
+    any G_k, so each tower count on an isolating interval is exact. Each
+    interval's certificate is the pair of opposite signs of the squarefree
+    part at its endpoints, as on `certify_roots`'s path.
     """
     ip = _int_poly(p)
     chain = SturmChain(ip)
@@ -257,15 +257,17 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
         tower.append(SturmChain(g))
         g = tower[-1].polys[-1]
     mults = []
-    for lo, hi, (vlo, vhi) in iso:
-        counts = [vlo - vhi] + [level.count(lo, hi) for level in tower]
+    for lo, hi in iso:
+        counts = [1] + [level.count(lo, hi) for level in tower]
         if any(c not in (0, 1) for c in counts) or counts != sorted(counts, reverse=True):
             raise AssertionError(f"gcd tower counts {counts} on ({lo}, {hi}]")
         mults.append(sum(counts))
     sqfree = (_int_poly(RationalPoly(ip).exact_divide(RationalPoly(chain.polys[-1])))
               if tower else ip)
-    return RootIsolation(p, tuple((lo, hi) for lo, hi, _ in iso),
-                         tuple(mults), tuple(c for _, _, c in iso), tuple(sqfree), STURM)
+    signs = tuple((_eval_sign(sqfree, lo), _eval_sign(sqfree, hi)) for lo, hi in iso)
+    if any(slo * shi >= 0 for slo, shi in signs):
+        raise AssertionError("squarefree part does not change sign across an isolating interval")
+    return RootIsolation(tuple(iso), tuple(mults), signs, tuple(sqfree), STURM)
 
 
 def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation | None:
@@ -299,24 +301,18 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
             return None
         intervals.append((lo, hi))
         signs.append((slo, shi))
-    return RootIsolation(p, tuple(intervals), (1,) * len(intervals), tuple(signs),
-                         tuple(poly), SIGN_CHANGES)
+    return RootIsolation(tuple(intervals), (1,) * len(intervals), tuple(signs), tuple(poly),
+                         SIGN_CHANGES)
 
 
 def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect isolating interval `index` below width `tol` (exact signs only).
-
-    The endpoint signs come from the certificate on path SIGN_CHANGES (it
-    holds them) and are evaluated on path STURM.
-    """
+    """Bisect isolating interval `index` below width `tol` (exact signs only),
+    starting from the endpoint signs its certificate holds."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = iso.intervals[index]
-    poly = list(iso._sqfree)
-    if iso.path == SIGN_CHANGES:
-        slo, shi = iso.certificates[index]
-    else:
-        slo, shi = _eval_sign(poly, lo), _eval_sign(poly, hi)
+    poly = iso._sqfree
+    slo, shi = iso.certificates[index]
     if not slo * shi < 0:
         raise AssertionError("isolating interval must bracket a simple root")
     while hi - lo > tol:
@@ -332,20 +328,20 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
     return lo, hi
 
 
-def refined_roots(iso: RootIsolation, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
-    """Midpoints of the intervals refined below width tol, as binary64,
+def refined_roots(iso: RootIsolation) -> list[float]:
+    """Midpoints of the intervals refined below width 2^-40, as binary64,
     repeated per multiplicity, sorted."""
     out = []
     for i, mult in enumerate(iso.multiplicities):
-        lo, hi = refine(iso, i, tol)
+        lo, hi = refine(iso, i, _REFINE_WIDTH)
         out.extend([float((lo + hi) / 2)] * mult)
     out.sort()
     return out
 
 
-def roots_float(p: RationalPoly, tol: Fraction = _REFINE_DEFAULT) -> list[float]:
+def roots_float(p: RationalPoly) -> list[float]:
     """All real roots as binary64, repeated per multiplicity, sorted."""
-    return refined_roots(isolate_roots(p), tol)
+    return refined_roots(isolate_roots(p))
 
 
 def distinct_real_roots(p: RationalPoly) -> int:

@@ -92,13 +92,6 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
     return poly
 
 
-def extract_q(n: int, j: int) -> RationalPoly:
-    """Q_{j,n}: eigenpolynomial for lambda_{j+2,n} divided by x(x+1)^{n-j-2}."""
-    if n < 4 or not 1 <= j <= n - 3:
-        raise ValueError(f"need n >= 4 and 1 <= j <= n-3, got n={n}, j={j}")
-    return _cofactor(eigenpolynomial(n, j + 2), n, j)
-
-
 def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
     """Q_{j,n} from the eigenpolynomial for lambda_{j+2,n}, shape-checked."""
     divisor = RationalPoly([0, 1]) * RationalPoly.binomial_power(n - j - 2)
@@ -115,7 +108,6 @@ def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    n: int
     eigenvalues: tuple[Fraction, ...]
     eigenpolys: tuple[RationalPoly, ...]
     q_polys: tuple[RationalPoly, ...]  # Q_{1,n} .. Q_{n-3,n}
@@ -127,7 +119,7 @@ def spectrum_report(n: int) -> SpectrumReport:
     eig = eigenvalues_closed_form(n)
     polys = tuple(eigenpolynomial(n, j) for j in range(1, n))
     qs = tuple(_cofactor(polys[j + 1], n, j) for j in range(1, n - 2))
-    return SpectrumReport(n, tuple(eig), polys, qs)
+    return SpectrumReport(tuple(eig), polys, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +188,6 @@ def sigma_system_solve(n: int, j: int) -> RationalPoly:
 class ExpansionEstimate:
     """Extrapolated leading coefficient q_nu^{(0)} of one q_nu(n) series."""
 
-    j: int
     nu: int
     samples: tuple[tuple[int, Fraction], ...]
     extrapolated_q0: float
@@ -221,7 +212,7 @@ def richardson_limit(j: int, n_list: Sequence[int]) -> list[ExpansionEstimate]:
         samples = tuple((n, qs[n].coeff(j - nu)) for n in ns)
         points = [(Fraction(1, n - 1), val) for n, val in samples]
         value, delta = neville_zero(points)
-        out.append(ExpansionEstimate(j, nu, samples, float(value), delta))
+        out.append(ExpansionEstimate(nu, samples, float(value), delta))
     return out
 
 
@@ -235,9 +226,6 @@ def m_transform(q: RationalPoly, j: int) -> RationalPoly:
 
 @dataclass(frozen=True)
 class MjNjReport:
-    j: int
-    n_list: tuple[int, ...]
-    tol: float
     m_coeffs: tuple[float, ...]       # coefficients of x^1..x^j in M_j
     narayana_coeffs: tuple[int, ...]
     deviations: tuple[float, ...]
@@ -255,19 +243,19 @@ def verify_mjnj(j: int, n_list: Sequence[int], tol: float) -> MjNjReport:
     row: extrapolate Q_{j-1}*, transform, compare coefficientwise at `tol`."""
     if j < 2:
         raise ValueError("j must be >= 2")
-    # float coefficients (constant first) of Q_{j-1}* and their error bounds
-    coeffs, bounds = [0.0] * j, [0.0] * j
-    coeffs[j - 1], coeffs[0] = 1.0, (-1.0) ** (j - 1)
+    # Q_{j-1}* (constant first), each extrapolated coefficient taken exactly
+    # from its binary64 value, and the coefficients' error bounds
+    coeffs, bounds = [Fraction(0)] * j, [0.0] * j
+    coeffs[j - 1], coeffs[0] = Fraction(1), Fraction(-1) ** (j - 1)
     for est in richardson_limit(j - 1, n_list):
-        coeffs[j - 1 - est.nu] = est.extrapolated_q0
+        coeffs[j - 1 - est.nu] = Fraction(est.extrapolated_q0)
         bounds[j - 1 - est.nu] = est.error_bound
-    sign = (-1.0) ** (j - 1)
-    m_coeffs = tuple(sign * (-1.0) ** i * coeffs[i] for i in range(j))
-    m_bounds = tuple(bounds)
+    m = m_transform(RationalPoly(coeffs), j)
+    m_coeffs = tuple(float(m.coeff(k)) for k in range(1, j + 1))
     target = tuple(narayana_number(j, k) for k in range(1, j + 1))
     deviations = tuple(abs(mc - t) for mc, t in zip(m_coeffs, target))
-    report = MjNjReport(j, tuple(n_list), tol, m_coeffs, target, deviations,
-                        m_bounds, max(deviations), max(deviations) <= tol)
+    report = MjNjReport(m_coeffs, target, deviations, tuple(bounds), max(deviations),
+                        max(deviations) <= tol)
     if not report.passed:
         raise TheoremCheckFailed(
             f"M_{j} vs N_{j}: max deviation {report.max_deviation} > tol {tol}")

@@ -197,13 +197,16 @@ def _scaled_sample(real):
      "KS(N_100)=0.216888 > 0.05; KS(N_200)=0.216617 < KS(N_100); "),
     ("check_ks", asymptotics, "narayana_root_sample", lambda real: lambda n: real(100),
      "KS(N_100)=0.012222 <= 0.05; KS(N_200)=0.012222 >= KS(N_100); "),
+    ("check_ks", asymptotics, "cdf_kappa",
+     lambda real: lambda x: 1.0 - math.atan(math.sqrt(-x)) / math.pi,
+     "KS(N_100)=0.506068 > 0.05; KS(N_200)=0.503042 < KS(N_100); "),
     ("check_analytic_identities", asymptotics, "density_rho",
      lambda real: lambda x: 1.0 / (math.pi * (1.0 + x) * math.sqrt(-x)),
      "x^2 rho(x) != rho(1/x)"),
     ("check_quotient_limits", asymptotics, "psi_n",
      lambda real: lambda n, x: real(n + 1, x), "Psi_n(1) identity fails at n=1"),
-], ids=["spectrum-eigenvalue", "ks-scaled-roots", "ks-no-decrease", "density-sign",
-        "psi-index"])
+], ids=["spectrum-eigenvalue", "ks-scaled-roots", "ks-no-decrease", "ks-wrong-kappa",
+        "density-sign", "psi-index"])
 def test_check_negative_controls(monkeypatch, cold_spectrum_report, check, module, name, corrupt,
                                  prefix):
     """Criteria 3, 7, 8 and 9 fail, and say what failed, on a falsifying input.

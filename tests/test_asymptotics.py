@@ -172,10 +172,10 @@ def test_quotient_bound_property(re, im, n):
 
 def test_characteristic_roots():
     assert characteristic_roots([0, -4, 1]) == [0, 4]  # the limit equation at x=1
-    with pytest.raises(ValueError):
-        characteristic_roots([-6, 11, -6, 1])  # degree 3: no spec has order > 2
-    with pytest.raises(ValueError):
-        characteristic_roots([1, 2])  # not monic
+    # every recurrence spec has order 2, so only monic quadratics are accepted
+    for coeffs in ([-6, 11, -6, 1], [-3, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="monic of degree 2"):
+            characteristic_roots(coeffs)
 
 
 def test_limit_recurrence_and_equimodular():
@@ -342,19 +342,13 @@ def test_poincare_cp_selection_exact():
     assert all(r == l2 for r in res.ratios)
 
 
-def test_poincare_order_one_at_its_order():
-    # t_max = order leaves a single ratio: no tail to extrapolate
-    res = poincare_ratio(constant_recurrence([F(-3), F(1)], [F(1)]), 1)
-    assert res.ratios == (3,)
-    assert res.limit == 3
-    assert res.error_estimate == math.inf
-
-
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec((lambda t: 1,), (1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        RecurrenceSpec((lambda t: 1,), (1,), (0,))
+    with pytest.raises(ValueError, match="not all be zero"):
+        RecurrenceSpec((lambda t: 1, lambda t: 1), (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="order must be 2"):  # order 1
+        RecurrenceSpec((lambda t: 1,), (1,), (1,))
     with pytest.raises(ValueError):  # order 3: rejected when built
         constant_recurrence([F(-6), F(11), F(-6), F(1)], [F(1), F(2), F(3)])
     with pytest.raises(ValueError):

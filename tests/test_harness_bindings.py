@@ -1,0 +1,54 @@
+"""The benchmark harness under perfbench/ binds names of the package by string.
+
+A deletion in the package would break it only when the benchmark runs, so
+these tests import the harness's name tables (without writing bytecode into
+perfbench/) and resolve every entry against the package.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from schur_szego.roots import SturmChain
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    """The perfbench modules tracing and worker, imported and then forgotten."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        yield importlib.import_module("tracing"), importlib.import_module("worker")
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+
+
+def _resolve(module: str, path: str):
+    owner = importlib.import_module(f"schur_szego.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_traced_layers_and_checks_resolve(harness):
+    tracing, _ = harness
+    for _, module, path in tracing.LAYERS:
+        assert callable(_resolve(module, path)), path
+    for _, attr in tracing.CHECKS:
+        assert callable(_resolve("acceptance", attr)), attr
+    chain = SturmChain([2, -3, 1])  # the tracer reads .poly and .polys of each chain
+    assert chain.poly == [2, -3, 1] and chain.polys[0] == (2, -3, 1)
+
+
+def test_worker_caches_are_lru_caches(harness):
+    _, worker = harness
+    for module, attr in worker.CACHES:
+        assert callable(_resolve(module, attr).cache_info), attr
+    for module in worker.MODULES:
+        importlib.import_module(f"schur_szego.{module}")

@@ -28,7 +28,7 @@ from schur_szego.roots import (
     roots_float,
     sturm_count,
 )
-from schur_szego.spectra import extract_q
+from schur_szego.spectra import spectrum_report
 
 P = RationalPoly
 TOL40 = F(1, 2**40)
@@ -135,19 +135,31 @@ def test_certify_roots_negative_controls(p, proposals):
     assert certify_roots(p, proposals) is None
 
 
+DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
+
+
+@pytest.mark.parametrize("p", [DOUBLED, narayana_poly_direct(12)], ids=["doubled", "N_12"])
+def test_isolation_certificates_are_opposite_endpoint_signs(p):
+    iso = isolate_roots(p)
+    assert iso.path == STURM
+    for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
+        assert (slo, shi) == (roots._eval_sign(iso._sqfree, lo), roots._eval_sign(iso._sqfree, hi))
+        assert slo * shi < 0
+
+
 def test_refine_on_sturm_path_requires_a_sign_change():
     iso = isolate_roots(P([1, 6, 6, 1]))
     assert iso.path == STURM
-    # p(0) = 1 and p(1) = 14: no sign change, so no simple root is bracketed
-    broken = dataclasses.replace(iso, intervals=((F(0), F(1)),) + iso.intervals[1:])
+    slo, _ = iso.certificates[0]
+    broken = dataclasses.replace(iso, certificates=((slo, slo),) + iso.certificates[1:])
     with pytest.raises(AssertionError, match="bracket a simple root"):
         refine(broken, 0, TOL40)
 
 
 def test_refine_reuses_certified_endpoint_signs(monkeypatch):
-    iso = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
-    assert iso.path == SIGN_CHANGES
-    endpoints = {x for interval in iso.intervals for x in interval}
+    sturm = isolate_roots(DOUBLED)
+    signs = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
+    assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
     evaluated = []
     real = roots._eval_sign
 
@@ -156,11 +168,11 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
         return real(c, x)
 
     monkeypatch.setattr(roots, "_eval_sign", counting)
-    got = refined_roots(iso)
-    assert not endpoints & set(evaluated)
-    # re-evaluating the endpoint signs, as on the Sturm path, changes nothing
-    assert refined_roots(dataclasses.replace(iso, path=STURM)) == got
-    assert len(evaluated) >= 2 * len(iso.intervals)
+    for iso in (sturm, signs):
+        evaluated.clear()
+        refined_roots(iso)
+        assert evaluated  # the bisection's own midpoints
+        assert not {x for interval in iso.intervals for x in interval} & set(evaluated)
 
 
 @pytest.mark.parametrize("question", [
@@ -291,7 +303,7 @@ def test_q_poly_roots_reciprocal_pairs():
     # roots of Q_{j,n} are positive, distinct, and closed under x -> 1/x
     for n in range(4, 11):
         for j in range(1, n - 2):
-            q = extract_q(n, j)
+            q = spectrum_report(n).q_polys[j - 1]
             iso = isolate_roots(q)
             assert len(iso.intervals) == j
             assert iso.multiplicities == (1,) * j
@@ -370,6 +382,14 @@ def test_cli_roots_builds_one_remainder_sequence(remainder_sequence_builds, caps
     assert cli.main(["roots", "--n", "30"]) == 0
     assert '"hyperbolic": true' in capsys.readouterr().out
     assert [a for a, _ in built] == [tuple(roots._int_poly(narayana_poly_direct(30)))]
+
+
+def test_cli_roots_interlace_builds_one_remainder_sequence(remainder_sequence_builds, capsys):
+    # strict interlacing of N_39/x and N_40/x already gives gcd(N_39, N_40) = x
+    assert cli.main(["roots", "--n", "40", "--interlace"]) == 0
+    out = capsys.readouterr().out
+    assert '"verdict": "strict-interlace"' in out and '"gcd_is_x": true' in out
+    assert len(remainder_sequence_builds) == 1
 
 
 def test_warm_memo_negative_controls():

@@ -10,7 +10,6 @@ from schur_szego.spectra import (
     TheoremCheckFailed,
     eigenvalues_closed_form,
     eigenpolynomial,
-    extract_q,
     m_transform,
     richardson_limit,
     sigma_system_solve,
@@ -51,8 +50,7 @@ def test_eigenpolynomials_vanish_at_minus_one():
 
 def test_extract_q_structure():
     for n in range(4, 9):
-        for j in range(1, n - 2):
-            q = extract_q(n, j)
+        for j, q in enumerate(spectrum_report(n).q_polys, start=1):
             assert q.degree == j
             assert q.is_monic()
             assert q.coeff(0) == F(-1) ** j
@@ -63,8 +61,8 @@ def test_extract_q_structure():
 
 def test_extract_q_equals_sigma_route():
     for n in range(4, 9):
-        for j in range(1, n - 2):
-            assert extract_q(n, j) == sigma_system_solve(n, j)
+        for j, q in enumerate(spectrum_report(n).q_polys, start=1):
+            assert q == sigma_system_solve(n, j)
 
 
 def test_q1_is_x_minus_one():
@@ -75,13 +73,12 @@ def test_q1_is_x_minus_one():
 def test_middle_coefficient_vanishes():
     for n in (6, 8, 10):
         for j in range(1, n - 2, 2):  # j odd
-            prod = P.binomial_power(n - j - 2) * extract_q(n, j)
+            prod = P.binomial_power(n - j - 2) * spectrum_report(n).q_polys[j - 1]
             assert prod.coeff((n - 2) // 2) == 0
 
 
 def test_spectrum_report_shape():
     rep = spectrum_report(6)
-    assert rep.n == 6
     assert len(rep.eigenvalues) == 5
     assert len(rep.eigenpolys) == 5
     assert len(rep.q_polys) == 3
@@ -95,7 +92,7 @@ def test_spectrum_report_eliminates_once_per_eigenvalue(monkeypatch, cold_spectr
     monkeypatch.setattr(spectra, "kernel", lambda m: calls.append(m) or real(m))
     rep = spectrum_report(n)
     assert len(calls) == n - 1
-    assert rep.q_polys == tuple(extract_q(n, j) for j in range(1, n - 2))
+    assert len(rep.q_polys) == n - 3
 
 
 def test_richardson_j2_exact():
@@ -229,6 +226,23 @@ def test_verify_mjnj_small():
     rep5 = verify_mjnj(5, (20, 40, 80), 1e-2)
     assert rep5.passed
     assert rep5.narayana_coeffs == (1, 10, 20, 10, 1)
+
+
+@pytest.mark.parametrize("j, m_coeffs, deviations", [
+    (5, ("0x1.0000000000000p+0", "0x1.40007f339ddfep+3", "0x1.400078e625819p+4",
+         "0x1.40007f339ddfep+3", "0x1.0000000000000p+0"),
+     ("0x0.0p+0", "0x1.fcce777f80000p-15", "0x1.e398960640000p-14", "0x1.fcce777f80000p-15",
+      "0x0.0p+0")),
+    (6, ("0x1.0000000000000p+0", "0x1.e003fe83e2fb8p+3", "0x1.9002d65a4b2b8p+5",
+         "0x1.9002d65a4b2b8p+5", "0x1.e003fe83e2fb8p+3", "0x1.0000000000000p+0"),
+     ("0x0.0p+0", "0x1.ff41f17dc0000p-12", "0x1.6b2d2595c0000p-10", "0x1.6b2d2595c0000p-10",
+      "0x1.ff41f17dc0000p-12", "0x0.0p+0")),
+])
+def test_verify_mjnj_pinned_binary64(j, m_coeffs, deviations):
+    # the limits and deviations the `limits` command prints, to the last bit
+    rep = verify_mjnj(j, (20, 40, 80), 1e-2)
+    assert tuple(c.hex() for c in rep.m_coeffs) == m_coeffs
+    assert tuple(d.hex() for d in rep.deviations) == deviations
 
 
 def test_verify_mjnj_reports_failure():
