@@ -76,13 +76,17 @@ def check_recurrence():
 
 @_timed("spectrum")
 def check_spectrum():
-    # spectrum_report raises SpectrumViolationError on a kernel of dimension != 1 (a 1-dimensional
-    # kernel proves det(A - lambda I) = 0) and on a j = 1, 2 eigenpolynomial of the wrong shape
+    # eigenpolynomial raises SpectrumViolationError on a kernel of dimension != 1 (a 1-dimensional
+    # kernel proves det(A - lambda I) = 0), spectrum_report on a T A T^-1 that is not upper
+    # triangular with the closed-form diagonal, and both on a j = 1, 2 eigenpolynomial of the
+    # wrong shape. The kernel route runs first, so a falsified eigenvalue is named by its kernel.
     for n in range(3, 13):
         eig = spectra.eigenvalues_closed_form(n)
         if sorted(eig) != eig or len(set(eig)) != n - 1:
             return False, f"eigenvalues not distinct increasing at n={n}"
-        spectra.spectrum_report(n)
+        by_kernel = tuple(spectra.eigenpolynomial(n, j) for j in range(1, n))
+        if spectra.spectrum_report(n).eigenpolys != by_kernel:
+            return False, f"kernel and triangular routes disagree at n={n}"
     return True, "closed-form spectrum certified for 3<=n<=12"
 
 

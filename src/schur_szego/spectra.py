@@ -1,18 +1,25 @@
 """Spectrum of Phi_n: eigenvalues, eigenpolynomials, Q_{j,n}, and their limits.
 
-Two independent routes to Q_{j,n} are implemented:
+An eigenvector of A, the linear part of Phi_n, is the coefficient vector of
+the direction polynomial D = V/(x+1) of an eigenpolynomial V = (x+1) * D,
+normalized monic; Q_{j,n} is V for lambda_{j+2,n} divided by x(x+1)^{n-j-2}.
+Three routes are implemented:
 
-* spectrum_report: one kernel of (A - lambda I) per eigenvalue, A the linear
-  part of Phi_n. The kernel vector is the coefficient vector of the direction
-  polynomial V/(x+1), so the eigenpolynomial is V = (x+1) * D normalized
-  monic; Q_{j,n} is V for lambda_{j+2,n} divided by x(x+1)^{n-j-2}.
-* sigma_system_solve: the linear system L_k = R_k in the unknown interior
-  coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant (-1)^j fixed),
-  assembled from the coefficient identities of the eigen-relation, solved
-  on the block k = 1..j-1 and verified on every remaining k up to n-1.
+* eigenpolynomial (kernel route): one kernel of A - lambda I per eigenvalue.
+* spectrum_report (triangular route): in powers of (x+1), A becomes the
+  upper triangular B = T A T^-1 (T a Taylor shift), certified exactly with
+  the closed-form eigenvalues on its diagonal; each eigenvector is then one
+  back-substitution in B, and Q_{j,n} is cut from it.
+* sigma_system_solve (Sigma route): the linear system L_k = R_k in the
+  unknown interior coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant
+  (-1)^j fixed), assembled from the coefficient identities of the
+  eigen-relation, solved on the block k = 1..j-1 and verified on every
+  remaining k up to n-1.
 
-Their exact agreement for 4 <= n <= 10 is an acceptance criterion; the
-n -> infinity limits are estimated by Richardson extrapolation in 1/(n-1).
+The exact agreement of the kernel and triangular routes for 3 <= n <= 12,
+and of the triangular and Sigma routes for 4 <= n <= 10, are acceptance
+criteria; the n -> infinity limits are estimated by Richardson extrapolation
+in 1/(n-1).
 """
 
 from __future__ import annotations
@@ -24,13 +31,15 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, _primitive, binomial,
-                        kernel, neville_zero, solve_linear)
+from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, _clear_denominators,
+                        _primitive, binomial, kernel, neville_zero, solve_linear)
 from .narayana import narayana_number
 
 
 class SpectrumViolationError(RuntimeError):
-    """A kernel had the wrong dimension (would falsify the spectrum claim)."""
+    """A spectrum certificate failed (would falsify the spectrum claim): a kernel
+    of the wrong dimension, a T A T^-1 that is not triangular with the
+    closed-form diagonal, or an eigenpolynomial of the wrong shape."""
 
 
 class StructureViolationError(RuntimeError):
@@ -54,13 +63,9 @@ def eigenvalues_closed_form(n: int) -> list[Fraction]:
 
 
 def eigenpolynomial(n: int, j: int) -> RationalPoly:
-    """Monic degree-(n-1) eigenpolynomial of Phi_n for lambda_{j,n}.
-
-    The kernel vector of A - lambda I holds the coefficients of the
-    direction polynomial D = V/(x+1); V = (x+1) * D, normalized monic.
-    Verified on the way out: V(-1) = 0 by construction, V(0) = 0 for
-    j >= 2, and V = x(x+1)^{n-2} for j = 2.
-    """
+    """Monic degree-(n-1) eigenpolynomial of Phi_n for lambda_{j,n}, by one
+    kernel of A - lambda I: the independent route that check_spectrum holds
+    spectrum_report to. Checked by _eigenpoly_from_direction."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if not 1 <= j <= n - 1:
@@ -71,11 +76,22 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
     if len(basis) != 1:
         raise SpectrumViolationError(
             f"kernel of A - lambda_({j},{n}) I has dimension {len(basis)}")
-    v = basis[0]
-    if v[0] == 0:
-        raise SpectrumViolationError("direction polynomial is not of full degree")
+    return _eigenpoly_from_direction(phi, n, j, basis[0])
+
+
+def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
+                              v: Sequence[Fraction | int]) -> RationalPoly:
+    """V = (x+1) * D normalized monic, where v[i] is the coefficient of
+    x^{n-2-i} in the direction polynomial D (any nonzero scale).
+
+    Verified on the way out: D has full degree, V(-1) = 0 by construction,
+    (x+1)^{n-1} is Phi_n-fixed for j = 1, V(0) = 0 for j >= 2, and
+    V = x(x+1)^{n-2} for j = 2.
+    """
     lead = v[0]
-    direction = RationalPoly([v[n - 2 - i] / lead for i in range(n - 1)])
+    if lead == 0:
+        raise SpectrumViolationError("direction polynomial is not of full degree")
+    direction = RationalPoly([Fraction(v[n - 2 - i]) / lead for i in range(n - 1)])
     poly = RationalPoly([1, 1]) * direction
     if j == 1:
         expected = RationalPoly.binomial_power(n - 1)
@@ -90,6 +106,57 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
     if j == 2 and poly != RationalPoly([0, 1]) * RationalPoly.binomial_power(n - 2):
         raise SpectrumViolationError("j=2 eigenpolynomial is not x(x+1)^{n-2}")
     return poly
+
+
+def _triangular_eigenpolys(n: int, lam: Sequence[Fraction]) -> tuple[RationalPoly, ...]:
+    """All n-1 eigenpolynomials of Phi_n from one triangular similarity.
+
+    With m = n-1 and A = A_int / den the linear part of Phi_n, T rewrites a
+    direction vector in powers of (x+1): T[i][r] = (-1)^(i-r) C(m-1-r, m-1-i)
+    and T^-1[i][r] = C(m-1-r, m-1-i). B = T A_int T^-1 is certified upper
+    triangular with the distinct diagonal den * lam, so each eigenspace is a
+    line, and B w = B_kk w is solved by back-substitution from w_k = 1;
+    v = T^-1 w.
+    """
+    m = n - 1
+    phi = css.build_phi(n)
+    a, den = _clear_denominators(phi.linear.entries)
+    a = [a[i * m:(i + 1) * m] for i in range(m)]
+    t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(m)] for i in range(m)]
+    t = [[-c if (i - r) % 2 else c for r, c in enumerate(row)] for i, row in enumerate(t_inv)]
+    # both are lower triangular: row i is zero past column i
+    if any(sum(t[i][l] * t_inv[l][r] for l in range(r, i + 1)) != (i == r)
+           for i in range(m) for r in range(m)):
+        raise SpectrumViolationError(f"T T^-1 != I at n={n}")
+    ta = [[sum(t[i][l] * a[l][r] for l in range(i + 1)) for r in range(m)] for i in range(m)]
+    b = [[sum(ta[i][l] * t_inv[l][r] for l in range(r, m)) for r in range(m)] for i in range(m)]
+    for i in range(m):
+        for r in range(i):
+            if b[i][r]:
+                raise SpectrumViolationError(
+                    f"T A T^-1 is not upper triangular: entry ({i},{r}) is nonzero at n={n}")
+    for i in range(m):
+        if Fraction(b[i][i], den) != lam[i]:
+            raise SpectrumViolationError(
+                f"diagonal of T A T^-1 is not the closed-form spectrum: entry {i} is "
+                f"{Fraction(b[i][i], den)}, lambda_({i + 1},{n}) = {lam[i]}")
+    if len(set(lam)) != m:
+        raise SpectrumViolationError(f"diagonal of T A T^-1 has a repeated entry at n={n}")
+    polys = []
+    for k in range(m):
+        # u is w times a nonzero integer, which _eigenpoly_from_direction divides
+        # out: each step multiplies u by B_ii - B_kk instead of dividing w_i by it
+        u = [0] * m
+        u[k] = 1
+        for i in range(k - 1, -1, -1):
+            delta = b[i][i] - b[k][k]
+            s = sum(b[i][l] * u[l] for l in range(i + 1, k + 1))
+            for l in range(i + 1, k + 1):
+                u[l] *= delta
+            u[i] = -s
+        v = [sum(t_inv[i][r] * u[r] for r in range(i + 1)) for i in range(m)]
+        polys.append(_eigenpoly_from_direction(phi, n, k + 1, v))
+    return tuple(polys)
 
 
 def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
@@ -115,9 +182,10 @@ class SpectrumReport:
 
 @lru_cache(maxsize=None)
 def spectrum_report(n: int) -> SpectrumReport:
-    """Every eigenpolynomial of Phi_n (one kernel each) and the Q_{j,n} cut from them."""
+    """Every eigenpolynomial of Phi_n (one back-substitution each) and the
+    Q_{j,n} cut from them."""
     eig = eigenvalues_closed_form(n)
-    polys = tuple(eigenpolynomial(n, j) for j in range(1, n))
+    polys = _triangular_eigenpolys(n, eig)
     qs = tuple(_cofactor(polys[j + 1], n, j) for j in range(1, n - 2))
     return SpectrumReport(tuple(eig), polys, qs)
 

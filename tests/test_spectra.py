@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from schur_szego import spectra
-from schur_szego.exactpoly import RationalPoly, binomial, interpolate
+from schur_szego import css, spectra
+from schur_szego.exactpoly import RationalMatrix, RationalPoly, binomial, interpolate
 from schur_szego.spectra import (
     SigmaInconsistencyError,
     TheoremCheckFailed,
@@ -86,13 +86,43 @@ def test_spectrum_report_shape():
 
 
 @pytest.mark.parametrize("n", [6, 12])
-def test_spectrum_report_eliminates_once_per_eigenvalue(monkeypatch, cold_spectrum_report, n):
+def test_spectrum_report_makes_no_kernel_call(monkeypatch, cold_spectrum_report, n):
     calls = []
     real = spectra.kernel
     monkeypatch.setattr(spectra, "kernel", lambda m: calls.append(m) or real(m))
     rep = spectrum_report(n)
-    assert len(calls) == n - 1
+    assert calls == []
+    assert len(rep.eigenpolys) == n - 1
     assert len(rep.q_polys) == n - 3
+
+
+def test_triangular_route_equals_kernel_route():
+    for n in range(3, 19):
+        assert spectrum_report(n).eigenpolys == tuple(eigenpolynomial(n, j) for j in range(1, n))
+
+
+def _below_diagonal_perturbed(real):
+    def build_phi(n):
+        phi = real(n)
+        rows = phi.linear.to_rows()
+        rows[-1][0] += 1
+        return css.AffineMapQ(RationalMatrix.from_rows(rows), phi.offset)
+    return build_phi
+
+
+@pytest.mark.parametrize("module, name, corrupt, match", [
+    (css, "build_phi", _below_diagonal_perturbed,
+     r"T A T\^-1 is not upper triangular: entry \(5,0\) is nonzero at n=7"),
+    (spectra, "eigenvalues_closed_form",
+     lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
+     r"diagonal of T A T\^-1 is not the closed-form spectrum: entry 5 is 16807/720, "
+     r"lambda_\(6,7\) = 420193/18000"),
+], ids=["below-diagonal-entry", "shifted-eigenvalue"])
+def test_triangular_certificate_negative_controls(monkeypatch, cold_spectrum_report, module, name,
+                                                  corrupt, match):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    with pytest.raises(spectra.SpectrumViolationError, match=match):
+        spectrum_report(7)
 
 
 def test_richardson_j2_exact():
