@@ -33,7 +33,7 @@ def _timed(name):
             t0 = time.perf_counter()
             try:
                 passed, detail = fn(*args, **kwargs)
-            except Exception as exc:  # a raised violation is a failed check
+            except Exception as exc:  # a TheoremViolation fails the check, and so does a bug
                 return CheckResult(name, False, f"{type(exc).__name__}: {exc}",
                                    time.perf_counter() - t0)
             return CheckResult(name, passed, detail, time.perf_counter() - t0)
@@ -76,7 +76,7 @@ def check_recurrence():
 
 @_timed("spectrum")
 def check_spectrum():
-    # eigenpolynomial raises SpectrumViolationError on a kernel of dimension != 1 (a 1-dimensional
+    # eigenpolynomial raises TheoremViolation on a kernel of dimension != 1 (a 1-dimensional
     # kernel proves det(A - lambda I) = 0), spectrum_report on a T A T^-1 that is not upper
     # triangular with the closed-form diagonal, and both on a j = 1, 2 eigenpolynomial of the
     # wrong shape. The kernel route runs first, so a falsified eigenvalue is named by its kernel.
@@ -95,7 +95,7 @@ def check_q_structure():
     for n in range(4, 11):
         for j, q in enumerate(spectra.spectrum_report(n).q_polys, start=1):
             if q != spectra.sigma_system_solve(n, j):
-                return False, f"kernel and sigma routes disagree at (n,j)=({n},{j})"
+                return False, f"triangular and sigma routes disagree at (n,j)=({n},{j})"
             if q.self_reciprocal_sign() != (-1) ** j:
                 return False, f"self-reciprocal sign wrong at (n,j)=({n},{j})"
             if (q(Fraction(1)) == 0) != (j % 2 == 1):

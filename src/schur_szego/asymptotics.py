@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .exactpoly import _derivative, horner, neville_zero
 from .narayana import narayana_poly_direct
-from .roots import SIGN_CHANGES, STURM, certify_roots, refined_roots, roots_float
+from .roots import certify_roots, isolate_roots, refined_roots
 
 _NEWTON_STEPS = 12
 
@@ -87,8 +87,8 @@ def ks_distance(cdf: StepCDF) -> float:
 
 
 class RootSample(tuple):
-    """Sorted binary64 roots; `path` names the certificate that isolated them
-    (SIGN_CHANGES or STURM)."""
+    """Sorted binary64 roots; `path` is the `RootIsolation.path` of the
+    certificate that isolated them."""
 
     def __new__(cls, roots: Sequence[float], path: str):
         sample = super().__new__(cls, roots)
@@ -142,13 +142,11 @@ def narayana_root_sample(n: int) -> RootSample:
     Floats propose the roots (`_lobatto_proposals`) and exact sign changes
     of N_n at dyadic bracket endpoints certify them (`roots.certify_roots`,
     path SIGN_CHANGES). If that certificate fails, the roots come from
-    Sturm isolation (`roots.roots_float`, path STURM).
+    Sturm isolation (`roots.isolate_roots`, path STURM).
     """
     p = narayana_poly_direct(n)
-    iso = certify_roots(p, _lobatto_proposals(n))
-    if iso is None:
-        return RootSample(roots_float(p), STURM)
-    return RootSample(refined_roots(iso), SIGN_CHANGES)
+    iso = certify_roots(p, _lobatto_proposals(n)) or isolate_roots(p)
+    return RootSample(refined_roots(iso), iso.path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ passed (or the command only reports). Exit 1: a theorem check was
 falsified; stdout holds a `fail` envelope whose payload carries
 `falsified` and `witness`. Exit 2: out-of-domain input; stderr holds one
 `<command>: message` line and stdout is empty. A reader closing stdout early
-(`| head`) keeps the exit code. Any other exception is a bug and escapes.
+(`| head`) keeps the exit code. Any other exception is a bug and escapes,
+save inside verify-all, which reports any exception as its check's failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import acceptance, asymptotics, css, narayana, roots, spectra
-from .exactpoly import RationalPoly
+from .exactpoly import RationalPoly, TheoremViolation
 
 ENVELOPE_SCHEMA = {
     "type": "object",
@@ -203,7 +204,7 @@ def cmd_limits(args) -> ReportEnvelope:
     params = {"j": args.j, "ns": list(n_list), "tol": args.tol}
     try:
         report = spectra.verify_mjnj(args.j, n_list, args.tol)
-    except spectra.TheoremCheckFailed as exc:
+    except TheoremViolation as exc:
         return fail_envelope("limits", params, "limit-vs-narayana", str(exc))
     payload = {
         "m_coefficients": [_f17(c) for c in report.m_coeffs],

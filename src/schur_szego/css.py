@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactpoly import RationalMatrix, RationalPoly, _primitive, _rref, binomial
+from .exactpoly import RationalMatrix, RationalPoly, TheoremViolation, _primitive, _rref, binomial
 
 INFINITY = math.inf
 
@@ -40,10 +40,6 @@ class DegreeOverflowError(ValueError):
 
 class NotInDomainError(ValueError):
     """Polynomial is outside the factorization domain (monic, P(-1)=0)."""
-
-
-class ConstructionBugError(RuntimeError):
-    """An internal consistency identity of the Phi_n construction failed."""
 
 
 def css_compose(p: RationalPoly, q: RationalPoly, m: int) -> RationalPoly:
@@ -96,7 +92,7 @@ def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: 
                   * Fraction(binomial(n - 1, j)) ** nu * full[nu]
                   for nu in range(n))
         if lhs != rhs:
-            raise ConstructionBugError(f"coefficient identity failed at j={j}")
+            raise TheoremViolation(f"coefficient identity failed at j={j}")
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +112,7 @@ def build_phi(n: int) -> AffineMapQ:
         rows.append(_primitive(row))
     m, piv_cols, _ = _rref(rows)
     if piv_cols != list(range(n - 1)):
-        raise ConstructionBugError("identities j = 0..n-2 do not determine sigma")
+        raise TheoremViolation("identities j = 0..n-2 do not determine sigma")
     entries = [x for r in m for x in r[n - 1:2 * n - 2]]
     return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(r[2 * n - 2] for r in m))
 

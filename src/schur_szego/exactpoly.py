@@ -29,6 +29,17 @@ class SingularMatrixError(ValueError):
     """solve_linear was given a singular (or non-square) system."""
 
 
+class TheoremViolation(Exception):
+    """A certificate of one of the paper's claims failed; the message names it.
+
+    A claim under test raises this; an invariant of the program's own
+    arithmetic (an inexact Bareiss step, a PRS degree order) stays an
+    AssertionError, because its failure is a bug, not a falsified claim.
+    Deriving from Exception alone keeps it out of every ValueError and
+    ArithmeticError handler.
+    """
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention that out-of-range indices give 0.
 

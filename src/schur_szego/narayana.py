@@ -15,13 +15,9 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .exactpoly import RationalPoly
+from .exactpoly import RationalPoly, TheoremViolation
 
 DYCK_ORACLE_LIMIT = 14
-
-
-class RecurrenceViolationError(ArithmeticError):
-    """The three-term recurrence produced a non-integer row (must not fire)."""
 
 
 def narayana_number(n: int, k: int) -> int:
@@ -70,7 +66,7 @@ def narayana_rows(max_n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             lhs = a * (n1[i + 1] + n1[i]) - b * (n2[i + 2] - 2 * n2[i + 1] + n2[i])
             coeff, rem = divmod(lhs, m + 1)
             if rem:
-                raise RecurrenceViolationError(f"non-integer coefficients at n={m}")
+                raise TheoremViolation(f"non-integer coefficients at n={m}")
             row.append(coeff)
         prev, cur = cur, tuple(row)
         yield m, cur

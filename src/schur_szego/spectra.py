@@ -31,23 +31,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, _clear_denominators,
-                        _primitive, binomial, kernel, neville_zero, solve_linear)
+from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, TheoremViolation,
+                        _clear_denominators, _primitive, binomial, kernel, neville_zero,
+                        solve_linear)
 from .narayana import narayana_number
-
-
-class SpectrumViolationError(RuntimeError):
-    """A spectrum certificate failed (would falsify the spectrum claim): a kernel
-    of the wrong dimension, a T A T^-1 that is not triangular with the
-    closed-form diagonal, or an eigenpolynomial of the wrong shape."""
-
-
-class StructureViolationError(RuntimeError):
-    """An eigenpolynomial failed its claimed x(x+1)^k Q factored shape."""
-
-
-class SigmaInconsistencyError(RuntimeError):
-    """System (Sigma) has a singular k = 1..j-1 block or a nonzero residual."""
 
 
 def eigenvalues_closed_form(n: int) -> list[Fraction]:
@@ -74,8 +61,7 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
     lam = eigenvalues_closed_form(n)[j - 1]
     basis = kernel(phi.linear.shifted(lam))
     if len(basis) != 1:
-        raise SpectrumViolationError(
-            f"kernel of A - lambda_({j},{n}) I has dimension {len(basis)}")
+        raise TheoremViolation(f"kernel of A - lambda_({j},{n}) I has dimension {len(basis)}")
     return _eigenpoly_from_direction(phi, n, j, basis[0])
 
 
@@ -90,21 +76,21 @@ def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
     """
     lead = v[0]
     if lead == 0:
-        raise SpectrumViolationError("direction polynomial is not of full degree")
+        raise TheoremViolation("direction polynomial is not of full degree")
     direction = RationalPoly([Fraction(v[n - 2 - i]) / lead for i in range(n - 1)])
     poly = RationalPoly([1, 1]) * direction
     if j == 1:
         expected = RationalPoly.binomial_power(n - 1)
         if poly != expected:
-            raise SpectrumViolationError("lambda=1 eigenpolynomial is not (x+1)^{n-1}")
+            raise TheoremViolation("lambda=1 eigenpolynomial is not (x+1)^{n-1}")
         c = [expected.coeff(n - 2 - i) for i in range(n - 1)]
         if phi.apply(c) != tuple(c):
-            raise SpectrumViolationError("(x+1)^{n-1} is not Phi_n-fixed")
+            raise TheoremViolation("(x+1)^{n-1} is not Phi_n-fixed")
         return expected
     if poly.coeff(0) != 0:
-        raise SpectrumViolationError(f"eigenpolynomial for j={j} does not vanish at 0")
+        raise TheoremViolation(f"eigenpolynomial for j={j} does not vanish at 0")
     if j == 2 and poly != RationalPoly([0, 1]) * RationalPoly.binomial_power(n - 2):
-        raise SpectrumViolationError("j=2 eigenpolynomial is not x(x+1)^{n-2}")
+        raise TheoremViolation("j=2 eigenpolynomial is not x(x+1)^{n-2}")
     return poly
 
 
@@ -127,21 +113,21 @@ def _triangular_eigenpolys(n: int, lam: Sequence[Fraction]) -> tuple[RationalPol
     # both are lower triangular: row i is zero past column i
     if any(sum(t[i][l] * t_inv[l][r] for l in range(r, i + 1)) != (i == r)
            for i in range(m) for r in range(m)):
-        raise SpectrumViolationError(f"T T^-1 != I at n={n}")
+        raise TheoremViolation(f"T T^-1 != I at n={n}")
     ta = [[sum(t[i][l] * a[l][r] for l in range(i + 1)) for r in range(m)] for i in range(m)]
     b = [[sum(ta[i][l] * t_inv[l][r] for l in range(r, m)) for r in range(m)] for i in range(m)]
     for i in range(m):
         for r in range(i):
             if b[i][r]:
-                raise SpectrumViolationError(
+                raise TheoremViolation(
                     f"T A T^-1 is not upper triangular: entry ({i},{r}) is nonzero at n={n}")
     for i in range(m):
         if Fraction(b[i][i], den) != lam[i]:
-            raise SpectrumViolationError(
+            raise TheoremViolation(
                 f"diagonal of T A T^-1 is not the closed-form spectrum: entry {i} is "
                 f"{Fraction(b[i][i], den)}, lambda_({i + 1},{n}) = {lam[i]}")
     if len(set(lam)) != m:
-        raise SpectrumViolationError(f"diagonal of T A T^-1 has a repeated entry at n={n}")
+        raise TheoremViolation(f"diagonal of T A T^-1 has a repeated entry at n={n}")
     polys = []
     for k in range(m):
         # u is w times a nonzero integer, which _eigenpoly_from_direction divides
@@ -165,11 +151,11 @@ def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
     try:
         q = eigenpoly.exact_divide(divisor)
     except ArithmeticError as exc:
-        raise StructureViolationError(str(exc)) from exc
+        raise TheoremViolation(str(exc)) from exc
     if q.degree != j or not q.is_monic() or q(Fraction(-1)) == 0:
-        raise StructureViolationError(f"Q_({j},{n}) has the wrong shape: {q}")
+        raise TheoremViolation(f"Q_({j},{n}) has the wrong shape: {q}")
     if q.coeff(0) != Fraction(-1) ** j:
-        raise StructureViolationError(f"Q_({j},{n}) constant term is not (-1)^j")
+        raise TheoremViolation(f"Q_({j},{n}) constant term is not (-1)^j")
     return q
 
 
@@ -233,12 +219,11 @@ def sigma_system_solve(n: int, j: int) -> RationalPoly:
             q = solve_linear(RationalMatrix.from_rows([r[0] for r in block]),
                              [-r[1] for r in block])
         except SingularMatrixError as exc:
-            raise SigmaInconsistencyError(
-                f"block k=1..{j - 1} is singular for n={n}, j={j}") from exc
+            raise TheoremViolation(f"block k=1..{j - 1} is singular for n={n}, j={j}") from exc
     for k, (vec, const) in enumerate(all_rows, start=1):
         residual = sum((vi * qi for vi, qi in zip(vec, q)), const)
         if residual != 0:
-            raise SigmaInconsistencyError(f"nonzero residual at k={k} for n={n}, j={j}")
+            raise TheoremViolation(f"nonzero residual at k={k} for n={n}, j={j}")
     coeffs = [Fraction(0)] * (j + 1)
     coeffs[j] = Fraction(1)
     coeffs[0] = Fraction(-1) ** j
@@ -302,10 +287,6 @@ class MjNjReport:
     passed: bool
 
 
-class TheoremCheckFailed(AssertionError):
-    """A numeric theorem verification exceeded its tolerance."""
-
-
 def verify_mjnj(j: int, n_list: Sequence[int], tol: float) -> MjNjReport:
     """Check that the transformed limit polynomial reproduces the Narayana
     row: extrapolate Q_{j-1}*, transform, compare coefficientwise at `tol`."""
@@ -325,6 +306,5 @@ def verify_mjnj(j: int, n_list: Sequence[int], tol: float) -> MjNjReport:
     report = MjNjReport(m_coeffs, target, deviations, tuple(bounds), max(deviations),
                         max(deviations) <= tol)
     if not report.passed:
-        raise TheoremCheckFailed(
-            f"M_{j} vs N_{j}: max deviation {report.max_deviation} > tol {tol}")
+        raise TheoremViolation(f"M_{j} vs N_{j}: max deviation {report.max_deviation} > tol {tol}")
     return report

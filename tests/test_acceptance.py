@@ -150,7 +150,7 @@ def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum
                         lambda n, j: real(n, j) + P([1]) if (n, j) == (8, 3) else real(n, j))
     result = acceptance.check_q_structure()
     assert not result.passed
-    assert result.detail == "kernel and sigma routes disagree at (n,j)=(8,3)"
+    assert result.detail == "triangular and sigma routes disagree at (n,j)=(8,3)"
 
 
 @pytest.mark.parametrize("j, bad, detail", [
@@ -192,7 +192,7 @@ def _scaled_sample(real):
 @pytest.mark.parametrize("check, module, name, corrupt, prefix", [
     ("check_spectrum", spectra, "eigenvalues_closed_form",
      lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
-     "SpectrumViolationError: kernel of A - lambda_(2,3) I has dimension 0"),
+     "TheoremViolation: kernel of A - lambda_(2,3) I has dimension 0"),
     ("check_ks", asymptotics, "narayana_root_sample", _scaled_sample,
      "KS(N_100)=0.216888 > 0.05; KS(N_200)=0.216617 < KS(N_100); "),
     ("check_ks", asymptotics, "narayana_root_sample", lambda real: lambda n: real(100),

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from schur_szego import asymptotics
 from schur_szego.asymptotics import (
-    SIGN_CHANGES,
-    STURM,
     BranchCutError,
     PoleError,
     RatioPoleError,
@@ -33,7 +31,7 @@ from schur_szego.asymptotics import (
 )
 from schur_szego.exactpoly import RationalPoly, horner
 from schur_szego.narayana import catalan, narayana_poly_direct
-from schur_szego.roots import roots_float
+from schur_szego.roots import SIGN_CHANGES, STURM, roots_float
 
 P = RationalPoly
 

@@ -11,7 +11,7 @@ import pytest
 import schur_szego
 from schur_szego import acceptance, cli, narayana, roots, spectra
 from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file, write_poly_file
-from schur_szego.exactpoly import RationalPoly
+from schur_szego.exactpoly import RationalPoly, TheoremViolation
 from fractions import Fraction as F
 
 
@@ -253,7 +253,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 
 def _limit_deviates(*args):
-    raise spectra.TheoremCheckFailed("M_3 deviates from N_3")
+    raise TheoremViolation("M_3 deviates from N_3")
 
 
 def _isolate_one_root_short(p, real=roots.isolate_roots):

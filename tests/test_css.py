@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schur_szego import css
 from schur_szego.css import (
     INFINITY,
     DegreeOverflowError,
@@ -14,7 +15,7 @@ from schur_szego.css import (
     css_compose_multi,
     factor_symmetric_functions,
 )
-from schur_szego.exactpoly import RationalPoly, binomial, interpolate, kernel
+from schur_szego.exactpoly import RationalPoly, TheoremViolation, binomial, interpolate, kernel
 from schur_szego.spectra import eigenvalues_closed_form
 
 P = RationalPoly
@@ -111,6 +112,18 @@ def test_factor_symmetric_functions_examples():
         factor_symmetric_functions(P([0, 0, 0, 2]), 3)  # not monic
     # x^3 + 1 vanishes at -1, so it is factorable: cofactor x^2 - x + 1
     assert factor_symmetric_functions(P([1, 0, 0, 1]), 3) == (F(-5, 2), F(1))
+
+
+def test_factor_symmetric_functions_checks_every_identity(monkeypatch):
+    real = css.build_phi
+
+    def perturbed(n):
+        phi = real(n)
+        return css.AffineMapQ(phi.linear, (phi.offset[0] + 1,) + phi.offset[1:])
+
+    monkeypatch.setattr(css, "build_phi", perturbed)
+    with pytest.raises(TheoremViolation, match="coefficient identity failed at j=1"):
+        factor_symmetric_functions(CUBE, 3)
 
 
 def test_linear_part_spectrum_small_n():

@@ -3,10 +3,14 @@
 Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
 took peak RSS from 17 to 29 MB). The choice between the exact and the
-binary64 route is made in one place, `asymptotics._exact`.
+binary64 route is made in one place, `asymptotics._exact`. A falsified claim
+raises the one `exactpoly.TheoremViolation`; every other exception class the
+package defines is an input or domain error.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import schur_szego
@@ -55,3 +59,17 @@ def test_one_exact_float_dispatch():
     found = {where for where, node in _nodes() if _is_exact_test(node)}
     assert sorted(found - inside) == []
     assert len(inside) == 1
+
+
+def test_one_violation_class_beside_the_input_and_domain_errors():
+    found = set()
+    for info in pkgutil.iter_modules(schur_szego.__path__):
+        module = importlib.import_module(f"schur_szego.{info.name}")
+        found |= {name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__}
+    assert found == {"TheoremViolation", "NotDivisibleError", "SingularMatrixError",
+                     "DegreeOverflowError", "NotInDomainError", "EndpointRootError",
+                     "PoleError", "BranchCutError", "RatioPoleError", "UsageError"}
+    # not a ValueError or an ArithmeticError, so no input or domain handler swallows it
+    assert schur_szego.exactpoly.TheoremViolation.__bases__ == (Exception,)

@@ -4,10 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from schur_szego import css, spectra
-from schur_szego.exactpoly import RationalMatrix, RationalPoly, binomial, interpolate
+from schur_szego.exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, binomial,
+                                   interpolate)
 from schur_szego.spectra import (
-    SigmaInconsistencyError,
-    TheoremCheckFailed,
     eigenvalues_closed_form,
     eigenpolynomial,
     m_transform,
@@ -117,12 +116,29 @@ def _below_diagonal_perturbed(real):
      lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
      r"diagonal of T A T\^-1 is not the closed-form spectrum: entry 5 is 16807/720, "
      r"lambda_\(6,7\) = 420193/18000"),
-], ids=["below-diagonal-entry", "shifted-eigenvalue"])
+    (spectra, "binomial", lambda real: lambda n, k: real(n, k) + ((n, k) == (4, 2)),
+     r"T T\^-1 != I at n=7"),
+], ids=["below-diagonal-entry", "shifted-eigenvalue", "taylor-shift-entry"])
 def test_triangular_certificate_negative_controls(monkeypatch, cold_spectrum_report, module, name,
                                                   corrupt, match):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-    with pytest.raises(spectra.SpectrumViolationError, match=match):
+    with pytest.raises(TheoremViolation, match=match):
         spectrum_report(7)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda v: v + P([0, 1]), r"is not divisible by x \+ 3\*x\^2 \+ 3\*x\^3 \+ x\^4$"),
+    (lambda v: v * P([1, 1]), r"^Q_\(2,7\) has the wrong shape: "),
+], ids=["not-divisible", "wrong-degree"])
+def test_cofactor_rejects_a_wrong_shape(corrupt, match):
+    v = spectrum_report(7).eigenpolys[3]  # lambda_(4,7), whose cofactor is Q_(2,7)
+    with pytest.raises(TheoremViolation, match=match):
+        spectra._cofactor(corrupt(v), 7, 2)
+
+
+def test_direction_of_lower_degree_is_rejected():
+    with pytest.raises(TheoremViolation, match="direction polynomial is not of full degree"):
+        spectra._eigenpoly_from_direction(css.build_phi(5), 5, 3, [0, 1, 2, 3])
 
 
 def test_richardson_j2_exact():
@@ -228,14 +244,14 @@ def _edit_sigma_rows(monkeypatch, edit):
 def test_sigma_residual_check_catches_a_perturbed_equation(monkeypatch):
     _edit_sigma_rows(monkeypatch,
                      lambda k, vec, const: (vec, const + 1 if k == 7 else const))
-    with pytest.raises(SigmaInconsistencyError, match="k=7 for n=8, j=3"):
+    with pytest.raises(TheoremViolation, match="k=7 for n=8, j=3"):
         sigma_system_solve(8, 3)
 
 
 def test_sigma_singular_block_is_reported(monkeypatch):
     _edit_sigma_rows(monkeypatch,
                      lambda k, vec, const: ([0] * len(vec), 0) if k == 1 else (vec, const))
-    with pytest.raises(SigmaInconsistencyError, match="block k=1..2 is singular"):
+    with pytest.raises(TheoremViolation, match="block k=1..2 is singular"):
         sigma_system_solve(8, 3)
 
 
@@ -276,7 +292,7 @@ def test_verify_mjnj_pinned_binary64(j, m_coeffs, deviations):
 
 
 def test_verify_mjnj_reports_failure():
-    with pytest.raises(TheoremCheckFailed):
+    with pytest.raises(TheoremViolation, match=r"M_6 vs N_6: max deviation .* > tol 1e-09"):
         verify_mjnj(6, (20, 40, 80), 1e-9)
 
 
