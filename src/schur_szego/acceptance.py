@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, narayana, roots, spectra
-from .exactpoly import RationalPoly, interpolate
+from .exactpoly import RationalPoly, TheoremViolation, interpolate
 
 TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 
@@ -22,9 +22,13 @@ TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
+    status: str  # pass | fail | error
     detail: str
     seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def _timed(name):
@@ -33,10 +37,12 @@ def _timed(name):
             t0 = time.perf_counter()
             try:
                 passed, detail = fn(*args, **kwargs)
-            except Exception as exc:  # a TheoremViolation fails the check, and so does a bug
-                return CheckResult(name, False, f"{type(exc).__name__}: {exc}",
-                                   time.perf_counter() - t0)
-            return CheckResult(name, passed, detail, time.perf_counter() - t0)
+                status = "pass" if passed else "fail"
+            except TheoremViolation as exc:
+                status, detail = "fail", f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # a bug, not a falsified claim
+                status, detail = "error", f"{type(exc).__name__}: {exc}"
+            return CheckResult(name, status, detail, time.perf_counter() - t0)
         run.check_name = name
         return run
     return wrap
@@ -77,8 +83,8 @@ def check_recurrence():
 @_timed("spectrum")
 def check_spectrum():
     # eigenpolynomial raises TheoremViolation on a kernel of dimension != 1 (a 1-dimensional
-    # kernel proves det(A - lambda I) = 0), spectrum_report on a T A T^-1 that is not upper
-    # triangular with the closed-form diagonal, and both on a j = 1, 2 eigenpolynomial of the
+    # kernel proves det(A - lambda I) = 0), spectrum_report on an eigenvector, proposed by the
+    # closed-form B, that fails A v = lambda v, and both on a j = 1, 2 eigenpolynomial of the
     # wrong shape. The kernel route runs first, so a falsified eigenvalue is named by its kernel.
     for n in range(3, 13):
         eig = spectra.eigenvalues_closed_form(n)
@@ -143,11 +149,11 @@ def check_hyperbolic_interlacing(max_n: int = 100):
     prev_over_x = None
     for n in range(2, max_n + 1):
         p = narayana.narayana_poly_direct(n)
+        if p.coeff(0) != 0 or p.coeff(1) == 0:
+            return False, f"0 not a simple root of N_{n}"
         over_x = p.exact_divide(x)
         if over_x.degree != n - 1:
             return False, f"N_{n}/x has degree {over_x.degree}, not {n - 1}"
-        if p.coeff(0) != 0 or p.coeff(1) == 0:
-            return False, f"0 not a simple root of N_{n}"
         if any(c <= 0 for c in over_x.coeffs):
             return False, f"N_{n} has a positive root"
         if (p(Fraction(-1)) == 0) != (n % 2 == 0):

@@ -5,9 +5,11 @@ files or stdout for `triangle --csv`). Exit code 0: every executed check
 passed (or the command only reports). Exit 1: a theorem check was
 falsified; stdout holds a `fail` envelope whose payload carries
 `falsified` and `witness`. Exit 2: out-of-domain input; stderr holds one
-`<command>: message` line and stdout is empty. A reader closing stdout early
-(`| head`) keeps the exit code. Any other exception is a bug and escapes,
-save inside verify-all, which reports any exception as its check's failure.
+`<command>: message` line and stdout is empty. Exit 3: a verify-all check
+raised something other than TheoremViolation, a bug; stdout holds an `error`
+envelope whose payload lists those checks under `errors`. A reader closing
+stdout early (`| head`) keeps the exit code. Any other exception is a bug
+and escapes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ ENVELOPE_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "parameters": {"type": "object"},
-        "status": {"enum": ["pass", "fail", "info"]},
+        "status": {"enum": ["pass", "fail", "error", "info"]},
         "payload": {"type": "object"},
     },
     "additionalProperties": False,
@@ -40,7 +42,7 @@ ENVELOPE_SCHEMA = {
 class ReportEnvelope:
     command: str
     parameters: dict
-    status: str  # pass | fail | info
+    status: str  # pass | fail | error | info
     payload: dict
 
     def to_json(self) -> str:
@@ -298,15 +300,17 @@ def cmd_verify_all(args) -> ReportEnvelope:
     _require(args.max_n >= 2, "--max-n must be >= 2")
     results = acceptance.run_all(max_n=args.max_n, seed=args.seed)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.seconds:.1f}s)  {r.detail}",
-              file=sys.stderr)
+        print(f"{r.status.upper()}  {r.name}  ({r.seconds:.1f}s)  {r.detail}", file=sys.stderr)
     payload = {"checks": {r.name: {"passed": r.passed, "detail": r.detail,
                                    "seconds": round(r.seconds, 3)} for r in results}}
-    failed = [r for r in results if not r.passed]
+    failed = [r for r in results if r.status == "fail"]
     if failed:  # the fail envelope keeps every check beside the falsified one
         payload.update(falsified=failed[0].name, witness=failed[0].detail)
+    broken = [r.name for r in results if r.status == "error"]
+    if broken:
+        payload["errors"] = broken
     return ReportEnvelope("verify-all", {"max_n": args.max_n, "seed": args.seed},
-                          "fail" if failed else "pass", payload)
+                          "error" if broken else "fail" if failed else "pass", payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +386,7 @@ def main(argv=None) -> int:
     try:
         envelope = args.fn(args)
         if envelope is not None:
-            code = 1 if envelope.status == "fail" else 0
+            code = {"fail": 1, "error": 3}.get(envelope.status, 0)
             print(envelope.to_json())
         sys.stdout.flush()
     except UsageError as exc:

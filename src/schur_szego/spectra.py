@@ -6,10 +6,10 @@ normalized monic; Q_{j,n} is V for lambda_{j+2,n} divided by x(x+1)^{n-j-2}.
 Three routes are implemented:
 
 * eigenpolynomial (kernel route): one kernel of A - lambda I per eigenvalue.
-* spectrum_report (triangular route): in powers of (x+1), A becomes the
-  upper triangular B = T A T^-1 (T a Taylor shift), certified exactly with
-  the closed-form eigenvalues on its diagonal; each eigenvector is then one
-  back-substitution in B, and Q_{j,n} is cut from it.
+* spectrum_report (triangular route): in powers of (x+1), A is upper
+  triangular with a closed form B (Stirling numbers, the closed-form
+  eigenvalues on its diagonal); one back-substitution in B proposes each
+  eigenvector, A v = lambda v certifies it, and Q_{j,n} is cut from it.
 * sigma_system_solve (Sigma route): the linear system L_k = R_k in the
   unknown interior coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant
   (-1)^j fixed), assembled from the coefficient identities of the
@@ -41,12 +41,7 @@ def eigenvalues_closed_form(n: int) -> list[Fraction]:
     """lambda_{j,n} = n^{j-1} / ((n-1)(n-2)...(n-j+1)), j = 1..n-1."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    out = []
-    val = Fraction(1)
-    for j in range(1, n):
-        out.append(val)
-        val *= Fraction(n, n - j)
-    return out
+    return [Fraction(n ** (j - 1), math.perm(n - 1, j - 1)) for j in range(1, n)]
 
 
 def eigenpolynomial(n: int, j: int) -> RationalPoly:
@@ -94,53 +89,46 @@ def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
     return poly
 
 
-def _triangular_eigenpolys(n: int, lam: Sequence[Fraction]) -> tuple[RationalPoly, ...]:
-    """All n-1 eigenpolynomials of Phi_n from one triangular similarity.
+def _closed_form_b(n: int) -> list[list[int]]:
+    """(n-1)! B, where B = T A T^-1 is A in powers of (x+1): for l >= i, B[i][l] is
+    (-1)^(l-i) lambda_(i+1,n) c(l+1, i+1) / ((n-1-i)...(n-l)), c the unsigned Stirling
+    numbers of the first kind (Concrete Mathematics, 6.1), so (n-1)! B[i][l] is an integer."""
+    c = [[1]]  # c[a][b] = c(a, b), by c(a+1, b) = a c(a, b) + c(a, b-1)
+    for a in range(n - 1):
+        c.append([a * x + y for x, y in zip(c[a] + [0], [0] + c[a])])
+    return [[(-1) ** (l - i) * n ** i * c[l + 1][i + 1] * math.factorial(n - 1 - l) if l >= i
+             else 0 for l in range(n - 1)] for i in range(n - 1)]
 
-    With m = n-1 and A = A_int / den the linear part of Phi_n, T rewrites a
-    direction vector in powers of (x+1): T[i][r] = (-1)^(i-r) C(m-1-r, m-1-i)
-    and T^-1[i][r] = C(m-1-r, m-1-i). B = T A_int T^-1 is certified upper
-    triangular with the distinct diagonal den * lam, so each eigenspace is a
-    line, and B w = B_kk w is solved by back-substitution from w_k = 1;
-    v = T^-1 w.
+
+def _triangular_eigenpolys(n: int, lam: Sequence[Fraction]) -> tuple[RationalPoly, ...]:
+    """All n-1 eigenpolynomials of Phi_n, each certified by A v = lambda v.
+
+    The closed-form B proposes them: B w = B_kk w by back-substitution from w_k = 1,
+    v = T^-1 w with T^-1[i][r] = C(m-1-r, m-1-i), m = n-1. Then A_int v = den lam_k v
+    (A = A_int / den) is checked exactly: m such v != 0 for m distinct lam_k are the
+    whole spectrum, so a wrong entry of B can only raise.
     """
     m = n - 1
-    phi = css.build_phi(n)
+    if len(set(lam)) != m:
+        raise TheoremViolation(f"closed-form spectrum has a repeated entry at n={n}")
+    phi, b = css.build_phi(n), _closed_form_b(n)
     a, den = _clear_denominators(phi.linear.entries)
     a = [a[i * m:(i + 1) * m] for i in range(m)]
-    t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(m)] for i in range(m)]
-    t = [[-c if (i - r) % 2 else c for r, c in enumerate(row)] for i, row in enumerate(t_inv)]
-    # both are lower triangular: row i is zero past column i
-    if any(sum(t[i][l] * t_inv[l][r] for l in range(r, i + 1)) != (i == r)
-           for i in range(m) for r in range(m)):
-        raise TheoremViolation(f"T T^-1 != I at n={n}")
-    ta = [[sum(t[i][l] * a[l][r] for l in range(i + 1)) for r in range(m)] for i in range(m)]
-    b = [[sum(ta[i][l] * t_inv[l][r] for l in range(r, m)) for r in range(m)] for i in range(m)]
-    for i in range(m):
-        for r in range(i):
-            if b[i][r]:
-                raise TheoremViolation(
-                    f"T A T^-1 is not upper triangular: entry ({i},{r}) is nonzero at n={n}")
-    for i in range(m):
-        if Fraction(b[i][i], den) != lam[i]:
-            raise TheoremViolation(
-                f"diagonal of T A T^-1 is not the closed-form spectrum: entry {i} is "
-                f"{Fraction(b[i][i], den)}, lambda_({i + 1},{n}) = {lam[i]}")
-    if len(set(lam)) != m:
-        raise TheoremViolation(f"diagonal of T A T^-1 has a repeated entry at n={n}")
+    t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(i + 1)] for i in range(m)]
     polys = []
     for k in range(m):
-        # u is w times a nonzero integer, which _eigenpoly_from_direction divides
-        # out: each step multiplies u by B_ii - B_kk instead of dividing w_i by it
-        u = [0] * m
-        u[k] = 1
+        # u is w_0..w_k (w is 0 past k) times a nonzero integer, which _eigenpoly_from_direction
+        # divides out: each step multiplies u by B_ii - B_kk instead of dividing w_i by it
+        u = [0] * k + [1]
         for i in range(k - 1, -1, -1):
-            delta = b[i][i] - b[k][k]
-            s = sum(b[i][l] * u[l] for l in range(i + 1, k + 1))
-            for l in range(i + 1, k + 1):
-                u[l] *= delta
+            s = sum(x * y for x, y in zip(b[i][i + 1:], u[i + 1:]))
+            u[i + 1:] = [x * (b[i][i] - b[k][k]) for x in u[i + 1:]]
             u[i] = -s
-        v = [sum(t_inv[i][r] * u[r] for r in range(i + 1)) for i in range(m)]
+        v = [sum(x * y for x, y in zip(row, u)) for row in t_inv]
+        p, q = den * lam[k].numerator, lam[k].denominator
+        if any(q * sum(x * y for x, y in zip(row, v)) != p * vi for row, vi in zip(a, v)):
+            raise TheoremViolation(f"eigenvector {k + 1} proposed by the closed-form B "
+                                   f"fails A v = lambda_({k + 1},{n}) v")
         polys.append(_eigenpoly_from_direction(phi, n, k + 1, v))
     return tuple(polys)
 

@@ -9,6 +9,7 @@ import pytest
 
 from schur_szego import acceptance, asymptotics, css, narayana, spectra
 from schur_szego.exactpoly import RationalPoly as P
+from schur_szego.exactpoly import TheoremViolation
 
 
 def _report(result):
@@ -72,6 +73,15 @@ def test_hyperbolicity_check_negative_controls(monkeypatch, fake_n6):
     result = acceptance.check_hyperbolic_interlacing(8)
     assert not result.passed
     assert "N_6" in result.detail
+
+
+def test_hyperbolicity_check_rejects_a_nonzero_constant_term(monkeypatch):
+    real = narayana.narayana_poly_direct
+    monkeypatch.setattr(narayana, "narayana_poly_direct",
+                        lambda n: real(n) + P([1]) if n == 5 else real(n))
+    result = acceptance.check_hyperbolic_interlacing(8)
+    assert result.status == "fail"
+    assert result.detail == "0 not a simple root of N_5"
 
 
 @pytest.mark.parametrize("max_n", [2, 3, 8])
@@ -187,6 +197,19 @@ def test_poincare_check_rejects_a_wrong_discriminant(monkeypatch):
 
 def _scaled_sample(real):
     return lambda n: asymptotics.RootSample([4 * r for r in real(n)], real(n).path)
+
+
+@pytest.mark.parametrize("exc, status", [
+    (TheoremViolation("claim falsified"), "fail"),
+    (TypeError("claim unreadable"), "error"),
+], ids=["theorem-violation", "type-error"])
+def test_only_a_theorem_violation_fails_a_check(exc, status):
+    def check():
+        raise exc
+
+    result = acceptance._timed("probe")(check)()
+    assert (result.status, result.passed) == (status, False)
+    assert result.detail == f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("check, module, name, corrupt, prefix", [

@@ -304,6 +304,22 @@ def test_verify_all_falsified_exit_1(capsys, monkeypatch):
     assert err.count("PASS") == 9 and err.count("FAIL") == 1
 
 
+def test_verify_all_bug_in_a_check_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(acceptance, "check_q_structure", acceptance._timed("q-structure")(broken))
+    code, out, err = run_cli(capsys, "verify-all", "--max-n", "8")
+    env = parse_envelope(out)
+    assert code == 3
+    assert env["status"] == "error"
+    assert env["payload"]["errors"] == ["q-structure"]
+    assert "falsified" not in env["payload"]
+    check = env["payload"]["checks"]["q-structure"]
+    assert (check["passed"], check["detail"]) == (False, "TypeError: unsupported operand")
+    assert err.count("PASS") == 9 and err.count("ERROR") == 1 and "FAIL" not in err
+
+
 def _cli_process(*argv, flags=(), unbuffered="1"):
     """`python [flags] -m schur_szego.cli argv` on this checkout's package."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -103,6 +103,15 @@ def test_build_phi_requires_n_3():
         build_phi(2)
 
 
+def test_build_phi_rejects_identities_that_leave_sigma_free(monkeypatch):
+    real = css._primitive
+    # at n = 5 the first four columns hold sigma_1..sigma_4: drop them from every identity
+    monkeypatch.setattr(css, "_primitive", lambda row: real([0] * 4 + row[4:]))
+    build_phi.cache_clear()
+    with pytest.raises(TheoremViolation, match=r"^identities j = 0\.\.n-2 do not determine sigma$"):
+        build_phi(5)
+
+
 def test_factor_symmetric_functions_examples():
     assert factor_symmetric_functions(P([0, 1, 2, 1]), 3) == (F(1), F(0))
     assert factor_symmetric_functions(CUBE, 3) == (F(2), F(1))

@@ -2,12 +2,14 @@
 
 A deletion in the package would break it only when the benchmark runs, so
 these tests import the harness's name tables (without writing bytecode into
-perfbench/) and resolve every entry against the package.
+perfbench/) and resolve every entry against the package, and run the small
+passes of two workloads through the harness's own gates.
 """
 
 import importlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,3 +54,19 @@ def test_worker_caches_are_lru_caches(harness):
         assert callable(_resolve(module, attr).cache_info), attr
     for module in worker.MODULES:
         importlib.import_module(f"schur_szego.{module}")
+
+
+@pytest.mark.parametrize("workload", ["spectral", "roots-generic"])
+def test_smoke_pass_fails_no_operation(harness, workload):
+    """make_inputs, run_pass and check_pass at the smoke scale: the attributes
+    the gates read (spectrum_report(n).q_polys, verify_mjnj(...).passed, ...)
+    must still be there."""
+    _, worker = harness
+    workloads = importlib.import_module("workloads")
+    mods = SimpleNamespace(**{m: importlib.import_module(f"schur_szego.{m}")
+                              for m in worker.MODULES})
+    inputs, _ = workloads.make_inputs(workload, 0, mods, "smoke")
+    outputs = workloads.run_pass(workload, mods, inputs)
+    attempted, failed, first = workloads.check_pass(workload, mods, inputs, outputs)
+    assert attempted > 0
+    assert failed == 0, first

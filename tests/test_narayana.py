@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from schur_szego.exactpoly import RationalPoly, binomial, interpolate
+from schur_szego import narayana
+from schur_szego.exactpoly import RationalPoly, TheoremViolation, binomial, interpolate
 from schur_szego.narayana import (
     _dyck_peak_histogram,
     catalan,
@@ -61,6 +62,13 @@ def test_rows_are_one_pass_of_the_recurrence():
     assert narayana_poly_recurrence(60) == RationalPoly(rows[-1][1])
     with pytest.raises(ValueError):
         next(narayana_rows(0))
+
+
+def test_rows_reject_a_recurrence_that_leaves_a_remainder(monkeypatch):
+    # one more than (2n-1)(1+x) N_{n-1} - (n-2)(x-1)^2 N_{n-2} at n = 7, where it is divided by 8
+    monkeypatch.setattr(narayana, "divmod", lambda a, b: divmod(a + (b == 8), b), raising=False)
+    with pytest.raises(TheoremViolation, match=r"^non-integer coefficients at n=7$"):
+        list(narayana_rows(10))
 
 
 def test_catalan():

@@ -100,6 +100,19 @@ def test_triangular_route_equals_kernel_route():
         assert spectrum_report(n).eigenpolys == tuple(eigenpolynomial(n, j) for j in range(1, n))
 
 
+def test_closed_form_b_is_the_similarity_of_a():
+    # oracle: the closed-form B is T A T^-1, a similarity spectrum_report never computes;
+    # T[i][r] = (-1)^(i-r) C(m-1-r, m-1-i) rewrites a direction vector in powers of (x+1)
+    for n in range(3, 19):
+        m = n - 1
+        t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(m)] for i in range(m)]
+        t = [[-c if (i - r) % 2 else c for r, c in enumerate(row)] for i, row in enumerate(t_inv)]
+        a = css.build_phi(n).linear.to_rows()
+        t_a = [[sum(t[i][l] * a[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
+        b = [[sum(t_a[i][l] * t_inv[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
+        assert [[x * math.factorial(m) for x in row] for row in b] == spectra._closed_form_b(n)
+
+
 def _below_diagonal_perturbed(real):
     def build_phi(n):
         phi = real(n)
@@ -109,16 +122,28 @@ def _below_diagonal_perturbed(real):
     return build_phi
 
 
+def _stirling_entry_perturbed(real):
+    def closed_form_b(n):
+        b = real(n)
+        b[1][3] += 1  # B[1][3] + 1/(n-1)!
+        return b
+    return closed_form_b
+
+
 @pytest.mark.parametrize("module, name, corrupt, match", [
     (css, "build_phi", _below_diagonal_perturbed,
-     r"T A T\^-1 is not upper triangular: entry \(5,0\) is nonzero at n=7"),
+     r"^eigenvector 1 proposed by the closed-form B fails A v = lambda_\(1,7\) v$"),
     (spectra, "eigenvalues_closed_form",
      lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
-     r"diagonal of T A T\^-1 is not the closed-form spectrum: entry 5 is 16807/720, "
-     r"lambda_\(6,7\) = 420193/18000"),
+     r"^eigenvector 6 proposed by the closed-form B fails A v = lambda_\(6,7\) v$"),
     (spectra, "binomial", lambda real: lambda n, k: real(n, k) + ((n, k) == (4, 2)),
-     r"T T\^-1 != I at n=7"),
-], ids=["below-diagonal-entry", "shifted-eigenvalue", "taylor-shift-entry"])
+     r"^eigenvector 2 proposed by the closed-form B fails A v = lambda_\(2,7\) v$"),
+    (spectra, "_closed_form_b", _stirling_entry_perturbed,
+     r"^eigenvector 4 proposed by the closed-form B fails A v = lambda_\(4,7\) v$"),
+    (spectra, "eigenvalues_closed_form", lambda real: lambda n: real(n)[:-1] + [real(n)[-2]],
+     r"^closed-form spectrum has a repeated entry at n=7$"),
+], ids=["below-diagonal-entry", "shifted-eigenvalue", "taylor-shift-entry", "stirling-entry",
+        "repeated-eigenvalue"])
 def test_triangular_certificate_negative_controls(monkeypatch, cold_spectrum_report, module, name,
                                                   corrupt, match):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
@@ -129,7 +154,9 @@ def test_triangular_certificate_negative_controls(monkeypatch, cold_spectrum_rep
 @pytest.mark.parametrize("corrupt, match", [
     (lambda v: v + P([0, 1]), r"is not divisible by x \+ 3\*x\^2 \+ 3\*x\^3 \+ x\^4$"),
     (lambda v: v * P([1, 1]), r"^Q_\(2,7\) has the wrong shape: "),
-], ids=["not-divisible", "wrong-degree"])
+    (lambda v: P([2, 0, 1]) * P([0, 1]) * P.binomial_power(3),
+     r"^Q_\(2,7\) constant term is not \(-1\)\^j$"),
+], ids=["not-divisible", "wrong-degree", "wrong-constant"])
 def test_cofactor_rejects_a_wrong_shape(corrupt, match):
     v = spectrum_report(7).eigenpolys[3]  # lambda_(4,7), whose cofactor is Q_(2,7)
     with pytest.raises(TheoremViolation, match=match):
@@ -139,6 +166,22 @@ def test_cofactor_rejects_a_wrong_shape(corrupt, match):
 def test_direction_of_lower_degree_is_rejected():
     with pytest.raises(TheoremViolation, match="direction polynomial is not of full degree"):
         spectra._eigenpoly_from_direction(css.build_phi(5), 5, 3, [0, 1, 2, 3])
+
+
+def _offset_perturbed(phi):
+    return css.AffineMapQ(phi.linear, (phi.offset[0] + 1,) + phi.offset[1:])
+
+
+@pytest.mark.parametrize("j, direction, corrupt, match", [
+    (1, [1, 0, 0, 0], lambda phi: phi, r"^lambda=1 eigenpolynomial is not \(x\+1\)\^\{n-1\}$"),
+    (1, [1, 3, 3, 1], _offset_perturbed, r"^\(x\+1\)\^\{n-1\} is not Phi_n-fixed$"),
+    (3, [1, 1, 1, 1], lambda phi: phi, r"^eigenpolynomial for j=3 does not vanish at 0$"),
+    (2, [1, 0, 0, 0], lambda phi: phi, r"^j=2 eigenpolynomial is not x\(x\+1\)\^\{n-2\}$"),
+], ids=["j1-not-binomial-power", "j1-not-fixed", "nonzero-at-0", "j2-wrong-shape"])
+def test_eigenpolynomial_shape_checks(j, direction, corrupt, match):
+    # direction[i] is the coefficient of x^(3-i) in D, and V = (x+1) D at n = 5
+    with pytest.raises(TheoremViolation, match=match):
+        spectra._eigenpoly_from_direction(corrupt(css.build_phi(5)), 5, j, direction)
 
 
 def test_richardson_j2_exact():
