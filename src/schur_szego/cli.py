@@ -3,13 +3,14 @@
 Output conventions: JSON report envelopes on stdout (CSV goes to --out
 files or stdout for `triangle --csv`). Exit code 0: every executed check
 passed (or the command only reports). Exit 1: a theorem check was
-falsified; stdout holds a `fail` envelope whose payload carries
-`falsified` and `witness`. Exit 2: out-of-domain input; stderr holds one
-`<command>: message` line and stdout is empty. Exit 3: a verify-all check
-raised something other than TheoremViolation, a bug; stdout holds an `error`
-envelope whose payload lists those checks under `errors`. A reader closing
-stdout early (`| head`) keeps the exit code. Any other exception is a bug
-and escapes.
+falsified; stdout holds a `fail` envelope whose payload carries `falsified`
+and `witness` (`certificate` and its message when a certificate inside the
+command raises TheoremViolation). Exit 2: out-of-domain input; stderr holds
+one `<command>: message` line and stdout is empty. Exit 3: a verify-all
+check raised something other than TheoremViolation, a bug; stdout holds an
+`error` envelope whose payload lists those checks under `errors`. A reader
+closing stdout early (`| head`) keeps the exit code. Any other exception is
+a bug and escapes.
 """
 
 from __future__ import annotations
@@ -384,7 +385,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     code = 0
     try:
-        envelope = args.fn(args)
+        try:
+            envelope = args.fn(args)
+        except TheoremViolation as exc:  # a certificate inside the command failed
+            params = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+            envelope = fail_envelope(args.command, params, "certificate", str(exc))
         if envelope is not None:
             code = {"fail": 1, "error": 3}.get(envelope.status, 0)
             print(envelope.to_json())

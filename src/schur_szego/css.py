@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactpoly import RationalMatrix, RationalPoly, TheoremViolation, _primitive, _rref, binomial
+from .exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _clear_denominators,
+                        _primitive, _rref, binomial)
 
 INFINITY = math.inf
 
@@ -85,13 +86,13 @@ class AffineMapQ:
 
 
 def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: int) -> None:
-    full = (Fraction(1),) + tuple(sigma)  # sigma_0 = 1
+    p_int, d_p = _clear_denominators(p)
+    s_int, d_s = _clear_denominators(sigma)
+    full = [d_s] + s_int  # d_s sigma, sigma_0 = 1: each identity is checked times d_p d_s
     for j in range(n + 1):
-        lhs = p[j] * Fraction(binomial(n, j)) ** (n - 2)
-        rhs = sum(Fraction(binomial(n - 1, j - 1)) ** (n - 1 - nu)
-                  * Fraction(binomial(n - 1, j)) ** nu * full[nu]
-                  for nu in range(n))
-        if lhs != rhs:
+        a, b = binomial(n - 1, j - 1), binomial(n - 1, j)
+        lhs = p_int[j] * d_s * binomial(n, j) ** (n - 2)
+        if lhs != d_p * sum(a ** (n - 1 - nu) * b ** nu * full[nu] for nu in range(n)):
             raise TheoremViolation(f"coefficient identity failed at j={j}")
 
 

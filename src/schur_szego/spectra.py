@@ -2,14 +2,15 @@
 
 An eigenvector of A, the linear part of Phi_n, is the coefficient vector of
 the direction polynomial D = V/(x+1) of an eigenpolynomial V = (x+1) * D,
-normalized monic; Q_{j,n} is V for lambda_{j+2,n} divided by x(x+1)^{n-j-2}.
+normalized monic; V for lambda_{j+2,n} is x(x+1)^{n-j-2} Q_{j,n}.
 Three routes are implemented:
 
 * eigenpolynomial (kernel route): one kernel of A - lambda I per eigenvalue.
 * spectrum_report (triangular route): in powers of (x+1), A is upper
   triangular with a closed form B (Stirling numbers, the closed-form
   eigenvalues on its diagonal); one back-substitution in B proposes each
-  eigenvector, A v = lambda v certifies it, and Q_{j,n} is cut from it.
+  eigenvector w, A v = lambda v certifies it, and one Taylor shift of the
+  top of w gives Q_{j,n}, all in integers.
 * sigma_system_solve (Sigma route): the linear system L_k = R_k in the
   unknown interior coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant
   (-1)^j fixed), assembled from the coefficient identities of the
@@ -62,18 +63,16 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
 
 def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
                               v: Sequence[Fraction | int]) -> RationalPoly:
-    """V = (x+1) * D normalized monic, where v[i] is the coefficient of
-    x^{n-2-i} in the direction polynomial D (any nonzero scale).
+    """V = (x+1) * D normalized monic, where v[i] is the coefficient of x^{n-2-i} in the
+    direction polynomial D (any nonzero scale; integers or Fractions).
 
-    Verified on the way out: D has full degree, V(-1) = 0 by construction,
-    (x+1)^{n-1} is Phi_n-fixed for j = 1, V(0) = 0 for j >= 2, and
-    V = x(x+1)^{n-2} for j = 2.
+    Verified on the way out: D has full degree, V(-1) = 0 by construction, (x+1)^{n-1} is
+    Phi_n-fixed for j = 1, V(0) = 0 for j >= 2, and V = x(x+1)^{n-2} for j = 2.
     """
-    lead = v[0]
-    if lead == 0:
+    d = _primitive(_clear_denominators(v)[0])
+    if d[0] == 0:
         raise TheoremViolation("direction polynomial is not of full degree")
-    direction = RationalPoly([Fraction(v[n - 2 - i]) / lead for i in range(n - 1)])
-    poly = RationalPoly([1, 1]) * direction
+    poly = RationalPoly([Fraction(a + b, d[0]) for a, b in zip([0] + d, d + [0])][::-1])
     if j == 1:
         expected = RationalPoly.binomial_power(n - 1)
         if poly != expected:
@@ -100,51 +99,27 @@ def _closed_form_b(n: int) -> list[list[int]]:
              else 0 for l in range(n - 1)] for i in range(n - 1)]
 
 
-def _triangular_eigenpolys(n: int, lam: Sequence[Fraction]) -> tuple[RationalPoly, ...]:
-    """All n-1 eigenpolynomials of Phi_n, each certified by A v = lambda v.
-
-    The closed-form B proposes them: B w = B_kk w by back-substitution from w_k = 1,
-    v = T^-1 w with T^-1[i][r] = C(m-1-r, m-1-i), m = n-1. Then A_int v = den lam_k v
-    (A = A_int / den) is checked exactly: m such v != 0 for m distinct lam_k are the
-    whole spectrum, so a wrong entry of B can only raise.
-    """
-    m = n - 1
-    if len(set(lam)) != m:
-        raise TheoremViolation(f"closed-form spectrum has a repeated entry at n={n}")
-    phi, b = css.build_phi(n), _closed_form_b(n)
-    a, den = _clear_denominators(phi.linear.entries)
-    a = [a[i * m:(i + 1) * m] for i in range(m)]
-    t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(i + 1)] for i in range(m)]
-    polys = []
-    for k in range(m):
-        # u is w_0..w_k (w is 0 past k) times a nonzero integer, which _eigenpoly_from_direction
-        # divides out: each step multiplies u by B_ii - B_kk instead of dividing w_i by it
-        u = [0] * k + [1]
-        for i in range(k - 1, -1, -1):
-            s = sum(x * y for x, y in zip(b[i][i + 1:], u[i + 1:]))
-            u[i + 1:] = [x * (b[i][i] - b[k][k]) for x in u[i + 1:]]
-            u[i] = -s
-        v = [sum(x * y for x, y in zip(row, u)) for row in t_inv]
-        p, q = den * lam[k].numerator, lam[k].denominator
-        if any(q * sum(x * y for x, y in zip(row, v)) != p * vi for row, vi in zip(a, v)):
-            raise TheoremViolation(f"eigenvector {k + 1} proposed by the closed-form B "
-                                   f"fails A v = lambda_({k + 1},{n}) v")
-        polys.append(_eigenpoly_from_direction(phi, n, k + 1, v))
-    return tuple(polys)
+def _taylor_shift(w: Sequence[int]) -> list[int]:
+    """T^-1 w: the coefficients of sum_r w_r (x+1)^(L-1-r), L = len(w), from x^(L-1)
+    down; entry i is sum_{r<=i} C(L-1-r, L-1-i) w_r."""
+    top = len(w) - 1
+    return [sum(binomial(top - r, top - i) * x for r, x in enumerate(w[:i + 1]))
+            for i in range(top + 1)]
 
 
-def _cofactor(eigenpoly: RationalPoly, n: int, j: int) -> RationalPoly:
-    """Q_{j,n} from the eigenpolynomial for lambda_{j+2,n}, shape-checked."""
-    divisor = RationalPoly([0, 1]) * RationalPoly.binomial_power(n - j - 2)
-    try:
-        q = eigenpoly.exact_divide(divisor)
-    except ArithmeticError as exc:
-        raise TheoremViolation(str(exc)) from exc
-    if q.degree != j or not q.is_monic() or q(Fraction(-1)) == 0:
-        raise TheoremViolation(f"Q_({j},{n}) has the wrong shape: {q}")
-    if q.coeff(0) != Fraction(-1) ** j:
+def _cofactor(w: Sequence[int], n: int, j: int) -> RationalPoly:
+    """Q_{j,n} from w_0..w_{j+1} (any nonzero scale), the top of the eigenvector for
+    lambda_{j+2,n} in powers of (x+1): x Q(x) = R(x+1) / w_0, R(y) = sum_r w_r y^(j+1-r).
+    (x+1)^{n-j-2} needs no test: w is zero past j+1, and A v = lambda v has certified
+    v = T^-1 w. Q is monic of degree j iff w_0 != 0, and Q(-1) = w_{j+1} / w_0."""
+    r = _taylor_shift(w)[::-1]  # R(x+1) = w_0 x Q(x), constant first
+    if w[0] == 0 or w[-1] == 0:
+        raise TheoremViolation(f"Q_({j},{n}) has the wrong shape: ({RationalPoly(r[1:])})/{w[0]}")
+    if r[0] != 0:
+        raise TheoremViolation(f"x does not divide the eigenpolynomial for lambda_({j + 2},{n})")
+    if r[1] != (-1) ** j * w[0]:
         raise TheoremViolation(f"Q_({j},{n}) constant term is not (-1)^j")
-    return q
+    return RationalPoly([Fraction(c, w[0]) for c in r[1:]])
 
 
 @dataclass(frozen=True)
@@ -156,12 +131,36 @@ class SpectrumReport:
 
 @lru_cache(maxsize=None)
 def spectrum_report(n: int) -> SpectrumReport:
-    """Every eigenpolynomial of Phi_n (one back-substitution each) and the
-    Q_{j,n} cut from them."""
-    eig = eigenvalues_closed_form(n)
-    polys = _triangular_eigenpolys(n, eig)
-    qs = tuple(_cofactor(polys[j + 1], n, j) for j in range(1, n - 2))
-    return SpectrumReport(tuple(eig), polys, qs)
+    """Every eigenpolynomial of Phi_n, certified by A v = lambda v, and the Q_{j,n}.
+
+    The closed-form B proposes them: B w = B_kk w by back-substitution from w_k = 1,
+    v = T^-1 w. Then A_int v = den lam_k v (A = A_int / den) is checked exactly: m such
+    v != 0 for m distinct lam_k are the whole spectrum, so a wrong B can only raise.
+    """
+    lam, m = eigenvalues_closed_form(n), n - 1
+    if len(set(lam)) != m:
+        raise TheoremViolation(f"closed-form spectrum has a repeated entry at n={n}")
+    phi, b = css.build_phi(n), _closed_form_b(n)
+    a, den = _clear_denominators(phi.linear.entries)
+    a = [a[i * m:(i + 1) * m] for i in range(m)]
+    polys, qs = [], []
+    for k in range(m):
+        # u is w_0..w_k (w is 0 past k) times a nonzero integer, which is divided out later:
+        # each step multiplies u by B_ii - B_kk instead of dividing w_i by it
+        u = [0] * k + [1]
+        for i in range(k - 1, -1, -1):
+            s = sum(x * y for x, y in zip(b[i][i + 1:], u[i + 1:]))
+            u[i + 1:] = [x * (b[i][i] - b[k][k]) for x in u[i + 1:]]
+            u[i] = -s
+        v = _taylor_shift(u + [0] * (m - 1 - k))
+        p, q = den * lam[k].numerator, lam[k].denominator
+        if any(q * sum(x * y for x, y in zip(row, v)) != p * vi for row, vi in zip(a, v)):
+            raise TheoremViolation(f"eigenvector {k + 1} proposed by the closed-form B "
+                                   f"fails A v = lambda_({k + 1},{n}) v")
+        polys.append(_eigenpoly_from_direction(phi, n, k + 1, v))
+        if k >= 2:
+            qs.append(_cofactor(u, n, k - 1))
+    return SpectrumReport(tuple(lam), tuple(polys), tuple(qs))
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +207,11 @@ def sigma_system_solve(n: int, j: int) -> RationalPoly:
                              [-r[1] for r in block])
         except SingularMatrixError as exc:
             raise TheoremViolation(f"block k=1..{j - 1} is singular for n={n}, j={j}") from exc
+    q_int, d = _clear_denominators(q)
     for k, (vec, const) in enumerate(all_rows, start=1):
-        residual = sum((vi * qi for vi, qi in zip(vec, q)), const)
-        if residual != 0:
+        if sum((vi * qi for vi, qi in zip(vec, q_int)), const * d) != 0:
             raise TheoremViolation(f"nonzero residual at k={k} for n={n}, j={j}")
-    coeffs = [Fraction(0)] * (j + 1)
-    coeffs[j] = Fraction(1)
-    coeffs[0] = Fraction(-1) ** j
-    for nu in range(1, j):
-        coeffs[j - nu] = q[nu - 1]
-    return RationalPoly(coeffs)
+    return RationalPoly([(-1) ** j, *q[::-1], 1])
 
 
 # ---------------------------------------------------------------------------

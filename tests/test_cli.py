@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import schur_szego
-from schur_szego import acceptance, cli, narayana, roots, spectra
+from schur_szego import acceptance, cli, css, narayana, roots, spectra
 from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file, write_poly_file
 from schur_szego.exactpoly import RationalPoly, TheoremViolation
 from fractions import Fraction as F
@@ -260,6 +261,16 @@ def _isolate_one_root_short(p, real=roots.isolate_roots):
     return real(p.exact_divide(RationalPoly.x()))
 
 
+def _stirling_entry_perturbed(n, real=spectra._closed_form_b):
+    b = real(n)
+    b[1][3] += 1
+    return b
+
+
+def _sigma_columns_dropped(row, real=css._primitive):
+    return real([0] * 4 + row[4:])  # at n = 5 sigma_1..sigma_4 leave every identity
+
+
 def assert_falsified(code, out, err, command, falsified):
     env = parse_envelope(out)
     assert code == 1
@@ -284,10 +295,35 @@ def assert_falsified(code, out, err, command, falsified):
      "hyperbolicity"),
     (("roots", "--n", "6", "--interlace"), roots, "interlace_check",
      lambda p, q: roots.FAIL, "interlacing"),
+    # a certificate that raises inside the command
+    (("eigen", "--n", "7"), spectra, "_closed_form_b", _stirling_entry_perturbed, "certificate"),
+    (("css", "--phi", "5"), css, "_primitive", _sigma_columns_dropped, "certificate"),
 ])
-def test_falsified_theorem_exit_1(capsys, monkeypatch, argv, module, name, fake, falsified):
+def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, argv, module, name,
+                                  fake, falsified):
     monkeypatch.setattr(module, name, fake)
-    assert_falsified(*run_cli(capsys, *argv), argv[0], falsified)
+    css.build_phi.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    css.build_phi.cache_clear()
+    assert_falsified(code, out, err, argv[0], falsified)
+    if falsified == "certificate":  # the witness is the TheoremViolation's message
+        assert json.loads(out)["payload"]["witness"] == {
+            "eigen": "eigenvector 4 proposed by the closed-form B fails A v = lambda_(4,7) v",
+            "css": "identities j = 0..n-2 do not determine sigma"}[argv[0]]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("eigen", "--n", "10", "--j", "4"),
+     "bc0562da01ad81c4c439d3272d1c78b6ef74513429d29c970dc526a025904676"),
+    (("eigen", "--n", "21"), "70d29e685c6e7321658e42a4c999c85f440fe6ca02963266c9dac1c0c5d2d10a"),
+    (("css", "--phi", "8"), "99f470abcf289f7d50326653ffc68d5a7b93c6b3fc1b824d9ea76a467bfe4f3c"),
+    (("limits", "--j", "6"), "94de2caad5018a121145920d440ea84ab22d5e073de7723dcedb82e6e2342b69"),
+], ids=["eigen-n10-j4", "eigen-n21", "css-phi8", "limits-j6"])
+def test_pinned_stdout(capsys, argv, digest):
+    # the exact bytes these commands print, so a rewrite of the routes behind them cannot move any
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_all_falsified_exit_1(capsys, monkeypatch):

@@ -95,6 +95,23 @@ def test_spectrum_report_makes_no_kernel_call(monkeypatch, cold_spectrum_report,
     assert len(rep.q_polys) == n - 3
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_spectrum_report_makes_no_division(monkeypatch, cold_spectrum_report, n):
+    calls = []
+    real = P.divmod
+    monkeypatch.setattr(P, "divmod", lambda self, d: calls.append(d) or real(self, d))
+    spectrum_report(n)
+    assert calls == []
+
+
+def test_q_polys_divide_their_eigenpolynomials():
+    # oracle: the division by x(x+1)^{n-j-2} that spectrum_report no longer makes
+    for n in range(4, 19):
+        rep = spectrum_report(n)
+        for j, q in enumerate(rep.q_polys, start=1):
+            assert rep.eigenpolys[j + 1].exact_divide(P.x() * P.binomial_power(n - j - 2)) == q
+
+
 def test_triangular_route_equals_kernel_route():
     for n in range(3, 19):
         assert spectrum_report(n).eigenpolys == tuple(eigenpolynomial(n, j) for j in range(1, n))
@@ -111,6 +128,9 @@ def test_closed_form_b_is_the_similarity_of_a():
         t_a = [[sum(t[i][l] * a[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
         b = [[sum(t_a[i][l] * t_inv[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
         assert [[x * math.factorial(m) for x in row] for row in b] == spectra._closed_form_b(n)
+        for r in range(m):
+            w = [int(i == r) for i in range(m)]
+            assert spectra._taylor_shift(w) == [row[r] for row in t_inv]
 
 
 def _below_diagonal_perturbed(real):
@@ -151,16 +171,34 @@ def test_triangular_certificate_negative_controls(monkeypatch, cold_spectrum_rep
         spectrum_report(7)
 
 
+def _with(w, i, value):
+    return w[:i] + [value] + w[i + 1:]
+
+
 @pytest.mark.parametrize("corrupt, match", [
-    (lambda v: v + P([0, 1]), r"is not divisible by x \+ 3\*x\^2 \+ 3\*x\^3 \+ x\^4$"),
-    (lambda v: v * P([1, 1]), r"^Q_\(2,7\) has the wrong shape: "),
-    (lambda v: P([2, 0, 1]) * P([0, 1]) * P.binomial_power(3),
+    (lambda w: _with(w, 1, w[1] + 1), r"^x does not divide the eigenpolynomial for lambda_\(4,7"),
+    (lambda w: _with(w, 0, 0), r"^Q_\(2,7\) has the wrong shape: .*/0$"),
+    (lambda w: _with(w, 3, 0), r"^Q_\(2,7\) has the wrong shape: "),
+    (lambda w: _with(_with(w, 1, w[1] + 1), 2, w[2] - 1),
      r"^Q_\(2,7\) constant term is not \(-1\)\^j$"),
-], ids=["not-divisible", "wrong-degree", "wrong-constant"])
-def test_cofactor_rejects_a_wrong_shape(corrupt, match):
-    v = spectrum_report(7).eigenpolys[3]  # lambda_(4,7), whose cofactor is Q_(2,7)
+], ids=["not-divisible", "wrong-degree", "zero-at-minus-one", "wrong-constant"])
+def test_cofactor_rejects_a_wrong_shape(monkeypatch, cold_spectrum_report, corrupt, match):
+    # the integer top block w_0..w_3 of the eigenvector for lambda_(4,7), as spectrum_report
+    # hands it to _cofactor for Q_(2,7). The shape check on w_0, w_3 comes first; w_1 + 1 breaks
+    # only x | R(x+1), and w_1 + 1, w_2 - 1 keeps R(1) = 0 but moves Q(0)
+    blocks, real = {}, spectra._cofactor
+
+    def record(w, n, j):
+        blocks[n, j] = list(w)
+        return real(w, n, j)
+
+    monkeypatch.setattr(spectra, "_cofactor", record)
+    spectrum_report(7)
+    w = blocks[7, 2]
+    assert len(w) == 4 and all(type(x) is int for x in w)
+    assert real(w, 7, 2) == spectrum_report(7).q_polys[1]
     with pytest.raises(TheoremViolation, match=match):
-        spectra._cofactor(corrupt(v), 7, 2)
+        real(corrupt(w), 7, 2)
 
 
 def test_direction_of_lower_degree_is_rejected():
