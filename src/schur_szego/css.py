@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _clear_denominators,
@@ -81,8 +81,20 @@ class AffineMapQ:
     linear: RationalMatrix
     offset: tuple[Fraction, ...]
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows of A_int, den) with A = A_int / den, made once per map, so that apply
+        and the A v checks in spectra multiply integers, not Fractions."""
+        a, den = _clear_denominators(self.linear.entries)
+        m = self.linear.cols
+        return tuple(tuple(a[i:i + m]) for i in range(0, len(a), m)), den
+
     def apply(self, c: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        return tuple(v + o for v, o in zip(self.linear.matvec(c), self.offset))
+        if len(c) != self.linear.cols:
+            raise ValueError("vector length mismatch")
+        (rows, den), (c_int, d_c) = self.cleared, _clear_denominators(c)
+        return tuple(Fraction(sum(x * y for x, y in zip(row, c_int)), den * d_c) + o
+                     for row, o in zip(rows, self.offset))
 
 
 def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: int) -> None:

@@ -62,10 +62,11 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _primitive(c: list[int]) -> list[int]:
-    """c divided by its content (c itself when the content is 0 or 1)."""
-    g = math.gcd(*c)
-    return [x // g for x in c] if g > 1 else c
+def _primitive(c: list[int], sign: int = 1) -> list[int]:
+    """c divided by sign * its content, in one pass (c itself when that divisor is 1
+    or the content is 0); sign is 1 or -1."""
+    g = sign * math.gcd(*c)
+    return [x // g for x in c] if g and g != 1 else c
 
 
 def _trim(c: list) -> list:

@@ -87,20 +87,23 @@ def _dyck_peak_histogram(n: int) -> tuple[int, ...]:
 
     Entry k-1 counts paths with exactly k peaks (a peak = an up-step
     immediately followed by a down-step). Pure enumeration; this is the
-    independent oracle, so no combinatorial shortcuts.
+    independent oracle, so no combinatorial shortcuts. Once all n up-steps
+    are placed the rest of the path is forced: `height` down-steps, which
+    close one more peak iff the last step was up. The walk counts that one
+    path there instead of stepping down it, so each Dyck path is still one
+    leaf and no path is counted by a formula.
     """
     hist = [0] * n
 
-    def walk(ups: int, downs: int, height: int, last_up: bool, peaks: int) -> None:
-        if ups == n and downs == n:
-            hist[peaks - 1] += 1
+    def walk(ups: int, height: int, last_up: bool, peaks: int) -> None:
+        if ups == n:
+            hist[peaks + last_up - 1] += 1
             return
-        if ups < n:
-            walk(ups + 1, downs, height + 1, True, peaks)
-        if downs < ups and height > 0:
-            walk(ups, downs + 1, height - 1, False, peaks + (1 if last_up else 0))
+        walk(ups + 1, height + 1, True, peaks)
+        if height > 0:
+            walk(ups, height - 1, False, peaks + last_up)
 
-    walk(0, 0, 0, False, 0)
+    walk(0, 0, False, 0)
     return tuple(hist)
 
 

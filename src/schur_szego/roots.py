@@ -77,8 +77,9 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         mult, _, r = _pseudo_divmod(f, g)
         if r == [0]:
             break  # g divides f: g is the gcd, chain ends there
-        flip = -1 if mult > 0 else 1
-        chain.append(_primitive([flip * x for x in r]))
+        # mult f = q g + r, so -(f mod g) = -r / mult: the signed content division
+        # (-content when mult > 0) makes it primitive in one pass over r
+        chain.append(_primitive(r, -1 if mult > 0 else 1))
     return tuple(map(tuple, chain))
 
 

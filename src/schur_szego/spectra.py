@@ -141,8 +141,7 @@ def spectrum_report(n: int) -> SpectrumReport:
     if len(set(lam)) != m:
         raise TheoremViolation(f"closed-form spectrum has a repeated entry at n={n}")
     phi, b = css.build_phi(n), _closed_form_b(n)
-    a, den = _clear_denominators(phi.linear.entries)
-    a = [a[i * m:(i + 1) * m] for i in range(m)]
+    a, den = phi.cleared
     polys, qs = [], []
     for k in range(m):
         # u is w_0..w_k (w is 0 past k) times a nonzero integer, which is divided out later:

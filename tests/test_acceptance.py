@@ -140,6 +140,32 @@ def test_recurrence_check_rejects_a_valley_automaton(monkeypatch):
     assert result.detail.endswith("Dyck automaton mismatch at n=1")
 
 
+def _unclosed_last_peak_histogram(n):
+    """_dyck_peak_histogram without its last_up term: the forced final descent
+    closes no peak, so every path is counted one peak short. At n = 1 the one
+    path lands at index -1, which wraps round to the right entry; at n = 2 the
+    two paths swap entries, and N_{2,1} = N_{2,2}. n = 3 is the first to differ."""
+    hist = [0] * n
+
+    def walk(ups, height, last_up, peaks):
+        if ups == n:
+            hist[peaks - 1] += 1
+            return
+        walk(ups + 1, height + 1, True, peaks)
+        if height > 0:
+            walk(ups, height - 1, False, peaks + last_up)
+
+    walk(0, 0, False, 0)
+    return tuple(hist)
+
+
+def test_recurrence_check_rejects_a_dyck_oracle_one_peak_short(monkeypatch):
+    monkeypatch.setattr(narayana, "_dyck_peak_histogram", _unclosed_last_peak_histogram)
+    result = acceptance.check_recurrence()
+    assert result.status == "fail"
+    assert result.detail.endswith("Dyck oracle mismatch at (n,k)=(3,1)")
+
+
 def test_spectrum_check_rejects_a_two_dimensional_kernel(monkeypatch, cold_spectrum_report):
     target = css.build_phi(7).linear.shifted(spectra.eigenvalues_closed_form(7)[3])
     real = spectra.kernel

@@ -98,6 +98,15 @@ def test_build_phi_matches_probe_and_interpolate():
         assert build_phi(n).offset == offset
 
 
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                min_size=2, max_size=9))
+def test_apply_matches_the_fraction_matvec(c):
+    phi = build_phi(len(c) + 1)
+    assert phi.apply(c) == tuple(v + o for v, o in zip(phi.linear.matvec(c), phi.offset))
+    with pytest.raises(ValueError):
+        phi.apply(c + [1])
+
+
 def test_build_phi_requires_n_3():
     with pytest.raises(ValueError):
         build_phi(2)

@@ -13,6 +13,7 @@ from schur_szego.exactpoly import (
     RationalPoly,
     SingularMatrixError,
     _clear_denominators,
+    _primitive,
     _pseudo_divmod,
     _rref,
     binomial,
@@ -104,6 +105,17 @@ def test_divmod_matches_fraction_long_division(f, g, q):
         assert m == b[-1] ** (len(a) - len(b) + 1)
         assert P(a).scale(m) == P(quot) * P(b) + P(rem)
         assert rem == [0] or (rem[-1] != 0 and len(rem) < len(b))
+
+
+def test_primitive_divides_by_the_signed_content():
+    unit = [1, -2, 3]
+    assert _primitive(unit) is unit  # content 1: no pass at all
+    assert _primitive(unit, -1) == [-1, 2, -3]  # content 1, divisor -1: negated
+    assert _primitive([4, -6, 10]) == [2, -3, 5]
+    assert _primitive([4, -6, 10], -1) == [-2, 3, -5]
+    zero = [0]
+    assert _primitive(zero, -1) is zero  # content 0: returned unchanged
+    assert _primitive([0, 0, -7], -1) == [0, 0, 1]
 
 
 def test_binomial_convention():

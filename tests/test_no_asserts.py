@@ -3,9 +3,10 @@
 Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
 took peak RSS from 17 to 29 MB). The choice between the exact and the
-binary64 route is made in one place, `asymptotics._exact`. A falsified claim
-raises the one `exactpoly.TheoremViolation`; every other exception class the
-package defines is an input or domain error.
+binary64 route is made in one place, `asymptotics._exact`, and the content of
+a coefficient vector is taken in one place, `exactpoly._primitive`. A
+falsified claim raises the one `exactpoly.TheoremViolation`; every other
+exception class the package defines is an input or domain error.
 """
 
 import ast
@@ -57,6 +58,24 @@ def test_one_exact_float_dispatch():
                 and node.name == "_exact":
             inside |= {f"asymptotics.py:{n.lineno}" for n in ast.walk(node) if _is_exact_test(n)}
     found = {where for where, node in _nodes() if _is_exact_test(node)}
+    assert sorted(found - inside) == []
+    assert len(inside) == 1
+
+
+def _is_starred_gcd(node):
+    """A `math.gcd(*...)` call: the content of a coefficient vector."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "gcd" and getattr(node.func.value, "id", None) == "math"
+            and any(isinstance(arg, ast.Starred) for arg in node.args))
+
+
+def test_one_content_kernel():
+    inside = set()
+    for where, node in _nodes():
+        if where.startswith("exactpoly.py:") and isinstance(node, ast.FunctionDef) \
+                and node.name == "_primitive":
+            inside |= {f"exactpoly.py:{n.lineno}" for n in ast.walk(node) if _is_starred_gcd(n)}
+    found = {where for where, node in _nodes() if _is_starred_gcd(node)}
     assert sorted(found - inside) == []
     assert len(inside) == 1
 

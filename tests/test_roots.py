@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_szego import asymptotics, cli, roots
+from schur_szego import asymptotics, cli, exactpoly, roots
 from schur_szego.exactpoly import RationalPoly
 from schur_szego.narayana import narayana_poly_direct
 from schur_szego.roots import (
@@ -410,6 +411,39 @@ def test_warm_memo_negative_controls():
     with pytest.raises(TypeError):
         seq[0][0] = 1
     assert roots._int_prs(c, roots._derivative(c))[0] == tuple(c)
+
+
+def _two_pass_prs(a, b, seen):
+    """The remainder sequence in two passes per remainder: negate it when mult > 0,
+    then divide by its content. Adds (mult > 0, content > 1) per remainder to seen."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        mult, _, r = exactpoly._pseudo_divmod(chain[-2], chain[-1])
+        if r == [0]:
+            break
+        seen.add((mult > 0, math.gcd(*r) > 1))
+        chain.append(exactpoly._primitive([(-1 if mult > 0 else 1) * x for x in r]))
+    return tuple(map(tuple, chain))
+
+
+def test_signed_content_division_matches_the_two_pass_remainder_sequence():
+    m = [tuple(roots._int_poly(narayana_poly_direct(n).exact_divide(RationalPoly.x())))
+         for n in range(2, 41)]
+    pairs = list(zip(m[1:], m))  # (M_n, M_{n-1}) of criterion 6, n <= 40
+    narayana_seen = set()
+    for a, b in pairs:
+        assert roots._prs(a, b) == _two_pass_prs(a, b, narayana_seen)
+    assert (True, True) in narayana_seen  # Narayana remainders have content > 1
+    rng = random.Random(2023)
+    seen = set()
+    for _ in range(300):
+        deg_b = rng.randint(0, 7)
+        deg_a = deg_b + rng.randint(0, 3)
+        a, b = ((*(rng.randint(-20, 20) for _ in range(d)), rng.choice([-3, -2, -1, 1, 2, 3]))
+                for d in (deg_a, deg_b))
+        assert roots._prs(a, b) == _two_pass_prs(a, b, seen)
+    # content 1 and content > 1, under both signs of mult
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
