@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from .exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _clear_denominators,
@@ -81,20 +81,12 @@ class AffineMapQ:
     linear: RationalMatrix
     offset: tuple[Fraction, ...]
 
-    @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows of A_int, den) with A = A_int / den, made once per map, so that apply
-        and the A v checks in spectra multiply integers, not Fractions."""
-        a, den = _clear_denominators(self.linear.entries)
-        m = self.linear.cols
-        return tuple(tuple(a[i:i + m]) for i in range(0, len(a), m)), den
-
     def apply(self, c: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         if len(c) != self.linear.cols:
             raise ValueError("vector length mismatch")
-        (rows, den), (c_int, d_c) = self.cleared, _clear_denominators(c)
-        return tuple(Fraction(sum(x * y for x, y in zip(row, c_int)), den * d_c) + o
-                     for row, o in zip(rows, self.offset))
+        c_int, d_c = _clear_denominators(c)
+        return tuple(Fraction(sum(x * y for x, y in zip(row, c_int)), self.linear.den * d_c) + o
+                     for row, o in zip(self.linear.int_rows(), self.offset))
 
 
 def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: int) -> None:
@@ -123,11 +115,12 @@ def build_phi(n: int) -> AffineMapQ:
         if j:
             row[2 * n - 2 - j] = s
         rows.append(_primitive(row))
-    m, piv_cols, _ = _rref(rows)
+    m, piv_cols, d, _ = _rref(rows)
     if piv_cols != list(range(n - 1)):
         raise TheoremViolation("identities j = 0..n-2 do not determine sigma")
-    entries = [x for r in m for x in r[n - 1:2 * n - 2]]
-    return AffineMapQ(RationalMatrix(n - 1, n - 1, entries), tuple(r[2 * n - 2] for r in m))
+    # rows / d is the reduced [I | A | b]
+    linear = RationalMatrix(n - 1, n - 1, [x for r in m for x in r[n - 1:2 * n - 2]], d)
+    return AffineMapQ(linear, tuple(Fraction(r[2 * n - 2], d) for r in m))
 
 
 def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:

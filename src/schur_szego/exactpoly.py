@@ -2,9 +2,9 @@
 dense linear algebra.
 
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
-matrices are dense row-major Fraction arrays. Each coefficient-vector job has
-one kernel here for the whole package: clearing denominators, content, trim,
-derivative, integer pseudo-division (RationalPoly.divmod, the remainder
+matrices are row-major integers over one denominator. Each coefficient-vector
+job has one kernel here for the whole package: clearing denominators, content,
+trim, derivative, integer pseudo-division (RationalPoly.divmod, the remainder
 sequences in roots) and a generic Horner (RationalPoly.__call__, the binary64
 quotients in asymptotics). One fraction-free (Bareiss) Gauss-Jordan reduction,
 _rref, serves kernel, solve_linear and RationalMatrix.determinant. Floats stay
@@ -294,17 +294,25 @@ def neville_zero(points: Sequence[tuple]) -> tuple[object, float]:
 
 @dataclass(frozen=True)
 class RationalMatrix:
+    """Dense matrix over Q, stored once as row-major integers over one positive
+    denominator: entry (i, j) is ints[i * cols + j] / den, with gcd(den, *ints) = 1,
+    so that equal matrices compare equal."""
+
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]  # row-major
+    ints: tuple[int, ...]
+    den: int
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
-        ent = tuple(Fraction(e) for e in entries)
-        if len(ent) != rows * cols:
+    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int], den: int = 1):
+        """The rows x cols matrix of entries / den (den a nonzero integer)."""
+        ints, d = _clear_denominators(list(entries))
+        if len(ints) != rows * cols:
             raise ValueError("entry count does not match shape")
+        reduced = _primitive([d * den] + ints, -1 if den < 0 else 1)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "ints", tuple(reduced[1:]))
+        object.__setattr__(self, "den", reduced[0])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
@@ -314,49 +322,43 @@ class RationalMatrix:
             raise ValueError("rows of a matrix must have equal length")
         return cls(r, c, [e for row in rows for e in row])
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+    def int_rows(self) -> list[list[int]]:
+        """The rows of den * self, as new lists."""
+        c = self.cols
+        return [list(self.ints[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(Fraction(x, self.den) for x in self.ints[i * self.cols:(i + 1) * self.cols])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def matvec(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vf = [Fraction(x) for x in v]
-        return tuple(sum((self.at(i, j) * vf[j] for j in range(self.cols)), Fraction(0))
-                     for i in range(self.rows))
 
     def shifted(self, lam: Fraction | int) -> "RationalMatrix":
         """self - lam * I (square only)."""
         if self.rows != self.cols:
             raise ValueError("shift needs a square matrix")
-        lam = Fraction(lam)
-        ent = list(self.entries)
-        for i in range(self.rows):
-            ent[i * self.cols + i] -= lam
-        return RationalMatrix(self.rows, self.cols, ent)
+        p, q = lam.numerator, lam.denominator
+        ints = [x * q for x in self.ints]
+        for i in range(0, len(ints), self.cols + 1):
+            ints[i] -= p * self.den
+        return RationalMatrix(self.rows, self.cols, ints, self.den * q)
 
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        _, piv_cols, det = _rref(self.to_rows())
-        return det if len(piv_cols) == self.rows else Fraction(0)
+        _, piv_cols, d, sign = _rref(self.int_rows())
+        return Fraction(sign * d if len(piv_cols) == self.rows else 0, self.den ** self.rows)
 
 
-def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Fraction-free Gauss-Jordan reduction of `m`: (rows, pivot columns, det).
+def _rref(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduction of the integer rows `a`, in place:
+    (rows, pivot columns, d, sign), with rows / d the reduced row echelon form.
 
-    Rows are cleared of denominators once, then Bareiss steps
-    row <- (p * row - row[c] * pivot row) / prev divide exactly, since every
-    entry is an integer minor. Every pivot row ends with the last pivot in its
-    pivot column. det is the determinant when `m` is square of full rank.
+    Bareiss steps row <- (p * row - row[c] * pivot row) / prev divide exactly,
+    since every entry is an integer minor; d is the last pivot, which every pivot
+    row ends with in its pivot column. When `a` is square of full rank, its
+    determinant is sign * d.
     """
-    cleared = [_clear_denominators(row) for row in m]
-    a, scale = [ints for ints, _ in cleared], math.prod(s for _, s in cleared)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     piv_cols: list[int] = []
@@ -382,20 +384,19 @@ def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fra
                 a[i] = [q for q, _ in qr]
         piv_cols.append(c)
         prev = p
-    reduced = [[Fraction(x, prev) for x in row] for row in a]
-    return reduced, piv_cols, Fraction(sign * prev, scale)
+    return a, piv_cols, prev, sign
 
 
 def kernel(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the null space via exact reduced row echelon form."""
-    m, piv_cols, _ = _rref(matrix.to_rows())
+    m, piv_cols, d, _ = _rref(matrix.int_rows())
     free = [c for c in range(matrix.cols) if c not in piv_cols]
     basis = []
     for fc in free:
         v = [Fraction(0)] * matrix.cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(piv_cols):
-            v[pc] = -m[r][fc]
+            v[pc] = Fraction(-m[r][fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -407,7 +408,9 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length mismatch")
     n = matrix.rows
-    m, piv_cols, _ = _rref([list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(n)])
+    b, d_b = _clear_denominators(rhs)  # A x = rhs times den * d_b: d_b A_int x = den b
+    m, piv_cols, d, _ = _rref([[x * d_b for x in row] + [y * matrix.den]
+                               for row, y in zip(matrix.int_rows(), b)])
     if piv_cols != list(range(n)):
         raise SingularMatrixError("singular system")
-    return tuple(m[i][n] for i in range(n))
+    return tuple(Fraction(row[n], d) for row in m)

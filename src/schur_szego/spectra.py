@@ -100,11 +100,13 @@ def _closed_form_b(n: int) -> list[list[int]]:
 
 
 def _taylor_shift(w: Sequence[int]) -> list[int]:
-    """T^-1 w: the coefficients of sum_r w_r (x+1)^(L-1-r), L = len(w), from x^(L-1)
-    down; entry i is sum_{r<=i} C(L-1-r, L-1-i) w_r."""
-    top = len(w) - 1
-    return [sum(binomial(top - r, top - i) * x for r, x in enumerate(w[:i + 1]))
-            for i in range(top + 1)]
+    """T^-1 w: the coefficients of sum_r w_r (x+1)^(L-1-r), L = len(w), from x^(L-1) down,
+    by repeated synthetic addition; entry i is sum_{r<=i} C(L-1-r, L-1-i) w_r."""
+    c = list(w)
+    for i in range(len(c) - 1):
+        for k in range(1, len(c) - i):
+            c[k] += c[k - 1]
+    return c
 
 
 def _cofactor(w: Sequence[int], n: int, j: int) -> RationalPoly:
@@ -141,7 +143,7 @@ def spectrum_report(n: int) -> SpectrumReport:
     if len(set(lam)) != m:
         raise TheoremViolation(f"closed-form spectrum has a repeated entry at n={n}")
     phi, b = css.build_phi(n), _closed_form_b(n)
-    a, den = phi.cleared
+    a, den = phi.linear.int_rows(), phi.linear.den
     polys, qs = [], []
     for k in range(m):
         # u is w_0..w_k (w is 0 past k) times a nonzero integer, which is divided out later:

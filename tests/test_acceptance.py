@@ -189,6 +189,22 @@ def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum
     assert result.detail == "triangular and sigma routes disagree at (n,j)=(8,3)"
 
 
+def _both_routes_return(j, bad):
+    """A falsifier: the triangular and the sigma route both return `bad` for Q_j."""
+    def falsify(monkeypatch):
+        real_report, real_sigma = spectra.spectrum_report, spectra.sigma_system_solve
+
+        def report(n):
+            full = real_report(n)
+            return dataclasses.replace(full, q_polys=tuple(
+                bad if k == j else q for k, q in enumerate(full.q_polys, start=1)))
+
+        monkeypatch.setattr(spectra, "spectrum_report", report)
+        monkeypatch.setattr(spectra, "sigma_system_solve",
+                            lambda n, k: bad if k == j else real_sigma(n, k))
+    return falsify
+
+
 @pytest.mark.parametrize("j, bad, detail", [
     (2, P([1, 3, 1]), "Q roots not all positive at (n,j)=(5,2)"),
     (4, P([1, F(-5, 2), 1]) * P([1, F(-5, 2), 1]),
@@ -197,16 +213,7 @@ def test_q_structure_check_rejects_disagreeing_routes(monkeypatch, cold_spectrum
 def test_q_structure_check_negative_controls(monkeypatch, j, bad, detail):
     """Both routes return a Q_j that has the claimed shape (self-reciprocal
     sign, Q(1) != 0 for even j, constant (-1)^j) but negative or double roots."""
-    real_report, real_sigma = spectra.spectrum_report, spectra.sigma_system_solve
-
-    def report(n):
-        full = real_report(n)
-        return dataclasses.replace(full, q_polys=tuple(
-            bad if k == j else q for k, q in enumerate(full.q_polys, start=1)))
-
-    monkeypatch.setattr(spectra, "spectrum_report", report)
-    monkeypatch.setattr(spectra, "sigma_system_solve",
-                        lambda n, k: bad if k == j else real_sigma(n, k))
+    _both_routes_return(j, bad)(monkeypatch)
     result = acceptance.check_q_structure()
     assert not result.passed
     assert result.detail == detail
@@ -264,3 +271,88 @@ def test_check_negative_controls(monkeypatch, cold_spectrum_report, check, modul
     result = getattr(acceptance, check)()
     assert result.passed is False
     assert result.detail.startswith(prefix)
+
+
+def _patch(module, name, corrupt):
+    """A falsifier: module.name replaced by corrupt(the real one)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+
+
+def _negated_roots(real):
+    """constant_recurrence with the characteristic roots negated."""
+    return lambda char, initial: real([char[0], -char[1], char[2]], initial)
+
+
+def _classified_as_the_smaller_root(real):
+    def poincare_ratio(spec, t_max):
+        res = real(spec, t_max)
+        return dataclasses.replace(res, classified_root=res.characteristic[0])
+    return poincare_ratio
+
+
+@pytest.mark.parametrize("check, falsify, detail", [
+    ("check_recurrence", _patch(narayana, "catalan", lambda real: lambda n: real(n) + (n == 7)),
+     "N_n(1) != Cat_n at n=7"),
+    ("check_recurrence", _patch(narayana, "dyck_automaton",
+                                lambda real: lambda m: (r for r in real(m) if r[0] < 60)),
+     "Dyck automaton yielded 59 rows, not 60"),
+    ("check_spectrum", _patch(spectra, "eigenvalues_closed_form",
+                              lambda real: lambda n: real(n)[::-1]),
+     "eigenvalues not distinct increasing at n=3"),
+    ("check_spectrum", _patch(spectra, "eigenpolynomial", lambda real: lambda n, j: (
+        real(n, j).scale(2) if (n, j) == (9, 4) else real(n, j))),
+     "kernel and triangular routes disagree at n=9"),
+    ("check_q_structure", _both_routes_return(1, P([1, 1])),
+     "self-reciprocal sign wrong at (n,j)=(4,1)"),
+    ("check_q_structure", _both_routes_return(2, P([1, -2, 1])),
+     "Q(1) vanishing pattern wrong at (n,j)=(5,2)"),
+    # x^2 - 1 has Q_1's sign and Q(1) = 0, but one degree too many
+    ("check_q_structure", _both_routes_return(1, P([-1, 0, 1])),
+     "middle coefficient nonzero at (n,j)=(4,1)"),
+    # Q_6 is used only by the decreasing check, not by verify_mjnj
+    ("check_limit_polynomials", _patch(spectra, "sigma_system_solve", lambda real: lambda n, j: (
+        real(20 if (n, j) == (80, 6) else n, j))),
+     "|q_1(n) + j(j+1)/2| not decreasing for j=6"),
+    ("check_hyperbolic_interlacing", _patch(narayana, "narayana_poly_direct", lambda real: (
+        lambda n: real(n) + P([0, 0, 1]) if n == 6 else real(n))),
+     "N_6(-1) vanishing parity wrong"),
+    ("check_analytic_identities", _patch(asymptotics, "cdf_kappa",
+                                         lambda real: lambda x: real(x) + x),
+     "kappa' != rho at x=-0.001"),
+    ("check_analytic_identities", _patch(asymptotics, "plemelj_density",
+                                         lambda real: lambda x, eps: 0.5),
+     "plemelj(-1) = 0.5, expected ~0.159154943"),
+    ("check_quotient_limits", _patch(asymptotics, "psi_n",
+                                     lambda real: lambda n, x: real(n if x == 1 else 20, x)),
+     "Psi_n(2) not improving: 0.397"),
+    ("check_quotient_limits", _patch(asymptotics, "theta_n",
+                                     lambda real: lambda n, x: real(n, x) + F(1, 10)),
+     "|Theta_60(1) - 1/2| = 0.108"),
+    ("check_poincare", _patch(asymptotics, "fibonacci_recurrence", lambda real: lambda: (
+        asymptotics.constant_recurrence([F(-1), F(-2), F(1)], [F(1), F(1)]))),
+     "Fibonacci limit 2.414213"),
+    ("check_poincare", _patch(asymptotics, "limit_recurrence_roots",
+                              lambda real: lambda x: [r + 1 for r in real(x)]),
+     "Narayana x=2 limit 5.828"),
+    ("check_poincare", _patch(asymptotics, "poincare_ratio", _classified_as_the_smaller_root),
+     "x=2 estimate classified against the wrong root"),
+    ("check_poincare", _patch(asymptotics, "equimodular_check", lambda real: lambda x: False),
+     "x=-1 should refuse a limit claim (equimodular roots)"),
+    ("check_poincare", _patch(asymptotics, "constant_recurrence", _negated_roots),
+     "dominant-root selection failed for roots 9/2, -2/3"),
+    # C_1 = 1/1000 / (l1 - l2) != 0: the dominant root takes over the C_1 = 0 start
+    ("check_poincare", _patch(asymptotics, "constant_recurrence", lambda real: (
+        lambda char, initial: real(char, [initial[0], initial[1] + F(1, 1000)]))),
+     "C_p selection not exact for root -2/3"),
+], ids=["catalan", "automaton-rows", "eigenvalue-order", "kernel-route", "reciprocal-sign",
+        "q-at-one", "middle-coefficient", "q1-not-decreasing", "parity-at-minus-one",
+        "kappa-derivative", "plemelj", "psi-not-improving", "theta-gap", "fibonacci",
+        "narayana-x2-limit", "x2-classification", "x-1-no-limit", "dominant-root",
+        "c-p-selection"])
+def test_verdict_negative_controls(monkeypatch, check, falsify, detail):
+    """Each remaining verdict of the ten checks fails, and says what failed, when
+    one falsifier breaks the claim it certifies; the detail starts as given."""
+    falsify(monkeypatch)
+    result = getattr(acceptance, check)()
+    assert result.status == "fail"
+    assert result.detail.startswith(detail)

@@ -98,11 +98,17 @@ def test_build_phi_matches_probe_and_interpolate():
         assert build_phi(n).offset == offset
 
 
+def matvec(matrix, v):
+    """matrix v, summed in Fractions from matrix.to_rows(): an oracle that does not
+    read the matrix's integer storage."""
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in matrix.to_rows())
+
+
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
                 min_size=2, max_size=9))
 def test_apply_matches_the_fraction_matvec(c):
     phi = build_phi(len(c) + 1)
-    assert phi.apply(c) == tuple(v + o for v, o in zip(phi.linear.matvec(c), phi.offset))
+    assert phi.apply(c) == tuple(v + o for v, o in zip(matvec(phi.linear, c), phi.offset))
     with pytest.raises(ValueError):
         phi.apply(c + [1])
 
@@ -158,7 +164,7 @@ def test_binomial_direction_fixed_by_linear_part():
     for n in range(3, 9):
         phi = build_phi(n)
         d = [F(binomialish) for binomialish in _binomial_row(n - 2)]
-        image = phi.linear.matvec(d)
+        image = matvec(phi.linear, d)
         assert image == tuple(d)
 
 

@@ -160,6 +160,11 @@ def test_solve_singular():
         solve_linear(RationalMatrix(2, 2, [1, 1, 1, 1]), [1, 1])
 
 
+def _matvec(m, v):
+    """m v, summed in Fractions from m.to_rows()."""
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in m.to_rows())
+
+
 def _leibniz(rows):
     total = F(0)
     for perm in itertools.permutations(range(len(rows))):
@@ -188,7 +193,7 @@ def test_determinant_kernel_solve_agree(entries, rhs):
         assert det == 0
     else:
         assert det != 0
-        assert m.matvec(x) == tuple(rhs)
+        assert _matvec(m, x) == tuple(rhs)
 
 
 def elementary_symmetric_prefix(k, j):
@@ -242,14 +247,27 @@ def test_solve_round_trip(entries, rhs):
         x = solve_linear(m, rhs)
     except SingularMatrixError:
         return
-    assert m.matvec(x) == tuple(F(v) for v in rhs)
+    assert _matvec(m, x) == tuple(F(v) for v in rhs)
 
 
 @given(st.lists(fractions, min_size=6, max_size=6))
 def test_kernel_vectors_annihilate(entries):
     m = RationalMatrix(2, 3, entries)
     for v in kernel(m):
-        assert m.matvec(v) == (F(0), F(0))
+        assert _matvec(m, v) == (F(0), F(0))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(fractions, min_size=n * n, max_size=n * n)),
+       st.integers(-30, 30).filter(bool), fractions)
+def test_matrix_stores_integers_over_one_denominator(entries, k, lam):
+    n = math.isqrt(len(entries))
+    m = RationalMatrix(n, n, entries)
+    assert m.den > 0 and math.gcd(m.den, *m.ints) == 1
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    assert m.to_rows() == rows
+    assert RationalMatrix(n, n, [k * e for e in entries], k) == m  # k A / k
+    assert m.shifted(lam) == RationalMatrix.from_rows(
+        [[e - lam * (i == j) for j, e in enumerate(row)] for i, row in enumerate(rows)])
 
 
 # -- the fraction-free elimination against a rational Gauss-Jordan oracle ----
@@ -312,7 +330,8 @@ def rational_matrices(draw):
 @example([[1, 1, 0], [0, 0, 1], [2, 2, 1]], [0] * 6)  # rank 2, a skipped column
 def test_fraction_free_rref_matches_rational_oracle(rows, rhs):
     red, piv_cols, _ = _oracle_rref(rows)
-    assert _rref([[F(v) for v in row] for row in rows])[:2] == (red, piv_cols)
+    ints, got_cols, d, _ = _rref(RationalMatrix.from_rows(rows).int_rows())
+    assert ([[F(x, d) for x in row] for row in ints], got_cols) == (red, piv_cols)
     assert kernel(RationalMatrix.from_rows(rows)) == _oracle_kernel(rows)
     n = min(len(rows), len(rows[0]))  # the leading square block
     square = RationalMatrix.from_rows([row[:n] for row in rows[:n]])

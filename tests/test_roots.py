@@ -287,6 +287,16 @@ def test_poly_gcd():
     assert poly_gcd(n4, n5) == P.x()
     assert poly_gcd(P([-1, 0, 1]), P([-1, 1])) == P([-1, 1])
     assert poly_gcd(P([1, 2, 1]), P([1, 1])) == P([1, 1])
+    # gcd(p, 0) is p made monic, and gcd(0, 0) is 0
+    assert poly_gcd(P.zero(), P([2, 4])) == P([F(1, 2), 1])
+    assert poly_gcd(P([3, 0, 6]), P.zero()) == P([F(1, 2), 0, 1])
+    assert poly_gcd(P.zero(), P.zero()) == P.zero()
+
+
+def test_nonroot_split_walks_odd_offsets_past_roots():
+    # (2x-1)(3x-1)(3x-2) vanishes at the midpoint 1/2 of (0, 1) and at both offsets 1/3, 2/3
+    poly = roots._int_poly(P([-1, 2]) * P([-1, 3]) * P([-2, 3]))
+    assert roots._find_nonroot_split(poly, F(0), F(1)) == F(1, 5)
 
 
 def test_census_helpers():

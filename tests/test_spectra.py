@@ -142,6 +142,15 @@ def _below_diagonal_perturbed(real):
     return build_phi
 
 
+def _taylor_shift_entry_perturbed(real):
+    def taylor_shift(w):
+        out = real(w)
+        if len(out) == 6:  # T^-1[3][1] = C(4, 2) + 1 at n = 7
+            out[3] += w[1]
+        return out
+    return taylor_shift
+
+
 def _stirling_entry_perturbed(real):
     def closed_form_b(n):
         b = real(n)
@@ -156,7 +165,7 @@ def _stirling_entry_perturbed(real):
     (spectra, "eigenvalues_closed_form",
      lambda real: lambda n: real(n)[:-1] + [real(n)[-1] + F(1, 1000)],
      r"^eigenvector 6 proposed by the closed-form B fails A v = lambda_\(6,7\) v$"),
-    (spectra, "binomial", lambda real: lambda n, k: real(n, k) + ((n, k) == (4, 2)),
+    (spectra, "_taylor_shift", _taylor_shift_entry_perturbed,
      r"^eigenvector 2 proposed by the closed-form B fails A v = lambda_\(2,7\) v$"),
     (spectra, "_closed_form_b", _stirling_entry_perturbed,
      r"^eigenvector 4 proposed by the closed-form B fails A v = lambda_\(4,7\) v$"),
