@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import frexp, isfinite
+from math import frexp, isfinite, lcm
 from typing import Sequence
 
 from .exactpoly import RationalPoly, _clear_denominators, _derivative, _primitive, _pseudo_divmod
@@ -83,10 +83,9 @@ def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, chain))
 
 
-def _horner(c: Sequence[int], x: Fraction) -> int:
-    """den^deg(c) * c(num/den) for x = num/den, by homogenized Horner; a
+def _horner(c: Sequence[int], num: int, den: int) -> int:
+    """den^deg(c) * c(num/den) for den > 0, by homogenized Horner; a
     power-of-two den shifts the coefficients instead of multiplying them."""
-    num, den = x.numerator, x.denominator
     d = len(c) - 1
     acc = c[-1]
     if den & (den - 1) == 0:
@@ -103,7 +102,7 @@ def _horner(c: Sequence[int], x: Fraction) -> int:
 
 def _eval_sign(c: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial at a rational point."""
-    return _sign(_horner(c, x))
+    return _sign(_horner(c, x.numerator, x.denominator))
 
 
 def _variations(signs) -> int:
@@ -176,7 +175,7 @@ class RootIsolation:
     SIGN_CHANGES (`certify_roots`). On both, `certificates[i]` holds the
     endpoint signs (sign s(lo), sign s(hi)) of interval i, opposite, where
     s is the squarefree part whose integer coefficients `_sqfree` holds;
-    `refine` bisects on s from those signs.
+    `refine` narrows on s from those signs.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -189,52 +188,74 @@ class RootIsolation:
         return sum(self.multiplicities)
 
 
-def _find_nonroot_split(poly: list, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point inside (lo, hi), not a root of poly. Tries the midpoint, then
-    nearby dyadic offsets (roots are finite, so this terminates fast)."""
-    mid = (lo + hi) / 2
-    if _eval_sign(poly, mid) != 0:
-        return mid
-    width = hi - lo
-    k = 3
-    while True:
-        for cand in (lo + width / k, hi - width / k):
-            if _eval_sign(poly, cand) != 0:
-                return cand
-        k += 2
+def _grid(sqfree: Sequence[int], pts: list, count: int) -> list:
+    """pts, equally spaced points (x, sign s(x)), with each gap cut into the
+    same power of two of equal cells, at least 4 * count cells in all."""
+    (lo, _), (hi, _) = pts[0], pts[-1]
+    parts = 1
+    while (len(pts) - 1) * parts < 4 * count:
+        parts *= 2
+    cells = (len(pts) - 1) * parts
+    step = (hi - lo) / cells
+    xs = (lo + i * step for i in range(cells + 1))
+    return [pts[i // parts] if i % parts == 0 else (x, _eval_sign(sqfree, x))
+            for i, x in enumerate(xs)]
 
 
-def _isolate(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for all distinct real roots of the chain's polynomial
-    (squarefree or not); no endpoint is a root."""
-    poly = chain.poly
+def _placed(pts: list) -> list:
+    """Disjoint intervals between the points (x, sign s(x)) of pts that each
+    hold a root of s: a strict sign change between neighbours, or a zero of s
+    between nonzero neighbours. pts ends in nonzero points."""
+    out = [(u, v) for u, v in zip(pts, pts[1:]) if u[1] * v[1] < 0]
+    out += [(u, w) for u, v, w in zip(pts, pts[1:], pts[2:]) if not v[1] and u[1] and w[1]]
+    return out
+
+
+def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
+    """((lo, sign s(lo)), (hi, sign s(hi))) for disjoint intervals, one per
+    distinct real root of the chain's polynomial, sorted; s is its
+    squarefree part, nonzero at every endpoint.
+
+    Sturm counts say how many roots an interval holds, and signs of s place
+    them. An interval counting c >= 2 roots with no nonzero sample inside is
+    sampled on a finer grid of the same lattice, which it hands down to its
+    parts; when the samples place c roots (`_placed`), those c intervals
+    hold one root each. Otherwise one Sturm evaluation at the nonzero sample
+    nearest its middle splits it. From a dyadic (-t, t), every interval is
+    then a dyadic cell, or two cells around a root at a sample.
+    """
     total = chain.total_real_roots()
     if total == 0:
         return []
-    bound = cauchy_bound(RationalPoly(poly))
+    bound = cauchy_bound(RationalPoly(chain.poly))
     t = Fraction(1)
     while True:
         if t >= bound:
             t = bound  # roots are strictly inside (-B, B), so +-B are safe
-        if _eval_sign(poly, -t) != 0 and _eval_sign(poly, t) != 0:
+        slo, shi = _eval_sign(sqfree, -t), _eval_sign(sqfree, t)
+        if slo and shi:
             vlo, vhi = chain.variations_at(-t), chain.variations_at(t)
             if vlo - vhi == total:
                 break
         t *= 2
     out = []
-    stack = [(-t, t, vlo, vhi)]
+    stack = [([(-t, slo), (t, shi)], vlo, vhi)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        cnt = vlo - vhi
-        if cnt == 0:
+        pts, vlo, vhi = stack.pop()
+        count = vlo - vhi
+        if count == 0:
             continue
-        if cnt == 1:
-            out.append((lo, hi))
+        if count > 1 and not any(s for _, s in pts[1:-1]):
+            pts = _grid(sqfree, pts, count)
+        placed = _placed(pts)
+        if len(placed) == count:
+            out.extend(placed)
             continue
-        mid = _find_nonroot_split(poly, lo, hi)
-        vmid = chain.variations_at(mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
+        i = min((i for i in range(1, len(pts) - 1) if pts[i][1]),
+                key=lambda i: abs(2 * i - len(pts) + 1))  # pts are equally spaced
+        vmid = chain.variations_at(pts[i][0])
+        stack.append((pts[:i + 1], vlo, vmid))
+        stack.append((pts[i:], vmid, vhi))
     out.sort()
     return out
 
@@ -247,28 +268,31 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     root of G_0 .. G_{m-1}. No isolating endpoint is a root of p, hence of
     any G_k, so each tower count on an isolating interval is exact. Each
     interval's certificate is the pair of opposite signs of the squarefree
-    part at its endpoints, as on `certify_roots`'s path.
+    part p / G_1 at its endpoints, as on `certify_roots`'s path.
     """
     ip = _int_poly(p)
     chain = SturmChain(ip)
-    iso = _isolate(chain)
+    _, q, r = _pseudo_divmod(ip, chain.polys[-1])
+    if r != [0]:
+        raise AssertionError("the last chain member does not divide the polynomial")
+    sqfree = _primitive(q, _sign(q[-1]))
+    iso = _isolate(chain, sqfree)
+    intervals = tuple((lo, hi) for (lo, _), (hi, _) in iso)
+    signs = tuple((slo, shi) for (_, slo), (_, shi) in iso)
+    if any(slo * shi >= 0 for slo, shi in signs):
+        raise AssertionError("squarefree part does not change sign across an isolating interval")
     tower = []
     g = chain.polys[-1]
     while len(g) > 1:
         tower.append(SturmChain(g))
         g = tower[-1].polys[-1]
     mults = []
-    for lo, hi in iso:
+    for lo, hi in intervals:
         counts = [1] + [level.count(lo, hi) for level in tower]
         if any(c not in (0, 1) for c in counts) or counts != sorted(counts, reverse=True):
             raise AssertionError(f"gcd tower counts {counts} on ({lo}, {hi}]")
         mults.append(sum(counts))
-    sqfree = (_int_poly(RationalPoly(ip).exact_divide(RationalPoly(chain.polys[-1])))
-              if tower else ip)
-    signs = tuple((_eval_sign(sqfree, lo), _eval_sign(sqfree, hi)) for lo, hi in iso)
-    if any(slo * shi >= 0 for slo, shi in signs):
-        raise AssertionError("squarefree part does not change sign across an isolating interval")
-    return RootIsolation(tuple(iso), tuple(mults), signs, tuple(sqfree), STURM)
+    return RootIsolation(intervals, tuple(mults), signs, tuple(sqfree), STURM)
 
 
 def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation | None:
@@ -306,9 +330,28 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
                          SIGN_CHANGES)
 
 
+def _secant(fa: int, fb: int, cells: int) -> int:
+    """The point of 0..cells nearest to where the chord from (0, fa) to
+    (cells, fb) meets zero; fa and fb have opposite signs."""
+    num, den = cells * fa, fa - fb
+    if den < 0:
+        num, den = -num, -den
+    return (2 * num + den) // (2 * den)
+
+
 def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect isolating interval `index` below width `tol` (exact signs only),
-    starting from the endpoint signs its certificate holds."""
+    """Isolating interval `index` narrowed below width `tol` (exact signs
+    only), starting from the endpoint signs its certificate holds.
+
+    The result is bisection's: the cell of the first grid of 2^k equal cells
+    of the interval that are at most tol wide, or r -+ tol/2 when a point r
+    of that grid is the root. It is found by quadratic interval refinement
+    (Abbott 2006) on integer indices of that grid. Once refine has computed
+    values at both ends of the bracket, a secant through them proposes a
+    point on a grid of 2^bits cells of the bracket, and signs there and at
+    one neighbour either shrink the bracket to one such cell (bits doubles)
+    or not (bits halves). Before that, the bracket is bisected.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = iso.intervals[index]
@@ -316,17 +359,47 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
     slo, shi = iso.certificates[index]
     if not slo * shi < 0:
         raise AssertionError("isolating interval must bracket a simple root")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        sm = _eval_sign(poly, mid)
-        if sm == 0:
-            # mid is the only root in (lo, hi), and hi - lo > tol
-            return mid - tol / 2, mid + tol / 2
-        elif sm == slo:
-            lo = mid
+    width = hi - lo
+    n, d = (width / tol).as_integer_ratio()
+    k = 0
+    while n > d << k:
+        k += 1
+    # grid point j is (base + j * step) / den, for j in 0 .. 2^k
+    den = lcm(lo.denominator, width.denominator)
+    base = lo.numerator * (den // lo.denominator) << k
+    step = width.numerator * (den // width.denominator)
+    den <<= k
+    a, b = 0, 1 << k
+    fa = fb = None  # den^deg * s at a and b, once refine has evaluated them
+
+    def narrow(j):
+        """Evaluate s at grid point j: the point itself if it is the root,
+        else None, with the bracket narrowed to the side that holds it."""
+        nonlocal a, b, fa, fb
+        fj = _horner(poly, base + j * step, den)
+        if fj == 0:
+            return Fraction(base + j * step, den)
+        if _sign(fj) == slo:
+            a, fa = j, fj
         else:
-            hi = mid
-    return lo, hi
+            b, fb = j, fj
+        return None
+
+    bits = 2
+    while b - a > 1:
+        if fa is None or fb is None:
+            root = narrow((a + b) // 2)
+        else:
+            cell = max(1, (b - a) >> bits)
+            m = min(max(a + cell * _secant(fa, fb, (b - a) // cell), a + 1), b - 1)
+            root = narrow(m)
+            if root is None and b - a > cell:
+                root = narrow(a + cell if a == m else b - cell)
+            bits = bits * 2 if b - a <= cell else max(1, bits // 2)
+        if root is not None:
+            # what bisection returns once the root r is its midpoint
+            return root - tol / 2, root + tol / 2
+    return Fraction(base + a * step, den), Fraction(base + b * step, den)
 
 
 def refined_roots(iso: RootIsolation) -> list[float]:

@@ -137,15 +137,122 @@ def test_certify_roots_negative_controls(p, proposals):
 
 
 DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
+CLOSE_PAIR = P([F(-1, 3), 1]) * P([-F(1, 3) - F(1, 2**30), 1])  # both roots in one grid cell
 
 
-@pytest.mark.parametrize("p", [DOUBLED, narayana_poly_direct(12)], ids=["doubled", "N_12"])
-def test_isolation_certificates_are_opposite_endpoint_signs(p):
+def _assert_isolation_certified(p):
+    """Each interval holds one distinct root of p (Sturm) and carries the
+    opposite signs of the squarefree part at its ends."""
     iso = isolate_roots(p)
     assert iso.path == STURM
+    assert len(iso.intervals) == distinct_real_roots(p)
     for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
+        assert sturm_count(p, lo, hi) == 1
         assert (slo, shi) == (roots._eval_sign(iso._sqfree, lo), roots._eval_sign(iso._sqfree, hi))
         assert slo * shi < 0
+
+
+@pytest.mark.parametrize(
+    "p", [DOUBLED, CLOSE_PAIR] + [narayana_poly_direct(n) for n in range(1, 61)],
+    ids=["doubled", "close-pair"] + [f"N_{n}" for n in range(1, 61)])
+def test_isolation_certificates_are_opposite_endpoint_signs(p):
+    _assert_isolation_certified(p)
+
+
+_DYADIC = st.integers(min_value=-64, max_value=64).map(lambda k: F(k, 16))
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _rooted(draw):
+    """(p, s, roots): s a product of distinct rational linear factors, dyadic
+    roots included, and p = s times repeats of some of them and perhaps the
+    irreducible x^2 + x + 1."""
+    rs = draw(st.lists(st.one_of(_DYADIC, _RATIONAL), min_size=1, max_size=7, unique=True))
+    s = P([draw(st.sampled_from([1, -1, 3, F(-2, 5)]))])
+    for r in rs:
+        s = s * P([-r, 1])
+    p = s
+    for r in draw(st.lists(st.sampled_from(rs), max_size=3)):
+        p = p * P([-r, 1])
+    if draw(st.booleans()):
+        p = p * P([1, 1, 1])
+    return p, s, rs
+
+
+@given(case=_rooted())
+def test_isolation_certificates_on_rational_roots(case):
+    p, _, _ = case
+    _assert_isolation_certified(p)
+
+
+def test_close_roots_are_split_by_sturm_after_sampling(monkeypatch):
+    points = []
+    real = roots.SturmChain.variations_at
+
+    def recording(chain, x):
+        points.append(x)
+        return real(chain, x)
+
+    monkeypatch.setattr(roots.SturmChain, "variations_at", recording)
+    iso = isolate_roots(CLOSE_PAIR)
+    assert len(iso.intervals) == 2
+    assert any(abs(x) != 1 for x in points)  # not just the +-t bound search
+
+
+def _bisect(iso, index, tol):
+    """refine's specification: bisect from the certified endpoint signs."""
+    lo, hi = iso.intervals[index]
+    slo, _ = iso.certificates[index]
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        sign = roots._eval_sign(iso._sqfree, mid)
+        if sign == 0:
+            return mid - tol / 2, mid + tol / 2
+        lo, hi = (mid, hi) if sign == slo else (lo, mid)
+    return lo, hi
+
+
+REFINE_TOLS = (TOL40, F(1, 10**6), F(3, 2**20))
+
+
+def _assert_refine_is_bisection(iso):
+    for i in range(len(iso.intervals)):
+        for tol in REFINE_TOLS:
+            assert refine(iso, i, tol) == _bisect(iso, i, tol)
+
+
+@given(case=_rooted())
+def test_refine_matches_bisection_on_rational_roots(case):
+    p, s, rs = case
+    _assert_refine_is_bisection(isolate_roots(p))
+    signs = certify_roots(s, [float(r) for r in rs])
+    assert signs is not None and signs.path == SIGN_CHANGES
+    _assert_refine_is_bisection(signs)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_refine_matches_bisection_on_narayana(n):
+    p = narayana_poly_direct(n)
+    sturm = isolate_roots(p)
+    signs = certify_roots(p, asymptotics._lobatto_proposals(n))
+    assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
+    for iso in (sturm, signs):
+        _assert_refine_is_bisection(iso)
+
+
+@pytest.mark.parametrize("bad", [0, -7, 1, 10**9], ids=["left-end", "outside", "one", "far"])
+def test_refine_ignores_a_bad_secant_proposal(monkeypatch, bad):
+    isos = [isolate_roots(DOUBLED), isolate_roots(narayana_poly_direct(17)),
+            certify_roots(narayana_poly_direct(30), asymptotics._lobatto_proposals(30))]
+
+    def refine_all():
+        return [refine(iso, i, tol) for iso in isos
+                for i in range(len(iso.intervals)) for tol in REFINE_TOLS]
+
+    want = refine_all()
+    monkeypatch.setattr(roots, "_secant", lambda fa, fb, cells: bad)
+    assert refine_all() == want
 
 
 def test_refine_on_sturm_path_requires_a_sign_change():
@@ -162,17 +269,18 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
     signs = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
     assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
     evaluated = []
-    real = roots._eval_sign
+    real = roots._horner
 
-    def counting(c, x):
-        evaluated.append(x)
-        return real(c, x)
+    def counting(c, num, den):
+        evaluated.append(F(num, den))
+        return real(c, num, den)
 
-    monkeypatch.setattr(roots, "_eval_sign", counting)
+    # every exact evaluation goes through _horner; the secant reads its values
+    monkeypatch.setattr(roots, "_horner", counting)
     for iso in (sturm, signs):
         evaluated.clear()
         refined_roots(iso)
-        assert evaluated  # the bisection's own midpoints
+        assert evaluated  # refine's own grid points
         assert not {x for interval in iso.intervals for x in interval} & set(evaluated)
 
 
@@ -291,12 +399,6 @@ def test_poly_gcd():
     assert poly_gcd(P.zero(), P([2, 4])) == P([F(1, 2), 1])
     assert poly_gcd(P([3, 0, 6]), P.zero()) == P([F(1, 2), 0, 1])
     assert poly_gcd(P.zero(), P.zero()) == P.zero()
-
-
-def test_nonroot_split_walks_odd_offsets_past_roots():
-    # (2x-1)(3x-1)(3x-2) vanishes at the midpoint 1/2 of (0, 1) and at both offsets 1/3, 2/3
-    poly = roots._int_poly(P([-1, 2]) * P([-1, 3]) * P([-2, 3]))
-    assert roots._find_nonroot_split(poly, F(0), F(1)) == F(1, 5)
 
 
 def test_census_helpers():
