@@ -44,7 +44,6 @@ from .roots import (
     poly_gcd,
     refine,
     roots_float,
-    sturm_count,
 )
 from .asymptotics import (
     RecurrenceSpec,

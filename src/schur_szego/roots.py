@@ -31,10 +31,6 @@ _REFINE_WIDTH = Fraction(1, 2**40)  # bracket width behind refined_roots and roo
 _WIDENINGS = 6  # eightfold each, so a bracket grows at most 2^18-fold
 
 
-class EndpointRootError(ValueError):
-    """A Sturm count endpoint is a root; perturb it rationally and retry."""
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial layer (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
@@ -122,9 +118,11 @@ def _cauchy_index(polys: Sequence[Sequence[int]]) -> int:
 class SturmChain:
     """Sign-faithful remainder chain of (p, p') on integer coefficients.
 
-    Counts *distinct* real roots of p in half-open intervals; works for
+    For non-roots a < b of p, variations_at(a) - variations_at(b) is the
+    number of *distinct* real roots of p in (a, b); this holds for
     non-squarefree p too (the trailing gcd scales the whole sign sequence
-    at non-root points, leaving variation counts intact).
+    at non-root points, leaving variation counts intact). Its last member
+    is gcd(p, p').
     """
 
     def __init__(self, int_coeffs: Sequence[int]):
@@ -132,28 +130,12 @@ class SturmChain:
         self.polys = (tuple(p),) if len(p) == 1 else _int_prs(p, _derivative(p))
         self.poly = p
 
-    def is_squarefree(self) -> bool:
-        return len(self.poly) == 1 or len(self.polys[-1]) == 1
-
     def variations_at(self, x: Fraction) -> int:
         return _variations([_eval_sign(c, x) for c in self.polys])
 
     def total_real_roots(self) -> int:
         """Number of distinct real roots (the Cauchy index of p'/p)."""
         return _cauchy_index(self.polys)
-
-    def count(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in (lo, hi]; endpoints must not be roots of p."""
-        if lo >= hi:
-            raise ValueError("need lo < hi")
-        if _eval_sign(self.poly, lo) == 0 or _eval_sign(self.poly, hi) == 0:
-            raise EndpointRootError("interval endpoint is a root")
-        return self.variations_at(lo) - self.variations_at(hi)
-
-
-def sturm_count(p: RationalPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in (lo, hi], certified by a Sturm chain."""
-    return SturmChain(_int_poly(p)).count(Fraction(lo), Fraction(hi))
 
 
 def cauchy_bound(p: RationalPoly) -> Fraction:
@@ -263,12 +245,16 @@ def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
 def isolate_roots(p: RationalPoly) -> RootIsolation:
     """Certified isolation of all distinct real roots, with multiplicities.
 
-    Multiplicities come from the gcd tower G_0 = p, G_{k+1} = gcd(G_k, G_k')
-    (the last member of G_k's chain): a root has multiplicity m iff it is a
-    root of G_0 .. G_{m-1}. No isolating endpoint is a root of p, hence of
-    any G_k, so each tower count on an isolating interval is exact. Each
-    interval's certificate is the pair of opposite signs of the squarefree
-    part p / G_1 at its endpoints, as on `certify_roots`'s path.
+    Multiplicities come from the signs of the gcd tower G_0 = p,
+    G_{k+1} = gcd(G_k, G_k') (the last member of G_k's chain) at the
+    endpoints of each isolating interval:
+    - the interval holds one distinct root r of p, of multiplicity m;
+    - G_k divides p, so r is its only possible root there, of order max(m - k, 0);
+    - no endpoint is a root of p, so G_k is nonzero at both;
+    - so G_k changes sign across it iff that order is odd: k = m-1, m-3, ...;
+    - hence m = 1 + the largest k at which G_k changes sign.
+    Each interval's certificate is the pair of opposite signs of the
+    squarefree part p / G_1 at its endpoints, as on `certify_roots`'s path.
     """
     ip = _int_poly(p)
     chain = SturmChain(ip)
@@ -281,17 +267,18 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     signs = tuple((slo, shi) for (_, slo), (_, shi) in iso)
     if any(slo * shi >= 0 for slo, shi in signs):
         raise AssertionError("squarefree part does not change sign across an isolating interval")
-    tower = []
+    tower = [ip]
     g = chain.polys[-1]
     while len(g) > 1:
-        tower.append(SturmChain(g))
-        g = tower[-1].polys[-1]
+        tower.append(g)
+        g = SturmChain(g).polys[-1]
     mults = []
     for lo, hi in intervals:
-        counts = [1] + [level.count(lo, hi) for level in tower]
-        if any(c not in (0, 1) for c in counts) or counts != sorted(counts, reverse=True):
-            raise AssertionError(f"gcd tower counts {counts} on ({lo}, {hi}]")
-        mults.append(sum(counts))
+        odd = [_eval_sign(g, lo) * _eval_sign(g, hi) < 0 for g in tower]
+        m = 1 + max((k for k, o in enumerate(odd) if o), default=-1)
+        if m == 0 or odd != [k < m and (m - 1 - k) % 2 == 0 for k in range(len(odd))]:
+            raise AssertionError(f"gcd tower sign changes {odd} across ({lo}, {hi})")
+        mults.append(m)
     return RootIsolation(intervals, tuple(mults), signs, tuple(sqfree), STURM)
 
 
@@ -460,8 +447,8 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     with the same sign exactly when p changes sign between consecutive
     ones; so |Ind(p/q)| = deg q iff q has deg q simple real roots with one
     root of p strictly between each neighbouring pair. Otherwise p and q
-    share a root: FAIL unless both are squarefree and hyperbolic, in which
-    case COMMON_ROOT.
+    share a root: FAIL unless each has as many distinct real roots as its
+    degree (so is squarefree and hyperbolic), in which case COMMON_ROOT.
     """
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
@@ -474,7 +461,6 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     # q first: a non-squarefree q fails without building p's chain, and when
     # p is a nonzero multiple of q', q's chain is prs, which the memo holds
     for operand in (q, p):
-        chain = SturmChain(_int_poly(operand))
-        if not chain.is_squarefree() or chain.total_real_roots() != operand.degree:
+        if distinct_real_roots(operand) != operand.degree:
             return FAIL
     return COMMON_ROOT

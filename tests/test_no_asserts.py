@@ -3,8 +3,9 @@
 Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
 took peak RSS from 17 to 29 MB). The choice between the exact and the
-binary64 route is made in one place, `asymptotics._exact`, and the content of
-a coefficient vector is taken in one place, `exactpoly._primitive`. A
+binary64 route is made in one place, `asymptotics._exact`, the content of a
+coefficient vector is taken in one place, `exactpoly._primitive`, and a Sturm
+chain is evaluated at a point only to isolate roots, in `roots._isolate`. A
 falsified claim raises the one `exactpoly.TheoremViolation`; every other
 exception class the package defines is an input or domain error.
 """
@@ -80,6 +81,23 @@ def test_one_content_kernel():
     assert len(inside) == 1
 
 
+def _is_variations_call(node):
+    """A `….variations_at(…)` call: a Sturm chain evaluated at a point."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "variations_at")
+
+
+def test_sturm_evaluation_only_in_isolation():
+    inside = set()
+    for where, node in _nodes():
+        if where.startswith("roots.py:") and isinstance(node, ast.FunctionDef) \
+                and node.name == "_isolate":
+            inside |= {f"roots.py:{n.lineno}" for n in ast.walk(node) if _is_variations_call(n)}
+    found = {where for where, node in _nodes() if _is_variations_call(node)}
+    assert sorted(found - inside) == []
+    assert inside
+
+
 def test_one_violation_class_beside_the_input_and_domain_errors():
     found = set()
     for info in pkgutil.iter_modules(schur_szego.__path__):
@@ -88,7 +106,7 @@ def test_one_violation_class_beside_the_input_and_domain_errors():
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == module.__name__}
     assert found == {"TheoremViolation", "NotDivisibleError", "SingularMatrixError",
-                     "DegreeOverflowError", "NotInDomainError", "EndpointRootError",
-                     "PoleError", "BranchCutError", "RatioPoleError", "UsageError"}
+                     "DegreeOverflowError", "NotInDomainError", "PoleError",
+                     "BranchCutError", "RatioPoleError", "UsageError"}
     # not a ValueError or an ArithmeticError, so no input or domain handler swallows it
     assert schur_szego.exactpoly.TheoremViolation.__bases__ == (Exception,)

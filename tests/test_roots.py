@@ -16,7 +16,7 @@ from schur_szego.roots import (
     SIGN_CHANGES,
     STRICT_INTERLACE,
     STURM,
-    EndpointRootError,
+    SturmChain,
     cauchy_bound,
     certify_roots,
     distinct_real_roots,
@@ -27,7 +27,6 @@ from schur_szego.roots import (
     refine,
     refined_roots,
     roots_float,
-    sturm_count,
 )
 from schur_szego.spectra import spectrum_report
 
@@ -35,15 +34,19 @@ P = RationalPoly
 TOL40 = F(1, 2**40)
 
 
+def sturm_count(p, lo, hi):
+    """Distinct real roots of p in (lo, hi], by the chain evaluations that
+    `_isolate` counts with; certified only at non-root endpoints lo < hi."""
+    lo, hi = F(lo), F(hi)
+    chain = SturmChain(roots._int_poly(p))
+    assert lo < hi and roots._eval_sign(chain.poly, lo) and roots._eval_sign(chain.poly, hi)
+    return chain.variations_at(lo) - chain.variations_at(hi)
+
+
 def test_sturm_count_examples():
     assert sturm_count(P([1, 5, 1]), F(-5), F(0)) == 2
     assert sturm_count(P([1, 0, 1]), F(-10), F(10)) == 0
     assert sturm_count(P([1, -3, 1]), F(0), F(3)) == 2
-
-
-def test_sturm_count_endpoint_root():
-    with pytest.raises(EndpointRootError):
-        sturm_count(P([-1, 0, 1]), F(1), F(2))
 
 
 def test_sturm_count_multiple_roots_counted_once():
@@ -285,7 +288,7 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
 
 
 @pytest.mark.parametrize("question", [
-    lambda p: sturm_count(p, -1, 1), isolate_roots, lambda p: certify_roots(p, []),
+    isolate_roots, lambda p: certify_roots(p, []),
     distinct_real_roots, is_hyperbolic, lambda p: interlace_check(p, p),
 ])
 def test_zero_polynomial_rejected(question):
@@ -437,23 +440,38 @@ def test_narayana_roots_closed_under_reciprocal():
             assert sturm_count(over_x, 1 / hi, 1 / lo) == 1
 
 
-@given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4),
-       st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
-def test_isolation_recovers_known_roots(root_values, mults):
-    # build a polynomial with known integer roots and multiplicities
-    roots_known = sorted(set(root_values))
+@given(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4),
+       st.booleans())
+def test_isolation_recovers_known_roots(root_values, mults, complex_pair):
+    # build a polynomial with known rational roots and multiplicities, perhaps
+    # times the irreducible x^2 + x + 1, which changes no multiplicity
+    roots_known = sorted(root_values)
     mults = (mults * len(roots_known))[:len(roots_known)]
-    poly = P([1])
+    poly = P([1, 1, 1]) if complex_pair else P([1])
     for r, m in zip(roots_known, mults):
         for _ in range(m):
-            poly = poly * P([-r, 1])
+            poly = poly * P([-r.numerator, r.denominator])
     iso = isolate_roots(poly)
     assert len(iso.intervals) == len(roots_known)
     assert list(iso.multiplicities) == list(mults)
     for (lo, hi), r in zip(iso.intervals, roots_known):
         assert lo < r < hi
-    assert is_hyperbolic(poly)
+    assert is_hyperbolic(poly) == (not complex_pair)
     assert not is_hyperbolic(poly * P([1, 0, 1]))
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    (P([-1, 0, 1]), F(1, 2), F(1)),  # x^2 - 1: the root 1 is an endpoint
+    (P([-1, 1]) * P([-2, 1]) * P([-2, 1]), F(0), F(3)),  # roots 1 and 2 (double) inside
+    (P([-1, 0, 1]), F(2), F(3)),  # no root inside
+], ids=["endpoint-root", "two-roots", "no-root"])
+def test_tower_signs_reject_a_broken_isolation(monkeypatch, p, lo, hi):
+    # an isolation that claims opposite squarefree signs at (lo, hi) whatever p does there
+    monkeypatch.setattr(roots, "_isolate", lambda chain, sqfree: [((lo, -1), (hi, 1))])
+    with pytest.raises(AssertionError, match="gcd tower sign changes"):
+        isolate_roots(p)
 
 
 def test_remainder_sequences_per_question(monkeypatch):
