@@ -12,13 +12,20 @@ gives, for each index j,
     p_j * C(n,j)^(n-2) = sum_nu C(n-1,j-1)^(n-1-nu) * C(n-1,j)^nu * sigma_nu
 
 (sigma_0 = 1). P = (x+1)(x^{n-1} + c_1 x^{n-2} + ... + c_{n-1}) has
-p_j = c_{n-1-j} + c_{n-j} (c_0 = 1, c_n = 0), so rows j = 0..n-2 are linear
-in sigma and c together. They are written as one integer matrix
-[sigma | c | 1] and reduced once by fraction-free elimination, which leaves
-sigma = A c + b. The sigma block is nonsingular: the j = 0 row isolates
-sigma_{n-1}, and rows j = 1..n-2, after scaling by C(n-1,j-1)^(n-1), form a
-Vandermonde system in the distinct nodes t_j = (n-j)/j. The remaining
-identities (j = n-1, n) are verified, not assumed.
+p_j = c_{n-1-j} + c_{n-j} (c_0 = 1, c_n = 0). Row j = 0 reads
+sigma_{n-1} = c_{n-1}. With a = C(n-1,j-1) and b = C(n-1,j), row j >= 1
+divided by a^(n-1) t_j, where t_j = b/a = (n-j)/j, reads R(t_j) = y_j for
+R(t) = sum_{i<n-2} sigma_{i+1} t^i and
+
+    y_j = (C(n,j)^(n-2) (c_{n-1-j} + c_{n-j}) - a^(n-1) - b^(n-1) c_{n-1}) / (a^(n-2) b),
+
+which is affine in c. The nodes t_j are pairwise distinct, so R is the
+Lagrange interpolant of the y_j; no elimination runs. Its basis is integer:
+q_j = prod_{k != j} (k t - (n-k)) is the master product divided exactly by
+j t - (n-j), and L_j = j^(n-3) q_j / h_j with
+h_j = j^(n-3) q_j(t_j) = (-1)^(j-1) n^(n-3) (j-1)! (n-2-j)!, which is checked.
+Each column of [A | b] is a short integer combination of the q_j over one
+denominator. The remaining identities (j = n-1, n) are verified, not assumed.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _clear_denominators,
-                        _primitive, _rref, binomial)
+                        _combine, _lagrange_basis, binomial)
 
 INFINITY = math.inf
 
@@ -102,25 +109,35 @@ def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: 
 
 @lru_cache(maxsize=None)
 def build_phi(n: int) -> AffineMapQ:
-    """Construct Phi_n exactly by one fraction-free elimination of the
-    coefficient identities j = 0..n-2 (see the module docstring)."""
+    """Construct Phi_n exactly from the integer Lagrange basis of the nodes
+    t_j = (n-j)/j of the coefficient identities j = 1..n-2 (see the module
+    docstring)."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    # columns: sigma_1..sigma_{n-1}, then c_k at n-2+k, then the constant
-    rows = []
-    for j in range(n - 1):
-        a, b, s = binomial(n - 1, j - 1), binomial(n - 1, j), binomial(n, j) ** (n - 2)
-        row = [a ** (n - 1 - nu) * b ** nu for nu in range(1, n)] + [0] * (n - 1) + [-a ** (n - 1)]
-        row[2 * n - 3 - j] = s  # p_j = c_{n-1-j} + c_{n-j}, with c_n = 0
-        if j:
-            row[2 * n - 2 - j] = s
-        rows.append(_primitive(row))
-    m, piv_cols, d, _ = _rref(rows)
-    if piv_cols != list(range(n - 1)):
+    m = n - 2
+    basis = _lagrange_basis([(j, n - j) for j in range(1, n - 1)])
+    if any(h == 0 for _, h in basis):
         raise TheoremViolation("identities j = 0..n-2 do not determine sigma")
-    # rows / d is the reduced [I | A | b]
-    linear = RationalMatrix(n - 1, n - 1, [x for r in m for x in r[n - 1:2 * n - 2]], d)
-    return AffineMapQ(linear, tuple(Fraction(r[2 * n - 2], d) for r in m))
+    cols: list[list[tuple[Fraction, list[int]]]] = [[] for _ in range(n - 1)]  # [k-1]: c_k
+    const = []
+    for j, (q, h) in enumerate(basis, 1):
+        if h != (-1) ** (j - 1) * n ** (m - 1) * math.factorial(j - 1) * math.factorial(m - j):
+            raise AssertionError(f"q_{j}(t_{j}) differs from its closed form")
+        a, b = binomial(n - 1, j - 1), binomial(n - 1, j)
+        # y_j L_j = (C(n,j)^(n-2) (c_{n-1-j} + c_{n-j}) - a^(n-1) - b^(n-1) c_{n-1}) e q_j
+        e = Fraction(j ** (m - 1), a ** m * b * h)
+        w = binomial(n, j) ** m * e
+        cols[n - 2 - j].append((w, q))
+        cols[n - 1 - j].append((w, q))
+        cols[n - 2].append((-b ** (n - 1) * e, q))
+        const.append((-a ** (n - 1) * e, q))
+    # rows sigma_1..sigma_{n-2} from R's coefficients, then sigma_{n-1} = c_{n-1}
+    combined = [_combine(terms, m) for terms in cols]
+    den = math.lcm(*(d for _, d in combined))
+    ints = [v[i] * (den // d) for i in range(m) for v, d in combined] + [0] * m + [den]
+    b_ints, b_den = _combine(const, m)
+    return AffineMapQ(RationalMatrix(n - 1, n - 1, ints, den),
+                      tuple(Fraction(x, b_den) for x in b_ints) + (Fraction(0),))
 
 
 def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:

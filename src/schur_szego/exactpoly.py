@@ -7,8 +7,11 @@ job has one kernel here for the whole package: clearing denominators, content,
 trim, derivative, integer pseudo-division (RationalPoly.divmod, the remainder
 sequences in roots) and a generic Horner (RationalPoly.__call__, the binary64
 quotients in asymptotics). One fraction-free (Bareiss) Gauss-Jordan reduction,
-_rref, serves kernel, solve_linear and RationalMatrix.determinant. Floats stay
-out, save the binary64 error estimate that neville_zero returns.
+_rref, serves kernel, solve_linear and RationalMatrix.determinant. One integer
+Lagrange basis, _lagrange_basis (exact synthetic division of the product of
+the nodes' linear factors), serves interpolate and css.build_phi, and _combine
+sums it with rational weights over one denominator. Floats stay out, save the
+binary64 error estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -255,20 +258,58 @@ class RationalPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _divide_linear(f: Sequence[int], u: int, v: int) -> list[int]:
+    """f / (u t - v) over Z[t] by synthetic division, constant term first;
+    raises AssertionError unless the division is exact."""
+    q = [0] * (len(f) - 1)
+    r = f[-1]
+    for i in range(len(f) - 2, -1, -1):
+        q[i], rem = divmod(r, u)
+        if rem:
+            raise AssertionError(f"synthetic division by {u}*t - {v} is not exact")
+        r = f[i] + v * q[i]
+    if r:
+        raise AssertionError(f"{u}*t - {v} does not divide the master polynomial")
+    return q
+
+
+def _lagrange_basis(nodes: Sequence[tuple[int, int]]) -> list[tuple[list[int], int]]:
+    """The integer Lagrange basis of the nodes v_j/u_j, given as pairs (u_j, v_j)
+    with u_j > 0: for each j, (q_j, h_j) with q_j = prod_{k != j} (u_k t - v_k),
+    divided exactly out of the master product, and h_j = u_j^(m-1) q_j(v_j/u_j)
+    by Horner (m nodes), so that L_j = u_j^(m-1) q_j / h_j. h_j = 0 exactly when
+    node j repeats another."""
+    master = [1]
+    for u, v in nodes:
+        master = [u * a - v * b for a, b in zip([0] + master, master + [0])]
+    basis = []
+    for u, v in nodes:
+        q = _divide_linear(master, u, v)
+        basis.append((q, horner([c * u ** (len(q) - 1 - i) for i, c in enumerate(q)], v)))
+    return basis
+
+
+def _combine(terms: Sequence[tuple[Fraction, Sequence[int]]], size: int) -> tuple[list[int], int]:
+    """(ints, den) with sum_k w_k q_k = ints / den, for terms (w_k, q_k) of
+    rational weights and integer vectors of length at most size."""
+    ws, den = _clear_denominators([w for w, _ in terms])
+    out = [0] * size
+    for w, (_, q) in zip(ws, terms):
+        for i, x in enumerate(q):
+            out[i] += w * x
+    return out, den
+
+
 def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> RationalPoly:
-    """Exact Newton interpolation through distinct nodes."""
+    """Exact Lagrange interpolation through distinct nodes."""
     xs = [Fraction(p[0]) for p in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    dd = [Fraction(p[1]) for p in points]
-    newton = [dd[0]]
-    for m in range(1, len(points)):
-        dd = [(dd[i + 1] - dd[i]) / (xs[i + m] - xs[i]) for i in range(len(dd) - 1)]
-        newton.append(dd[0])
-    poly = RationalPoly([newton[-1]])
-    for m in range(len(newton) - 2, -1, -1):
-        poly = poly * RationalPoly([-xs[m], 1]) + RationalPoly([newton[m]])
-    return poly
+    m = len(xs)
+    basis = _lagrange_basis([(x.denominator, x.numerator) for x in xs])
+    ints, den = _combine([(Fraction(y) * x.denominator ** (m - 1) / h, q)
+                          for x, (_, y), (q, h) in zip(xs, points, basis)], m)
+    return RationalPoly([Fraction(c, den) for c in ints])
 
 
 def neville_zero(points: Sequence[tuple]) -> tuple[object, float]:

@@ -267,8 +267,8 @@ def _stirling_entry_perturbed(n, real=spectra._closed_form_b):
     return b
 
 
-def _sigma_columns_dropped(row, real=css._primitive):
-    return real([0] * 4 + row[4:])  # at n = 5 sigma_1..sigma_4 leave every identity
+def _nodes_merged(nodes, real=css._lagrange_basis):
+    return real([nodes[1]] + nodes[1:])  # at n = 5 rows 1 and 2 share the node 3/2
 
 
 def assert_falsified(code, out, err, command, falsified):
@@ -297,7 +297,7 @@ def assert_falsified(code, out, err, command, falsified):
      lambda p, q: roots.FAIL, "interlacing"),
     # a certificate that raises inside the command
     (("eigen", "--n", "7"), spectra, "_closed_form_b", _stirling_entry_perturbed, "certificate"),
-    (("css", "--phi", "5"), css, "_primitive", _sigma_columns_dropped, "certificate"),
+    (("css", "--phi", "5"), css, "_lagrange_basis", _nodes_merged, "certificate"),
 ])
 def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, argv, module, name,
                                   fake, falsified):

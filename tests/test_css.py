@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schur_szego import css
+from schur_szego import css, exactpoly
 from schur_szego.css import (
     INFINITY,
     DegreeOverflowError,
@@ -15,8 +16,11 @@ from schur_szego.css import (
     css_compose_multi,
     factor_symmetric_functions,
 )
-from schur_szego.exactpoly import RationalPoly, TheoremViolation, binomial, interpolate, kernel
+from schur_szego.exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _primitive, _rref,
+                                   binomial, kernel)
 from schur_szego.spectra import eigenvalues_closed_form
+
+from test_exactpoly import newton_interpolate
 
 P = RationalPoly
 
@@ -83,7 +87,7 @@ def _phi_by_probing(n):
             scale = F(binomial(n - 1, j - 1)) ** (n - 1)
             r = (p[j] * F(binomial(n, j)) ** (n - 2) - scale) / scale - t ** (n - 1) * p[0]
             points.append((t, r / t))
-        inner = interpolate(points)
+        inner = newton_interpolate(points)
         return [inner.coeff(i) for i in range(n - 2)] + [p[0]]
 
     b = sigma([0] * (n - 1))
@@ -95,6 +99,31 @@ def test_build_phi_matches_probe_and_interpolate():
     for n in range(3, 18):
         rows, offset = _phi_by_probing(n)
         assert build_phi(n).linear.to_rows() == rows
+        assert build_phi(n).offset == offset
+
+
+def _phi_by_elimination(n):
+    """Phi_n by one fraction-free elimination of the coefficient identities
+    j = 0..n-2, written as integer rows [sigma_1..sigma_{n-1} | c_1..c_{n-1} | 1]."""
+    rows = []
+    for j in range(n - 1):
+        a, b, s = binomial(n - 1, j - 1), binomial(n - 1, j), binomial(n, j) ** (n - 2)
+        row = [a ** (n - 1 - nu) * b ** nu for nu in range(1, n)] + [0] * (n - 1) + [-a ** (n - 1)]
+        row[2 * n - 3 - j] = s  # p_j = c_{n-1-j} + c_{n-j}, with c_n = 0
+        if j:
+            row[2 * n - 2 - j] = s
+        rows.append(_primitive(row))
+    m, piv_cols, d, _ = _rref(rows)
+    assert piv_cols == list(range(n - 1))
+    # rows / d is the reduced [I | A | b]
+    linear = RationalMatrix(n - 1, n - 1, [x for r in m for x in r[n - 1:2 * n - 2]], d)
+    return linear, tuple(F(r[2 * n - 2], d) for r in m)
+
+
+def test_build_phi_matches_elimination():
+    for n in range(3, 25):
+        linear, offset = _phi_by_elimination(n)
+        assert build_phi(n).linear == linear
         assert build_phi(n).offset == offset
 
 
@@ -119,11 +148,19 @@ def test_build_phi_requires_n_3():
 
 
 def test_build_phi_rejects_identities_that_leave_sigma_free(monkeypatch):
-    real = css._primitive
-    # at n = 5 the first four columns hold sigma_1..sigma_4: drop them from every identity
-    monkeypatch.setattr(css, "_primitive", lambda row: real([0] * 4 + row[4:]))
+    real = css._lagrange_basis
+    # at n = 5 the nodes are 4, 3/2, 2/3: give row 1 the node of row 2
+    monkeypatch.setattr(css, "_lagrange_basis", lambda nodes: real([nodes[1]] + nodes[1:]))
     build_phi.cache_clear()
     with pytest.raises(TheoremViolation, match=r"^identities j = 0\.\.n-2 do not determine sigma$"):
+        build_phi(5)
+
+
+def test_build_phi_checks_the_closed_form_of_each_basis_value(monkeypatch):
+    real = exactpoly.horner
+    monkeypatch.setattr(exactpoly, "horner", lambda c, x: real(c, x) + 1)
+    build_phi.cache_clear()
+    with pytest.raises(AssertionError, match=r"^q_1\(t_1\) differs from its closed form$"):
         build_phi(5)
 
 
@@ -201,6 +238,13 @@ def test_compose_identity_element(a):
     assert css_compose(ident, p, m) == p
 
 
+def _random_params(count, seed):
+    rng = random.Random(seed)
+    return [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+
+
+# n = 60: factor_symmetric_functions checks all n + 1 coefficient identities
+@example(_random_params(59, 60))
 @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
                 min_size=3, max_size=4))
 def test_factorization_round_trip(params):
@@ -212,3 +256,4 @@ def test_factorization_round_trip(params):
         for i in range(n - 1, 0, -1):
             e[i] += F(a) * e[i - 1]
     assert sigma == tuple(e[1:])
+

@@ -13,6 +13,8 @@ from schur_szego.exactpoly import (
     RationalPoly,
     SingularMatrixError,
     _clear_denominators,
+    _divide_linear,
+    _lagrange_basis,
     _primitive,
     _pseudo_divmod,
     _rref,
@@ -221,6 +223,48 @@ def test_interpolate_matches_nodes():
     poly = interpolate(pts)
     for x, y in pts:
         assert poly(x) == y
+
+
+def newton_interpolate(points):
+    """The Newton form of the interpolant, by divided differences: an oracle
+    that shares no code with interpolate's Lagrange basis."""
+    xs = [F(x) for x, _ in points]
+    dd = [F(y) for _, y in points]
+    newton = [dd[0]]
+    for m in range(1, len(points)):
+        dd = [(dd[i + 1] - dd[i]) / (xs[i + m] - xs[i]) for i in range(len(dd) - 1)]
+        newton.append(dd[0])
+    poly = RationalPoly([newton[-1]])
+    for m in range(len(newton) - 2, -1, -1):
+        poly = poly * RationalPoly([-xs[m], 1]) + RationalPoly([newton[m]])
+    return poly
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=5)),
+                min_size=1, max_size=7, unique_by=lambda p: p[0]))
+def test_interpolate_matches_newton(points):
+    assert interpolate(points) == newton_interpolate(points)
+
+
+def test_interpolate_rejects_repeated_nodes():
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate([(F(1), F(0)), (F(2, 2), F(1))])
+
+
+def test_divide_linear_is_exact_or_raises():
+    assert _divide_linear([-6, 1, 1], 1, 2) == [3, 1]  # t^2 + t - 6 = (t - 2)(t + 3)
+    assert _divide_linear([-6, 1, 2], 2, 3) == [2, 1]  # 2t^2 + t - 6 = (2t - 3)(t + 2)
+    with pytest.raises(AssertionError, match=r"^synthetic division by 2\*t - 1 is not exact$"):
+        _divide_linear([1, 1], 2, 1)
+    with pytest.raises(AssertionError, match=r"^1\*t - 1 does not divide the master polynomial$"):
+        _divide_linear([1, 0, 1], 1, 1)
+
+
+def test_lagrange_basis_values_vanish_only_at_a_repeated_node():
+    # nodes 2, 4/2 and 3: q_j are (2t - 4)(t - 3), (t - 2)(t - 3) and (t - 2)(2t - 4)
+    basis = _lagrange_basis([(1, 2), (2, 4), (1, 3)])
+    assert basis == [([12, -10, 2], 0), ([6, -5, 1], 0), ([8, -8, 2], 2)]
 
 
 @given(polys, polys, polys)

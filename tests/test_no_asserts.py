@@ -4,8 +4,9 @@ Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
 took peak RSS from 17 to 29 MB). The choice between the exact and the
 binary64 route is made in one place, `asymptotics._exact`, the content of a
-coefficient vector is taken in one place, `exactpoly._primitive`, and a Sturm
-chain is evaluated at a point only to isolate roots, in `roots._isolate`. A
+coefficient vector is taken in one place, `exactpoly._primitive`, a Sturm
+chain is evaluated at a point only to isolate roots, in `roots._isolate`, and
+Phi_n has one construction, its Lagrange basis, with no elimination in `css`. A
 falsified claim raises the one `exactpoly.TheoremViolation`; every other
 exception class the package defines is an input or domain error.
 """
@@ -96,6 +97,18 @@ def test_sturm_evaluation_only_in_isolation():
     found = {where for where, node in _nodes() if _is_variations_call(node)}
     assert sorted(found - inside) == []
     assert inside
+
+
+def _names_rref(node):
+    """An import of `_rref`, or the name or attribute `_rref` that a call reads."""
+    return (isinstance(node, ast.ImportFrom) and any(a.name == "_rref" for a in node.names)
+            or isinstance(node, ast.Name) and node.id == "_rref"
+            or isinstance(node, ast.Attribute) and node.attr == "_rref")
+
+
+def test_phi_is_built_without_elimination():
+    found = [where for where, node in _nodes() if where.startswith("css.py:") and _names_rref(node)]
+    assert found == []
 
 
 def test_one_violation_class_beside_the_input_and_domain_errors():

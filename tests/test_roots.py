@@ -115,27 +115,31 @@ def test_certify_roots_from_proposals():
     assert all(a[1] <= b[0] for a, b in zip(iso.intervals, iso.intervals[1:]))
 
 
-def _certify_controls():
+@pytest.fixture(scope="module")
+def certify_controls():
+    """(p, proposals) that certify_roots must reject, built when a test asks for
+    them, so that a fault in roots_float fails these tests, not the module's
+    collection."""
     n20 = narayana_poly_direct(20)
     props = roots_float(n20)
     shifted = props[:]
     shifted[5] = (props[5] + props[6]) / 2  # no root there
     complex_pair = n20.exact_divide(P.x()) * P([1, 1, 1])
     double = P([-1, 1]) * P([-1, 1]) * P([2, 1]) * P([3, 1])
-    return [
-        (n20, props[:-1]),
-        (n20, props[:-1] + props[-2:-1]),
-        (n20, shifted),
-        (complex_pair, props[:-1] + [-0.5, -0.5 + 2**-20]),
-        (double, [-3.0, -2.0, 1.0, 1.0]),
-        (double, [-3.0, -2.0, 1.0 - 1e-3, 1.0 + 1e-3]),
-    ]
+    return {
+        "dropped": (n20, props[:-1]),
+        "duplicated": (n20, props[:-1] + props[-2:-1]),
+        "shifted": (n20, shifted),
+        "complex-pair": (complex_pair, props[:-1] + [-0.5, -0.5 + 2**-20]),
+        "double-root-twice": (double, [-3.0, -2.0, 1.0, 1.0]),
+        "double-root-split": (double, [-3.0, -2.0, 1.0 - 1e-3, 1.0 + 1e-3]),
+    }
 
 
-@pytest.mark.parametrize("p, proposals", _certify_controls(),
-                         ids=["dropped", "duplicated", "shifted", "complex-pair",
-                              "double-root-twice", "double-root-split"])
-def test_certify_roots_negative_controls(p, proposals):
+@pytest.mark.parametrize("control", ["dropped", "duplicated", "shifted", "complex-pair",
+                                     "double-root-twice", "double-root-split"])
+def test_certify_roots_negative_controls(certify_controls, control):
+    p, proposals = certify_controls[control]
     assert certify_roots(p, proposals) is None
 
 
