@@ -6,12 +6,13 @@ matrices are row-major integers over one denominator. Each coefficient-vector
 job has one kernel here for the whole package: clearing denominators, content,
 trim, derivative, integer pseudo-division (RationalPoly.divmod, the remainder
 sequences in roots) and a generic Horner (RationalPoly.__call__, the binary64
-quotients in asymptotics). One fraction-free (Bareiss) Gauss-Jordan reduction,
-_rref, serves kernel, solve_linear and RationalMatrix.determinant. One integer
-Lagrange basis, _lagrange_basis (exact synthetic division of the product of
-the nodes' linear factors), serves interpolate and css.build_phi, and _combine
-sums it with rational weights over one denominator. Floats stay out, save the
-binary64 error estimate that neville_zero returns.
+quotients in asymptotics). One fraction-free reduction, _rref (forward Bareiss
+elimination, then exact back-substitution to the reduced form), serves kernel,
+solve_linear and RationalMatrix.determinant. One integer Lagrange basis,
+_lagrange_basis (exact synthetic division of the product of the nodes' linear
+factors), serves interpolate and css.build_phi, and _combine sums it with
+rational weights over one denominator. Floats stay out, save the binary64
+error estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -392,13 +393,16 @@ class RationalMatrix:
 
 
 def _rref(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan reduction of the integer rows `a`, in place:
-    (rows, pivot columns, d, sign), with rows / d the reduced row echelon form.
+    """Fraction-free reduction of the integer rows `a`, in place: (rows, pivot
+    columns, d, sign), with rows / d the reduced row echelon form.
 
-    Bareiss steps row <- (p * row - row[c] * pivot row) / prev divide exactly,
-    since every entry is an integer minor; d is the last pivot, which every pivot
-    row ends with in its pivot column. When `a` is square of full rank, its
-    determinant is sign * d.
+    Forward Bareiss steps row <- (p * row - row[c] * pivot row) / prev, below each
+    pivot and from its column on, divide exactly, since every entry is an integer
+    minor; they leave echelon rows E_i with pivots p_i, and d is the last pivot.
+    Back-substitution from the last pivot row up then gives d * R_i = (d * E_i -
+    sum_{l>i} E_i[pc_l] * d * R_l) / p_i, also exactly, on the non-pivot columns;
+    d * R_i is d in its own pivot column and 0 in the others. When `a` is square
+    of full rank, its determinant is sign * d.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -415,16 +419,29 @@ def _rref(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        top = a[r]
-        for i, row in enumerate(a):
-            if i != r:
-                f = row[c]
-                qr = [divmod(p * x - f * y, prev) for x, y in zip(row, top)]
-                if any(rem for _, rem in qr):
-                    raise AssertionError(f"Bareiss step at column {c} is not exact")
-                a[i] = [q for q, _ in qr]
+        top = a[r][c + 1:]
+        for row in a[r + 1:]:
+            f = row[c]
+            qr = [divmod(p * x - f * y, prev) for x, y in zip(row[c + 1:], top)]
+            if any(rem for _, rem in qr):
+                raise AssertionError(f"Bareiss step at column {c} is not exact")
+            row[c:] = [0] + [q for q, _ in qr]
         piv_cols.append(c)
         prev = p
+    free = [c for c in range(cols) if c not in piv_cols]
+    for i in range(len(piv_cols) - 1, -1, -1):
+        e, pc = a[i], piv_cols[i]
+        coefs = [e[l] for l in piv_cols[i + 1:]]
+        below = a[i + 1:len(piv_cols)]
+        row = [0] * cols
+        row[pc] = prev
+        for c in free:
+            if c > pc:
+                row[c], rem = divmod(prev * e[c] - sum(x * b[c] for x, b in zip(coefs, below)),
+                                     e[pc])
+                if rem:
+                    raise AssertionError(f"back-substitution at row {i} is not exact")
+        a[i] = row
     return a, piv_cols, prev, sign
 
 

@@ -171,22 +171,26 @@ def spectrum_report(n: int) -> SpectrumReport:
 
 def _sigma_row(n: int, j: int, k: int) -> tuple[list[int], int]:
     """Equation L_k - R_k = 0 as (coefficients of q_1..q_{j-1}, constant) in
-    integers: times C(n,k)^{j+1} > 0, then divided by its content, which would
-    otherwise inflate every number the elimination in solve_linear makes."""
-    a, b = binomial(n - 1, k - 1), binomial(n - 1, k)
-    # left side: l_{j+1} * C(n,k)^{j+1} * sum over the coefficients of Q,
-    # low-to-high degree
-    left = math.perm(n - 1, j + 1) * binomial(n, k) ** (j + 1)
+    integers, divided by its content, which would otherwise inflate every number
+    the elimination in solve_linear makes.
+
+    With a = C(n-1,k-1), C(n-1,k) = a (n-k) / k and C(n,k) = n a / k, the equation
+    has integer entries at scale 1: its right-side term in nu is a (n-k)^{nu+1}
+    k^{j-nu}. Any positive scale, such as the C(n,k)^{j+1} that clears the
+    denominators as first written, has the same primitive row; scale 1 keeps the
+    entries before the gcd small (204 rather than 1452 bits at n = 160, j = 7)."""
+    a = binomial(n - 1, k - 1)
+    # left side: l_{j+1} * sum over the coefficients of Q, low-to-high degree
+    left = math.perm(n - 1, j + 1)
     sign = (-1) ** j
     vec = [0] * (j - 1)
     const = left * (sign * binomial(n - j - 2, k - 1) + binomial(n - j - 2, k - 1 - j))
     for nu in range(1, j):  # coefficient of x^nu in Q is q_{j-nu}
         vec[j - nu - 1] += left * binomial(n - j - 2, k - 1 - nu)
     # right side
-    f = n ** (j + 1) * a * b
-    const -= f * (a ** j + sign * b ** j)
+    const -= a * (n - k) * (k ** j + sign * (n - k) ** j)
     for nu in range(1, j):
-        vec[nu - 1] -= f * a ** (j - nu) * b ** nu
+        vec[nu - 1] -= a * (n - k) ** (nu + 1) * k ** (j - nu)
     row = _primitive(vec + [const])
     return row[:-1], row[-1]
 

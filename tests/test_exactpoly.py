@@ -372,6 +372,10 @@ def rational_matrices(draw):
 @example([[0, 1], [1, 0]], [1, 2] * 3)  # one swap: det -1
 @example([[F(1, 2), 0], [0, F(1, 3)]], [0] * 6)  # row scales 2 and 3
 @example([[1, 1, 0], [0, 0, 1], [2, 2, 1]], [0] * 6)  # rank 2, a skipped column
+@example([[2, 3, 1], [4, 6, 5]], [1, 2] * 3)  # free column between the two pivots
+@example([[2, 1, 3], [4, 2, 6], [0, 3, 5]], [1, -1] * 3)  # free last column, zero row below
+@example([[0, 1], [2, 3], [4, 5], [6, 8], [1, 1]], [3, 1] * 3)  # tall, rank 2
+@example([[1, 2, 3, 4], [2, 4, 1, 0], [3, 7, 2, 1]], [1, 0, 2] * 2)  # swap at the second pivot
 def test_fraction_free_rref_matches_rational_oracle(rows, rhs):
     red, piv_cols, _ = _oracle_rref(rows)
     ints, got_cols, d, _ = _rref(RationalMatrix.from_rows(rows).int_rows())

@@ -59,7 +59,8 @@ def test_extract_q_structure():
 
 
 def test_extract_q_equals_sigma_route():
-    for n in range(4, 9):
+    # n = 17, 19, 21 at every j is the spectral benchmark's gate
+    for n in (*range(4, 9), 17, 19, 21):
         for j, q in enumerate(spectrum_report(n).q_polys, start=1):
             assert q == sigma_system_solve(n, j)
 
@@ -306,19 +307,25 @@ def _fraction_sigma_row(n, j, k):
     return vec, const
 
 
+# every (n, j) up to n = 14, then every j at n = 21 and the (n, j) of the
+# spectral benchmark's extrapolations where the entries are largest
+SIGMA_ROW_CASES = ([(n, j) for n in range(4, 15) for j in range(1, n - 2)]
+                   + [(21, j) for j in range(1, 19)]
+                   + [(n, j) for n in (80, 160) for j in range(1, 8)])
+
+
 def test_sigma_rows_are_the_fraction_rows_scaled_to_primitive_integers():
     # C(n,k)^{j+1} clears every denominator; the gcd of the entries is then
     # divided out, so the row is a positive multiple of the oracle row
-    for n in range(4, 15):
-        for j in range(1, n - 2):
-            for k in range(1, n):
-                vec, const = spectra._sigma_row(n, j, k)
-                assert all(type(e) is int for e in [*vec, const])
-                old_vec, old_const = _fraction_sigma_row(n, j, k)
-                scaled = [binomial(n, k) ** (j + 1) * e for e in [*old_vec, old_const]]
-                assert all(e.denominator == 1 for e in scaled)
-                g = math.gcd(*(int(e) for e in scaled)) or 1
-                assert [*vec, const] == [e / g for e in scaled]
+    for n, j in SIGMA_ROW_CASES:
+        for k in range(1, n):
+            vec, const = spectra._sigma_row(n, j, k)
+            assert all(type(e) is int for e in [*vec, const])
+            old_vec, old_const = _fraction_sigma_row(n, j, k)
+            scaled = [binomial(n, k) ** (j + 1) * e for e in [*old_vec, old_const]]
+            assert all(e.denominator == 1 for e in scaled)
+            g = math.gcd(*(int(e) for e in scaled)) or 1
+            assert [*vec, const] == [e / g for e in scaled]
 
 
 def _edit_sigma_rows(monkeypatch, edit):
