@@ -9,10 +9,8 @@ from .exactpoly import (
     solve_linear,
 )
 from .css import (
-    INFINITY,
     AffineMapQ,
     build_phi,
-    composition_factor,
     css_compose,
     css_compose_multi,
     factor_symmetric_functions,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, narayana, roots, spectra
-from .exactpoly import RationalPoly, TheoremViolation, interpolate
+from .exactpoly import (NotDivisibleError, RationalPoly, TheoremViolation, _clear_denominators,
+                        _fold, interpolate)
 
 TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 
@@ -138,31 +139,42 @@ def check_limit_polynomials():
 
 @_timed("hyperbolicity-interlacing")
 def check_hyperbolic_interlacing(max_n: int = 100):
-    """Lemma, M_n = N_n/x: N_n has n simple roots in (-inf, 0] for n <= max_n, given
-    (a) interlace_check passes only on a sequence ending in a constant: gcd(M_{n-1}, M_n) = 1;
-    (b) N = x*M and M_n(0) = N_{n,1} != 0, so (a) gives gcd(N_{n-1}, N_n) = x;
-    (c) |Ind(M_{n-1}/M_n)| = n - 1 = deg M_n: simple real roots, strictly interlaced by M_{n-1}'s;
-    (d) positive coefficients leave no root in [0, inf);
-    (e) M_2 = 1 + x has degree 1.
+    """Lemma, M_n = N_n/x = (1+x)^e x^k S_n(w), w = x + 2 + 1/x (exactpoly._fold, e = 1 iff n
+    even; M_2 = 1 + x, S_2 = 1): for n <= max_n, N_n's n roots are simple, in (-inf, 0] and
+    strictly interlaced by N_{n-1}'s, given
+    (a) N = x*M, M_n(0) = N_{n,1} != 0 and positive coefficients leave no root in [0, inf);
+    (b) palindromy gives the pairs r, 1/r: M_n(x) = x^(n-1) M_n(1/x);
+    (c) w is a strictly decreasing bijection from (-1, 0) onto (-inf, 0) (and y = w - 2);
+    (d) S_n's coefficients are positive (Descartes), and interlace_check on (S_{n-1}, S_n), n odd,
+        or (S_{n-1}, w*S_n), n even, passes: S_n's roots are simple and negative, so M_n's are;
+    (e) by (c), interlacing in w pulls back to (-1, 0), and by (b) to (-inf, -1);
+    (f) -1 is placed: for n odd it is M_{n-1}'s root in M_n's middle gap (S_n(0) != 0), and
+        for n even the factor w = y + 2 places it; the division by 1 + x is its parity.
     """
-    x = RationalPoly.x()
-    prev_over_x = None
+    prev = None
     for n in range(2, max_n + 1):
         p = narayana.narayana_poly_direct(n)
         if p.coeff(0) != 0 or p.coeff(1) == 0:
             return False, f"0 not a simple root of N_{n}"
-        over_x = p.exact_divide(x)
-        if over_x.degree != n - 1:
-            return False, f"N_{n}/x has degree {over_x.degree}, not {n - 1}"
-        if any(c <= 0 for c in over_x.coeffs):
+        c = _clear_denominators(p.coeffs[1:])[0]  # a positive multiple of N_n/x
+        if len(c) != n:
+            return False, f"N_{n}/x has degree {len(c) - 1}, not {n - 1}"
+        if any(v <= 0 for v in c):
             return False, f"N_{n} has a positive root"
-        if (p(Fraction(-1)) == 0) != (n % 2 == 0):
+        try:
+            s = _fold(c)
+        except NotDivisibleError:
             return False, f"N_{n}(-1) vanishing parity wrong"
-        if prev_over_x is not None:
-            verdict = roots.interlace_check(prev_over_x, over_x)
+        if s is None:
+            return False, f"N_{n}/x is not palindromic"
+        if any(v <= 0 for v in s):
+            return False, f"N_{n}/x folds to an S(w) with a coefficient <= 0 (Descartes fails)"
+        if prev is not None:
+            top = RationalPoly(s if n % 2 else [0] + s)  # w*S_n for n even
+            verdict = roots.interlace_check(RationalPoly(prev), top)
             if verdict != roots.STRICT_INTERLACE:
                 return False, f"N_{n}/x not strictly interlaced by N_{n - 1}/x ({verdict})"
-        prev_over_x = over_x
+        prev = s
     return True, f"hyperbolicity and interlacing certified for 2<=n<={max_n}"
 
 

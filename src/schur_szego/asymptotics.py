@@ -139,10 +139,16 @@ def narayana_root_sample(n: int) -> RootSample:
     """Certified binary64 roots of N_n, 0 included, sorted: the midpoints of
     exact brackets refined to width 2^-40.
 
-    Floats propose the roots (`_lobatto_proposals`) and exact sign changes
-    of N_n at dyadic bracket endpoints certify them (`roots.certify_roots`,
-    path SIGN_CHANGES). If that certificate fails, the roots come from
-    Sturm isolation (`roots.isolate_roots`, path STURM).
+    Floats propose the roots (`_lobatto_proposals`). Exact sign changes of
+    N_n at dyadic bracket endpoints certify -1 (n even), 0 and the roots
+    below -1, and reciprocity the rest (`roots.certify_roots`, SIGN_CHANGES):
+    - palindromy, checked exactly, pairs the roots r, 1/r of N_n/x = M_n;
+    - x -> 1/x maps (-inf, -1) onto (-1, 0), decreasing: (lo, hi) -> (1/hi, 1/lo);
+    - sign M_n(1/x) = sign(x)^(n-1) sign M_n(x) gives the signs at 1/hi, 1/lo;
+    - n disjoint brackets, each with a sign change, isolate all n roots.
+    Those images are narrower than 2^-40, so refine evaluates nothing on
+    them. If the certificate fails, the roots come from Sturm isolation
+    (`roots.isolate_roots`, path STURM).
     """
     p = narayana_poly_direct(n)
     iso = certify_roots(p, _lobatto_proposals(n)) or isolate_roots(p)

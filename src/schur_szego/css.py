@@ -39,8 +39,6 @@ from typing import Sequence
 from .exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, _clear_denominators,
                         _combine, _lagrange_basis, binomial)
 
-INFINITY = math.inf
-
 
 class DegreeOverflowError(ValueError):
     """A composition operand exceeds the declared composition degree."""
@@ -69,16 +67,6 @@ def css_compose_multi(polys: Sequence[RationalPoly], m: int) -> RationalPoly:
             c *= p.coeff(j)
         out.append(c / Fraction(binomial(m, j)) ** (len(polys) - 1))
     return RationalPoly(out)
-
-
-def composition_factor(a: Fraction | int | float, n: int) -> RationalPoly:
-    """K_a = (x+1)^{n-1}(x+a); a may be INFINITY, giving K_inf = (x+1)^{n-1}."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    base = RationalPoly.binomial_power(n - 1)
-    if a == INFINITY:
-        return base
-    return base * RationalPoly([Fraction(a), 1])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ Everything here is pure and exact: coefficients are ``fractions.Fraction``,
 matrices are row-major integers over one denominator. Each coefficient-vector
 job has one kernel here for the whole package: clearing denominators, content,
 trim, derivative, integer pseudo-division (RationalPoly.divmod, the remainder
-sequences in roots) and a generic Horner (RationalPoly.__call__, the binary64
-quotients in asymptotics). One fraction-free reduction, _rref (forward Bareiss
+sequences in roots), a generic Horner (RationalPoly.__call__, the binary64
+quotients in asymptotics) and the fold of a palindrome by x -> 1/x (_fold,
+behind criterion 6). One fraction-free reduction, _rref (forward Bareiss
 elimination, then exact back-substitution to the reduced form), serves kernel,
 solve_linear and RationalMatrix.determinant. One integer Lagrange basis,
 _lagrange_basis (exact synthetic division of the product of the nodes' linear
@@ -98,6 +99,29 @@ def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], 
                 r[i - dg + k] -= t * g[k]
     del r[dg:]
     return m, q, _trim(r)
+
+
+def _fold(c: Sequence[int]) -> list[int] | None:
+    """S with c = (1+x)^e x^k S(x + 2 + 1/x), e = deg c mod 2, k = deg S, or None when
+    q = c / (1+x)^e is not a palindrome (for odd deg c, a remainder of the synthetic division
+    by 1 + x raises NotDivisibleError). S(w) = T(w - 2) for q = x^k T(x + 1/x), where
+    T = q_k + sum_{j>=1} q_{k+j} D_j, D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1} (Dickson),
+    summed in w by Clenshaw's b_j = q_{k+j} + (w-2) b_{j+1} - b_{j+2}, T = q_k + y b_1 - 2 b_2."""
+    c = list(c)
+    if len(c) % 2 == 0:
+        for i in range(len(c) - 2, -1, -1):
+            c[i] -= c[i + 1]  # c[i + 1] is now the coefficient of x^i in q, c[0] the remainder
+        if c.pop(0):
+            raise NotDivisibleError("1 + x does not divide an odd-degree polynomial")
+    if c != c[::-1]:
+        return None
+    k = len(c) // 2
+    b, b1 = [], []  # b_{j+1}, b_{j+2}
+    for j in range(k, -1, -1):
+        m = 1 if j else 2
+        b, b1 = [u - 2 * v - m * z for u, v, z in zip([0] + b, b + [0], b1 + [0, 0])], b
+        b[0] += c[k + j]
+    return b
 
 
 def horner(coeffs: Sequence, x):

@@ -292,12 +292,19 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
     brackets that each show a strict sign change hold a root each (the
     intermediate value theorem) and p has no more: its roots are real,
     simple and isolated by the brackets. No Sturm chain is built.
+
+    When p = x M for a palindromic M of degree d, no proposal in (-1, 0) is
+    bracketed: as p(1/t) = t^-(d+2) p(t), each bracket (lo, hi) below -1
+    gives (1/hi, 1/lo), with its signs times (-1)^d.
     """
     poly = _int_poly(p)
     if len(proposals) != len(poly) - 1 or not all(map(isfinite, proposals)):
         return None
-    intervals, signs = [], []
+    reciprocal = poly[0] == 0 and poly[1:] == poly[:0:-1]
+    brackets = []
     for r in sorted(proposals):
+        if reciprocal and -1 < r < 0:
+            continue
         exponent = min(frexp(r)[1] - 46, -42)
         for _ in range(_WIDENINGS + 1):
             half = Fraction(2) ** exponent
@@ -309,11 +316,15 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
             exponent += 3
         else:
             return None
-        if intervals and intervals[-1][1] > lo:
-            return None
-        intervals.append((lo, hi))
-        signs.append((slo, shi))
-    return RootIsolation(tuple(intervals), (1,) * len(intervals), tuple(signs), tuple(poly),
+        brackets.append((lo, hi, slo, shi))
+    if reciprocal:
+        s = (-1) ** (len(poly) - 2)
+        brackets += [(1 / hi, 1 / lo, s * shi, s * slo) for lo, hi, slo, shi in brackets if hi < -1]
+        brackets.sort()
+    if len(brackets) != len(poly) - 1 or any(a[1] > b[0] for a, b in zip(brackets, brackets[1:])):
+        return None
+    return RootIsolation(tuple((lo, hi) for lo, hi, _, _ in brackets), (1,) * len(brackets),
+                         tuple((slo, shi) for _, _, slo, shi in brackets), tuple(poly),
                          SIGN_CHANGES)
 
 

@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from schur_szego import roots, spectra
+from schur_szego import asymptotics, roots, spectra
 
 settings.register_profile(
     "exact", deadline=None, max_examples=40,
@@ -17,6 +17,14 @@ def cold_spectrum_report():
     spectra.spectrum_report.cache_clear()
     yield
     spectra.spectrum_report.cache_clear()
+
+
+@pytest.fixture
+def cold_root_sample():
+    """narayana_root_sample's lru_cache is shared by the whole session."""
+    asymptotics.narayana_root_sample.cache_clear()
+    yield
+    asymptotics.narayana_root_sample.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from schur_szego import acceptance, asymptotics, css, narayana, spectra
+from schur_szego import acceptance, asymptotics, css, narayana, roots, spectra
 from schur_szego.exactpoly import RationalPoly as P
 from schur_szego.exactpoly import TheoremViolation
 
@@ -91,6 +91,124 @@ def test_hyperbolicity_check_builds_one_remainder_sequence_per_n(remainder_seque
     builds a remainder sequence."""
     assert acceptance.check_hyperbolic_interlacing(max_n).passed
     assert len(remainder_sequence_builds) == max_n - 2
+
+
+def _with_n(n, fake):
+    """narayana_poly_direct with N_n replaced by fake(the real N_n)."""
+    real = narayana.narayana_poly_direct
+    return lambda monkeypatch: monkeypatch.setattr(
+        narayana, "narayana_poly_direct", lambda m: fake(real(m)) if m == n else real(m))
+
+
+def _coefficient_plus(k, delta):
+    return lambda p: p + P([0] * k + [delta])
+
+
+def _m_times_unit_circle_pair(n):
+    """x * M_{n-2} * (x^2 + x + 1) in place of N_n: palindromic, with two roots on |x| = 1."""
+    return lambda p: narayana.narayana_poly_direct(n - 2) * P([1, 1, 1])
+
+
+def _interlacing_by_full_degree(max_n):
+    """The full-degree route to criterion 6, kept as an oracle: for each n, M_n = N_n/x has
+    positive coefficients, M_n(-1) = 0 iff n is even, and the Cauchy index of M_{n-1}/M_n
+    is deg M_n; the verdict is that of acceptance.check_hyperbolic_interlacing."""
+    x = P.x()
+    prev = None
+    for n in range(2, max_n + 1):
+        p = narayana.narayana_poly_direct(n)
+        if p.coeff(0) != 0 or p.coeff(1) == 0:
+            return False
+        over_x = p.exact_divide(x)
+        if over_x.degree != n - 1 or any(c <= 0 for c in over_x.coeffs):
+            return False
+        if (p(F(-1)) == 0) != (n % 2 == 0):
+            return False
+        if prev is not None and roots.interlace_check(prev, over_x) != roots.STRICT_INTERLACE:
+            return False
+        prev = over_x
+    return True
+
+
+@pytest.mark.parametrize("n, k, delta", [(7, 2, 1), (8, 3, -1), (33, 5, 1), (40, 39, 2),
+                                         (40, 20, 1)])
+def test_hyperbolicity_check_fails_on_one_changed_coefficient(monkeypatch, n, k, delta):
+    """Off the middle of N_n/x, one changed coefficient breaks its palindromy, or, for n even,
+    the exact division by 1 + x: the fold fails, and the check with it."""
+    _with_n(n, _coefficient_plus(k, delta))(monkeypatch)
+    result = acceptance.check_hyperbolic_interlacing(n)
+    assert result.status == "fail"
+    assert result.detail == (f"N_{n}(-1) vanishing parity wrong" if n % 2 == 0
+                             else f"N_{n}/x is not palindromic")
+
+
+@pytest.mark.parametrize("n", [7, 8, 40])
+def test_hyperbolicity_check_fails_the_descartes_line_on_roots_at_the_unit_circle(
+        monkeypatch, n):
+    """M_{n-2} (x^2 + x + 1) is palindromic, and its fold gains the factor y + 1 = w - 1."""
+    _with_n(n, _m_times_unit_circle_pair(n))(monkeypatch)
+    result = acceptance.check_hyperbolic_interlacing(n)
+    assert result.status == "fail"
+    assert result.detail.startswith(f"N_{n}/x folds to an S(w) with a coefficient <= 0")
+
+
+_PALINDROMIC_FALSIFIERS = {
+    "none": lambda monkeypatch: None,
+    "complex-pair": _with_n(6, lambda p: P([0, 1]) * P([1, 1, 1]) * P.binomial_power(3)),
+    "shares-n5-roots": _with_n(6, lambda p: narayana.narayana_poly_direct(5) * P([1, 1])),
+    "unit-circle-pair": _with_n(7, _m_times_unit_circle_pair(7)),
+    # the middle of N_7/x: M_7(-1) = -5, so -4 keeps it hyperbolic and -5 makes -1 a double root
+    "middle-plus-one": _with_n(7, _coefficient_plus(4, 1)),
+    "middle-minus-four": _with_n(7, _coefficient_plus(4, -4)),
+    "middle-minus-five": _with_n(7, _coefficient_plus(4, -5)),
+    "middle-of-n31": _with_n(31, _coefficient_plus(16, -narayana.narayana_number(31, 16) // 10)),
+}
+
+
+@pytest.mark.parametrize("falsifier", list(_PALINDROMIC_FALSIFIERS))
+@pytest.mark.parametrize("max_n", [2, 3, 9, 40])
+def test_folded_check_agrees_with_the_full_degree_route(monkeypatch, falsifier, max_n):
+    """On palindromic inputs, where both routes' hypotheses hold, the fold gives the
+    verdicts of the full-degree Cauchy index for n <= 40."""
+    _PALINDROMIC_FALSIFIERS[falsifier](monkeypatch)
+    assert acceptance.check_hyperbolic_interlacing(max_n).passed == \
+        _interlacing_by_full_degree(max_n)
+
+
+def test_folded_check_also_requires_palindromy(monkeypatch):
+    """N_7 + x^2 stays hyperbolic and interlaced by N_6, which the full-degree route accepts;
+    it is not N_7, and the fold, which needs the palindrome, refuses it."""
+    _with_n(7, _coefficient_plus(2, 1))(monkeypatch)
+    assert _interlacing_by_full_degree(8)
+    assert acceptance.check_hyperbolic_interlacing(8).detail == "N_7/x is not palindromic"
+
+
+def test_interlacing_runs_on_half_degree_folds(monkeypatch):
+    """No remainder sequence of criterion 6 at n <= 100 has an operand of more than
+    51 coefficients: w*S_100 has 51, and N_100/x would give 100."""
+    widths = []
+    real = roots._int_prs
+
+    def recording(a, b):
+        widths.append(max(len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(roots, "_int_prs", recording)
+    assert acceptance.check_hyperbolic_interlacing(100).passed
+    assert len(widths) == 98 and max(widths) == 51
+
+
+def test_ks_needs_no_sturm_isolation(monkeypatch, cold_root_sample):
+    """Both samples of criterion 7 are certified by signs and reciprocity; a silent
+    fallback to isolate_roots would keep the verdict and lose the speed."""
+    def must_not_run(p):
+        raise AssertionError("Sturm isolation was reached")
+
+    monkeypatch.setattr(asymptotics, "isolate_roots", must_not_run)
+    monkeypatch.setattr(roots, "isolate_roots", must_not_run)
+    result = acceptance.check_ks()
+    assert result.status == "pass"
+    assert result.detail.endswith("sign-changes (N_100), sign-changes (N_200)")
 
 
 def _off_by_one_at_37(rows):

@@ -271,13 +271,6 @@ def test_narayana_root_sample_matches_sturm():
             assert abs(F(got) - F(ref)) <= F(1, 2**40) + abs(F(ref)) / 2**52
 
 
-@pytest.fixture
-def cold_root_sample():
-    narayana_root_sample.cache_clear()
-    yield
-    narayana_root_sample.cache_clear()
-
-
 def test_narayana_root_sample_falls_back_to_sturm(monkeypatch, cold_root_sample):
     # degree 30 with 0 and 27 other real roots plus the pair of x^2 + x + 1:
     # no 30 sign changes exist, so the certificate must fail

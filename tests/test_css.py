@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 
 from schur_szego import css, exactpoly
 from schur_szego.css import (
-    INFINITY,
     DegreeOverflowError,
     NotInDomainError,
     build_phi,
-    composition_factor,
     css_compose,
     css_compose_multi,
     factor_symmetric_functions,
@@ -27,6 +26,19 @@ P = RationalPoly
 CUBE = P([1, 3, 3, 1])          # (x+1)^3
 K0_3 = P([0, 1, 2, 1])          # x(x+1)^2
 SQ = P([1, 2, 1])               # (x+1)^2
+
+INFINITY = math.inf
+
+
+def composition_factor(a, n: int) -> RationalPoly:
+    """K_a = (x+1)^{n-1}(x+a); a may be INFINITY, giving K_inf = (x+1)^{n-1}."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    base = RationalPoly.binomial_power(n - 1)
+    if a == INFINITY:
+        return base
+    return base * RationalPoly([F(a), 1])
+
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 

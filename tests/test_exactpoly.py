@@ -14,6 +14,7 @@ from schur_szego.exactpoly import (
     SingularMatrixError,
     _clear_denominators,
     _divide_linear,
+    _fold,
     _lagrange_basis,
     _primitive,
     _pseudo_divmod,
@@ -71,6 +72,65 @@ def test_exact_divide_examples():
 def test_exact_divide_nonzero_remainder():
     with pytest.raises(NotDivisibleError):
         P([1, 0, 1]).exact_divide(P([1, 1]))
+
+
+def _power(p, k):
+    out = P([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def _unfold(s, odd):
+    """x^k T(x + 1/x) times (1 + x) when odd, for T(y) = S(y + 2), k = deg S: the
+    polynomial that _fold(.) = S claims to come from."""
+    k = len(s) - 1
+    t = sum((_power(P([2, 1]), i).scale(c) for i, c in enumerate(s)), P.zero())  # T(y) = S(y + 2)
+    q = sum((_power(P([1, 0, 1]), j) * _power(P.x(), k - j).scale(c)
+             for j, c in enumerate(t.coeffs)), P.zero())  # x^k (x + 1/x)^j = x^(k-j) (x^2 + 1)^j
+    return q * P([1, 1]) if odd else q
+
+
+_HALVES = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8).filter(
+    lambda h: h[0] != 0)
+
+
+@given(_HALVES, st.booleans())
+def test_fold_round_trip_on_palindromes(half, odd):
+    """x^k T(x + 1/x) = P, times 1 + x for odd degree, on palindromic integer P."""
+    c = half + half[::-1] if odd else half + half[-2::-1]
+    s = _fold(c)
+    assert s is not None and len(s) == (len(c) - 1) // 2 + 1
+    assert _unfold(s, odd) == P(c)
+
+
+def test_fold_examples():
+    assert _fold([7]) == [7]
+    assert _fold([1, 1]) == [1]        # M_2 = 1 + x
+    assert _fold([1, 3, 1]) == [1, 1]  # M_3 = x (y + 3), S(w) = w + 1
+    assert _fold([1, 6, 6, 1]) == [3, 1]
+    assert _fold([1, 10, 20, 10, 1]) == [2, 6, 1]
+
+
+@given(_HALVES, st.booleans(), st.data())
+def test_fold_rejects_a_broken_palindrome(half, odd, data):
+    """One coefficient of an even degree changed, or, for an odd degree, two neighbours
+    changed alike, so that 1 + x still divides and the quotient has one coefficient changed."""
+    c = half + half[::-1] if odd else half + half[-2::-1]
+    i = data.draw(st.integers(min_value=0, max_value=len(c) - 1 - odd))
+    if 2 * i == len(c) - 1 - odd:
+        return  # the middle coefficient of an even-degree palindrome keeps it one
+    delta = data.draw(st.sampled_from([-2, 1, 3]))
+    c[i] += delta
+    if odd:
+        c[i + 1] += delta
+    assert _fold(c) is None
+
+
+@pytest.mark.parametrize("c", [[1, 2], [1, 3, 3, 2], [1, 6, 7, 1]])
+def test_fold_rejects_an_odd_degree_that_one_plus_x_leaves_a_remainder(c):
+    with pytest.raises(NotDivisibleError):
+        _fold(c)
 
 
 def _long_divmod(f, g):

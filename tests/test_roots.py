@@ -143,6 +143,59 @@ def test_certify_roots_negative_controls(certify_controls, control):
     assert certify_roots(p, proposals) is None
 
 
+def _recording_evaluations(monkeypatch):
+    """The points at which roots._horner is called from now on."""
+    evaluated = []
+    real = roots._horner
+
+    def recording(c, num, den):
+        evaluated.append(F(num, den))
+        return real(c, num, den)
+
+    monkeypatch.setattr(roots, "_horner", recording)
+    return evaluated
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 100])
+def test_reciprocal_certificate_signs_are_the_true_signs(monkeypatch, n):
+    """N_n = x M_n with M_n palindromic: the brackets in (-1, 0) are the images
+    (1/hi, 1/lo) of the dyadic ones below -1, with signs from palindromy and no
+    evaluation there; those signs are the true ones, and each bracket holds a root."""
+    p, props = narayana_poly_direct(n), asymptotics._lobatto_proposals(n)
+    evaluated = _recording_evaluations(monkeypatch)
+    iso = certify_roots(p, props)
+    monkeypatch.undo()
+    assert iso is not None and iso.path == SIGN_CHANGES
+    inside = [(lo, hi) for lo, hi in iso.intervals if -1 < lo and hi < 0]
+    assert inside == [(1 / hi, 1 / lo) for lo, hi in iso.intervals if hi < -1][::-1]
+    assert len(inside) == (n - 1) // 2 and not {x for iv in inside for x in iv} & set(evaluated)
+    for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
+        assert (slo, shi) == (roots._eval_sign(iso._sqfree, lo), roots._eval_sign(iso._sqfree, hi))
+        assert slo * shi < 0
+        if (lo, hi) not in inside:
+            assert lo.denominator & (lo.denominator - 1) == 0 and hi in set(evaluated)
+        if n <= 12:
+            assert sturm_count(p, lo, hi) == 1
+
+
+X_PLUS_2, TWO_X_PLUS_1 = P([2, 1]), P([1, 2])
+
+
+@pytest.mark.parametrize("p, mirrored", [
+    (narayana_poly_direct(11) * X_PLUS_2, False),
+    (narayana_poly_direct(11) * X_PLUS_2 * TWO_X_PLUS_1, True),
+    (narayana_poly_direct(11).exact_divide(P.x()) * X_PLUS_2 * TWO_X_PLUS_1, False),
+], ids=["not-palindromic", "x-times-palindrome", "palindrome"])
+def test_certificate_uses_reciprocity_only_for_x_times_a_palindrome(monkeypatch, p, mirrored):
+    props = roots_float(p)
+    evaluated = _recording_evaluations(monkeypatch)
+    iso = certify_roots(p, props)
+    monkeypatch.undo()
+    assert iso is not None and len(iso.intervals) == len(props)
+    skipped = {x for iv in iso.intervals for x in iv} - set(evaluated)
+    assert bool(skipped) == mirrored
+
+
 DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
 CLOSE_PAIR = P([F(-1, 3), 1]) * P([-F(1, 3) - F(1, 2**30), 1])  # both roots in one grid cell
 
