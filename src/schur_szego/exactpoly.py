@@ -3,11 +3,14 @@ dense linear algebra.
 
 Everything here is pure and exact: coefficients are ``fractions.Fraction``,
 matrices are row-major integers over one denominator. Each coefficient-vector
-job has one kernel here for the whole package: clearing denominators, content,
-trim, derivative, integer pseudo-division (RationalPoly.divmod, the remainder
-sequences in roots), a generic Horner (RationalPoly.__call__, the binary64
-quotients in asymptotics) and the fold of a palindrome by x -> 1/x (_fold,
-behind criterion 6). One fraction-free reduction, _rref (forward Bareiss
+job has one kernel here for the whole package: clearing denominators, content
+(_primitive, which strips a multiword content by one divmod pass), trim,
+derivative, integer product (_mul, behind RationalPoly.__mul__ and the Sturm
+chains that roots builds on cofactors), integer pseudo-division
+(RationalPoly.divmod, the remainder sequences in roots), a generic Horner
+(RationalPoly.__call__, the binary64 quotients in asymptotics, the heuristic
+gcd in roots) and the fold of a palindrome by x -> 1/x (_fold, behind
+criterion 6). One fraction-free reduction, _rref (forward Bareiss
 elimination, then exact back-substitution to the reduced form), serves kernel,
 solve_linear and RationalMatrix.determinant. One integer Lagrange basis,
 _lagrange_basis (exact synthetic division of the product of the nodes' linear
@@ -24,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
+_CONTENT_CROSSOVER_BITS = 1024  # a longer candidate content is divided out with no full gcd scan
 
 
 class NotDivisibleError(ArithmeticError):
@@ -68,10 +72,27 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _primitive(c: list[int], sign: int = 1) -> list[int]:
-    """c divided by sign * its content, in one pass (c itself when that divisor is 1
-    or the content is 0); sign is 1 or -1."""
-    g = sign * math.gcd(*c)
-    return [x // g for x in c] if g and g != 1 else c
+    """c divided by sign * its content, in one pass; sign is 1 or -1.
+
+    A word-size candidate g = gcd(c[0], c[-1]) leaves one gcd of every coefficient (c
+    itself is returned when the divisor is 1 or the content 0). A multiword one is
+    divided out by one divmod pass: a nonzero remainder r replaces g by gcd(g, r), and
+    the quotients already made are multiplied by the old g over the new one."""
+    g = math.gcd(c[0], c[-1])
+    if g.bit_length() <= _CONTENT_CROSSOVER_BITS:
+        g = sign * math.gcd(*c)
+        return [x // g for x in c] if g and g != 1 else c
+    g *= sign
+    out = []
+    for x in c:
+        q, r = divmod(x, g)
+        if r:
+            h = sign * math.gcd(g, r)
+            k = g // h
+            out = [y * k for y in out]
+            q, g = q * k + r // h, h
+        out.append(q)
+    return out
 
 
 def _trim(c: list) -> list:
@@ -83,6 +104,16 @@ def _trim(c: list) -> list:
 
 def _derivative(c: Sequence) -> list:
     return _trim([i * c[i] for i in range(1, len(c))])
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient vectors, by convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -205,16 +236,8 @@ class RationalPoly:
         return RationalPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero() or other.is_zero():
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return RationalPoly(out)
+        (a, da), (b, db) = _clear_denominators(self.coeffs), _clear_denominators(other.coeffs)
+        return RationalPoly([Fraction(c, da * db) for c in _mul(a, b)])
 
     def scale(self, factor: Fraction | int) -> "RationalPoly":
         return RationalPoly([c * Fraction(factor) for c in self.coeffs])

@@ -3,7 +3,10 @@
 All certificates are exact: Sturm chains are sign-faithful primitive
 integer polynomial remainder sequences (only positive scalings, so sign
 variation counts are those of the classical rational chain), evaluated by
-integer-homogenized Horner at rational points. Interlacing verdicts come
+integer-homogenized Horner at rational points. When p has a repeated factor G,
+the chain of (p, p') is G times the chain of the cofactors, bit for bit: G is
+proposed by a heuristic gcd and certified by zero pseudo-remainders before the
+cofactors' cheaper chain is built (`_prs`). Interlacing verdicts come
 from the Cauchy index of one such sequence. Float root proposals can be
 certified by exact sign changes alone (`certify_roots`); floats only
 choose where to look. Nothing here trusts the theorems it is used to test.
@@ -14,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import frexp, isfinite, lcm
+from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
-from .exactpoly import RationalPoly, _clear_denominators, _derivative, _primitive, _pseudo_divmod
+from .exactpoly import (RationalPoly, _clear_denominators, _derivative, _mul, _primitive,
+                        _pseudo_divmod, horner)
 
 STRICT_INTERLACE = "strict-interlace"
 COMMON_ROOT = "common-root"
@@ -58,11 +62,67 @@ def _int_prs(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 # maxsize 2: roots_float(q) builds q's chain, then a gcd-tower chain, before
-# is_hyperbolic(q) asks for q's chain again. Members are built as lists and
-# frozen once at the end; building each as a tuple from a generator left
-# about 0.6 MB more allocated after the hyperbolicity-interlacing check
+# is_hyperbolic(q) asks for q's chain again
 @lru_cache(maxsize=2)
 def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The chain of `_chain`, built on cofactors when b ends like a multiple of a'.
+
+    For a common factor G of a and b, primitive, (G f) mod (G g) = G (f mod g) and
+    Gauss's lemma make each member of the chain of (a, b) G times that of (a / G, b / G),
+    and both chains end together. G is proposed by `_common_factor` and certified by
+    zero pseudo-remainders; any G that fails leaves the plain chain.
+    """
+    d = len(a) - 1
+    if len(b) == d and b[0] * d * a[-1] == b[-1] * a[1]:  # b[0] : b[-1] = a'(0) : lead(a')
+        g = _common_factor(a, b)
+        if len(b) >= len(g) > 1:
+            (ma, qa, ra), (mb, qb, rb) = _pseudo_divmod(a, g), _pseudo_divmod(b, g)
+            if ra == rb == [0]:
+                cofactors = _chain(tuple(x // ma for x in qa), tuple(x // mb for x in qb))
+                return tuple(tuple(_mul(g, c)) for c in cofactors)
+    return _chain(a, b)
+
+
+def _root_bits(c: Sequence[int]) -> int:
+    """u with every root of c below 2^u in modulus, from Fujiwara's bound
+    2 max_i |c_(d-i) / c_d|^(1/i) on bit lengths."""
+    lens = list(map(int.bit_length, c))
+    d, lead = len(c) - 1, lens[-1]
+    return 1 + max([0] + [-((lead - 1 - n) // (d - i)) for i, n in enumerate(lens[:-1])])
+
+
+def _common_factor(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A proposed common factor of a and b, primitive with a positive leading
+    coefficient; [1] when a and b are shown coprime.
+
+    The roots of a common factor G of positive degree are roots of b, so below 2^u,
+    u = `_root_bits(b)`; at t >= 2^(u+2) each |t - z| > t/2, so |G(t)| > t/2, and
+    G(t) divides gcd(a(t), b(t)). A gcd of at most t/2 at t = 2^(u+2) or 2^(u+3)
+    thus shows a and b coprime. Otherwise G is the heuristic gcd (Char, Geddes and
+    Gonnet 1989): the primitive part of the symmetric xi-adic digits of
+    gcd(a(xi), b(xi)), xi = 2^e, e the bit length of min(|a|, |b|) (sup norms) plus 2.
+    """
+    t = 1 << _root_bits(b) + 2
+    for t in (t, t << 1):
+        if gcd(horner(a, t), horner(b, t)) <= t >> 1:
+            return [1]
+    e = min(max(map(abs, a)), max(map(abs, b))).bit_length() + 2
+    xi = 1 << e
+    gamma = gcd(horner(a, xi), horner(b, xi))
+    digits = []
+    while gamma:
+        digit = gamma & (xi - 1)
+        if digit > xi >> 1:
+            digit -= xi
+        digits.append(digit)
+        gamma = (gamma - digit) >> e
+    return _primitive(digits, _sign(digits[-1]))
+
+
+# Members are built as lists and frozen once at the end; building each as a
+# tuple from a generator left about 0.6 MB more allocated after the
+# hyperbolicity-interlacing check
+def _chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     chain = [a, b]
     while True:
         f, g = chain[-2], chain[-1]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from schur_szego import exactpoly
 from schur_szego.css import build_phi
 from schur_szego.exactpoly import (
     NotDivisibleError,
@@ -16,6 +17,7 @@ from schur_szego.exactpoly import (
     _divide_linear,
     _fold,
     _lagrange_basis,
+    _mul,
     _primitive,
     _pseudo_divmod,
     _rref,
@@ -178,6 +180,85 @@ def test_primitive_divides_by_the_signed_content():
     zero = [0]
     assert _primitive(zero, -1) is zero  # content 0: returned unchanged
     assert _primitive([0, 0, -7], -1) == [0, 0, 1]
+
+
+def _primitive_by_full_gcd(c, sign):
+    """The word-size route on any input: divide by sign * gcd of every coefficient."""
+    g = sign * math.gcd(*c)
+    return [x // g for x in c] if g else c
+
+
+WIDE = 2**1100 + 3  # a unit wider than the crossover
+CONTENT_CASES = {  # each as a function of its unit w
+    "both-signs": lambda w: [3 * w, -5 * w, 7 * w],
+    "zero-constant-term": lambda w: [0, 4 * w, -6 * w],
+    "zero-inner-terms": lambda w: [-w, 0, 0, w],
+    "one-coefficient": lambda w: [-9 * w],
+    "content-one": lambda w: [w, 2, 3 * w],
+    "candidate-shared-by-the-ends-only": lambda w: [6 * w, -15 * w, 10 * w, 9 * w],
+    "late-remainder": lambda w: [5 * w, 10 * w, 3, 15 * w],
+}
+
+
+@pytest.mark.parametrize("unit, crossover", [(WIDE, exactpoly._CONTENT_CROSSOVER_BITS), (7, 0)],
+                         ids=["multiword", "lowered-crossover"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("case", sorted(CONTENT_CASES))
+def test_primitive_strips_a_multiword_content_in_one_pass(monkeypatch, case, sign, unit, crossover):
+    monkeypatch.setattr(exactpoly, "_CONTENT_CROSSOVER_BITS", crossover)
+    c = CONTENT_CASES[case](unit)
+    assert math.gcd(c[0], c[-1]).bit_length() > crossover
+    assert _primitive(list(c), sign) == _primitive_by_full_gcd(c, sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_primitive_keeps_word_size_vectors_on_the_one_call_path(monkeypatch, sign):
+    calls = []
+    original = math.gcd
+
+    def counting(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    cases = ([4, -6, 10], [0, 0, 0], [0, 5, 0], [7], [2**64 * 3, 2**64 * 5])
+    expected = [_primitive_by_full_gcd(c, sign) for c in cases]
+    monkeypatch.setattr(exactpoly.math, "gcd", counting)
+    for c, want in zip(cases, expected):
+        calls.clear()
+        assert _primitive(list(c), sign) == want
+        assert calls == [2, len(c)]  # the candidate, then the one starred gcd
+
+
+coefficient_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
+
+
+@given(coefficient_lists, st.integers(0, 2**1200), st.sampled_from([1, -1]))
+@example([0, 3, 0], 2**1100, 1)  # zero ends: candidate 0 stays on the word-size path
+@example([2, 3, 4], 2**1100 * 3, -1)  # 2 and 4 share a factor that 3 does not
+def test_primitive_matches_the_full_gcd_on_both_sides_of_the_crossover(c, content, sign):
+    c = [x * content for x in c]
+    assert _primitive(list(c), sign) == _primitive_by_full_gcd(c, sign)
+
+
+def _mul_by_fractions(p, q):
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return P(out)
+
+
+@given(polys, polys)
+def test_product_matches_the_fraction_convolution(p, q):
+    assert p * q == _mul_by_fractions(p, q)
+
+
+def test_integer_product_examples():
+    assert _mul([1, 1], [-1, 1]) == [-1, 0, 1]
+    assert _mul([0, 2], [3]) == [0, 6]
+    assert _mul([5], [0]) == [0]
+    assert P([F(1, 2), 1]) * P([F(-1, 3), 0, 2]) == P([F(-1, 6), F(-1, 3), 1, 2])
+    assert P.zero() * P([1, 2]) == P.zero()
 
 
 def test_binomial_convention():

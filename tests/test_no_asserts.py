@@ -4,7 +4,8 @@ Certificates must survive `python -O`, which strips `assert` statements, and
 the package needs nothing beyond the standard library (importing numpy alone
 took peak RSS from 17 to 29 MB). The choice between the exact and the
 binary64 route is made in one place, `asymptotics._exact`, the content of a
-coefficient vector is taken in one place, `exactpoly._primitive`, a Sturm
+coefficient vector is taken in one place, `exactpoly._primitive`, two
+coefficient vectors are multiplied in one place, `exactpoly._mul`, a Sturm
 chain is evaluated at a point only to isolate roots, in `roots._isolate`, and
 Phi_n has one construction, its Lagrange basis, with no elimination in `css`. A
 falsified claim raises the one `exactpoly.TheoremViolation`; every other
@@ -78,6 +79,27 @@ def test_one_content_kernel():
                 and node.name == "_primitive":
             inside |= {f"exactpoly.py:{n.lineno}" for n in ast.walk(node) if _is_starred_gcd(n)}
     found = {where for where, node in _nodes() if _is_starred_gcd(node)}
+    assert sorted(found - inside) == []
+    assert len(inside) == 1
+
+
+def _is_convolution_step(node):
+    """`out[i + j] += x * y`: a product accumulated at the sum of two indices."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.target.slice, ast.BinOp)
+            and isinstance(node.target.slice.op, ast.Add)
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult))
+
+
+def test_one_product_kernel():
+    inside = set()
+    for where, node in _nodes():
+        if where.startswith("exactpoly.py:") and isinstance(node, ast.FunctionDef) \
+                and node.name == "_mul":
+            inside |= {f"exactpoly.py:{n.lineno}" for n in ast.walk(node)
+                       if _is_convolution_step(n)}
+    found = {where for where, node in _nodes() if _is_convolution_step(node)}
     assert sorted(found - inside) == []
     assert len(inside) == 1
 

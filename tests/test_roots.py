@@ -640,3 +640,99 @@ def test_sturm_total_matches_distinct_count(cs):
     total = distinct_real_roots(poly)
     iso = isolate_roots(poly)
     assert len(iso.intervals) == total
+
+
+def _sturm_pair(*factors):
+    """(a, b) for p, the product of the (coefficients, multiplicity) factors: a is
+    p's primitive integer form and b the primitive derivative of a, the pair a
+    Sturm chain of p asks `_prs` for."""
+    p = P([1])
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = p * P(coeffs)
+    a = roots._int_poly(p)
+    return tuple(a), tuple(roots._primitive(roots._derivative(a)))
+
+
+REPEATED = (([-1, 1], 2), ([2, 1], 3), ([1, 2], 1))  # gcd(p, p') = (x - 1)(x + 2)^2
+
+
+factors = st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=2, max_size=3)
+                             .filter(lambda f: f[-1] != 0), st.integers(1, 3)),
+                   min_size=1, max_size=4)
+
+
+@given(factors)
+def test_split_chain_equals_the_plain_chain_bit_for_bit(fs):
+    a, b = _sturm_pair(*fs)
+    assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
+
+
+def test_split_builds_the_chain_on_cofactors(monkeypatch):
+    a, b = _sturm_pair(*REPEATED)
+    g = roots._common_factor(a, b)
+    assert g == roots._int_poly(P([-1, 1]) * P([2, 1]) * P([2, 1]))
+    built = []
+    chain = roots._chain
+    monkeypatch.setattr(roots, "_chain", lambda f, h: built.append((f, h)) or chain(f, h))
+    assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
+    cofactor = tuple(roots._int_poly(P([-1, 1]) * P([2, 1]) * P([1, 2])))
+    assert [f for f, _ in built] == [cofactor]  # one chain, on the cofactor pair
+    assert len(built[0][1]) == len(b) - len(g) + 1
+
+
+@pytest.mark.parametrize("forced, split", [
+    ([-1, 1], True),  # x - 1 divides the gcd (x - 1)(x + 2)^2 properly
+    ([-5, 1], False),  # x - 5 divides neither member
+    ([1], False),  # a constant splits nothing off
+    ([2, 1, 0, 0, 0, 0, 1], False),  # longer than b
+], ids=["proper-divisor", "non-divisor", "constant", "longer-than-b"])
+def test_forced_proposals_give_the_plain_chain(monkeypatch, forced, split):
+    a, b = _sturm_pair(*REPEATED)
+    monkeypatch.setattr(roots, "_common_factor", lambda f, h: list(forced))
+    built = []
+    chain = roots._chain
+    monkeypatch.setattr(roots, "_chain", lambda f, h: built.append(f) or chain(f, h))
+    assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
+    assert (built != [a]) == split
+
+
+def test_a_squarefree_pair_is_shown_coprime_at_the_root_bound(monkeypatch):
+    a, b = _sturm_pair(([-1, 1], 1), ([-2, 1], 1), ([-3, 1], 1))
+    t = 1 << roots._root_bits(b) + 2
+    assert t == 64  # b = 3x^2 - 12x + 11 has roots near 1.4 and 2.6
+    assert math.gcd(exactpoly.horner(a, t), exactpoly.horner(b, t)) == 1
+    points = []
+    monkeypatch.setattr(roots, "horner", lambda c, x: points.append(x) or exactpoly.horner(c, x))
+    assert roots._common_factor(a, b) == [1]
+    assert set(points) == {t}  # no evaluation at xi
+
+
+@pytest.mark.parametrize("c", [[-6, 11, -6, 1], [0, 0, 0, 1], [5, -1, 0, 0, 3], [7], [1, 1]])
+def test_root_bits_bound_every_root(c):
+    u = roots._root_bits(c)
+    assert all(abs(r) < 2**u for r in roots_float(P(c)))
+
+
+def test_interlacing_pairs_get_no_proposal(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a common factor was proposed for an interlacing pair")
+
+    monkeypatch.setattr(roots, "_common_factor", refuse)
+    q = P([0, 1]) * P([-2, 1]) * P([-4, 1])
+    assert interlace_check(P([-1, 1]) * P([-3, 1]), q) == STRICT_INTERLACE
+    # criterion 6's folds for n even: (w S_n, S_{n-1})
+    s = [exactpoly._fold(roots._int_poly(narayana_poly_direct(n).exact_divide(RationalPoly.x())))
+         for n in (9, 10)]
+    assert interlace_check(P(s[0]), P([0] + s[1])) == STRICT_INTERLACE
+
+
+def test_odd_folds_are_sturm_pairs_shown_coprime():
+    # S_{n-1} is the primitive derivative of S_n for n odd, so criterion 6 asks _prs
+    # for Sturm pairs there; each is shown coprime at its root bound, with no split
+    s = {n: exactpoly._fold(roots._int_poly(narayana_poly_direct(n).exact_divide(RationalPoly.x())))
+         for n in range(2, 62)}
+    for n in range(3, 62, 2):
+        a, b = tuple(s[n]), tuple(s[n - 1])
+        assert b == tuple(roots._primitive(roots._derivative(a)))
+        assert roots._common_factor(a, b) == [1]
