@@ -69,14 +69,6 @@ def read_poly_file(path: str) -> RationalPoly:
     return RationalPoly(coeffs)
 
 
-def write_poly_file(path: str, poly: RationalPoly) -> None:
-    deg = 0 if poly.is_zero() else int(poly.degree)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{deg}\n")
-        for i in range(deg + 1):
-            fh.write(f"{poly.coeff(i)}\n")
-
-
 def _fractions(seq) -> list[str]:
     return [str(v) for v in seq]
 

@@ -419,9 +419,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.ints[i * self.cols:(i + 1) * self.cols])
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def shifted(self, lam: Fraction | int) -> "RationalMatrix":
         """self - lam * I (square only)."""
         if self.rows != self.cols:

@@ -6,10 +6,13 @@ variation counts are those of the classical rational chain), evaluated by
 integer-homogenized Horner at rational points. When p has a repeated factor G,
 the chain of (p, p') is G times the chain of the cofactors, bit for bit: G is
 proposed by a heuristic gcd and certified by zero pseudo-remainders before the
-cofactors' cheaper chain is built (`_prs`). Interlacing verdicts come
-from the Cauchy index of one such sequence. Float root proposals can be
-certified by exact sign changes alone (`certify_roots`); floats only
-choose where to look. Nothing here trusts the theorems it is used to test.
+cofactors' cheaper chain is built. Every chain comes from `_prs`, the one memo,
+keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
+one such sequence. Sturm isolation is dyadic: its endpoints and samples have
+power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
+Float root proposals can be certified by exact sign changes alone
+(`certify_roots`); floats only choose where to look. Nothing here trusts the
+theorems it is used to test.
 """
 
 from __future__ import annotations
@@ -52,25 +55,18 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_prs(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Primitive PRS of (a, b) with Sturm signs: each step appends a positive
-    rescaling of -(a mod b). Ends at the (primitive) gcd.
-
-    Memoized on the primitive pair, so a Sturm chain of q, the interlacing
-    sequence of (q, c*q') and a gcd of the two share one build."""
-    return _prs(tuple(_primitive(list(a))), tuple(_primitive(list(b))))
-
-
 # maxsize 2: roots_float(q) builds q's chain, then a gcd-tower chain, before
 # is_hyperbolic(q) asks for q's chain again
 @lru_cache(maxsize=2)
 def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The chain of `_chain`, built on cofactors when b ends like a multiple of a'.
+    """PRS of the primitive tuples (a, b), the one memo key, with Sturm signs: each
+    step appends a positive rescaling of -(a mod b); it ends at the (primitive) gcd.
 
-    For a common factor G of a and b, primitive, (G f) mod (G g) = G (f mod g) and
-    Gauss's lemma make each member of the chain of (a, b) G times that of (a / G, b / G),
-    and both chains end together. G is proposed by `_common_factor` and certified by
-    zero pseudo-remainders; any G that fails leaves the plain chain.
+    Built on cofactors when b ends like a multiple of a': for a common factor G of
+    a and b, primitive, (G f) mod (G g) = G (f mod g) and Gauss's lemma make each
+    member of the chain of (a, b) G times that of (a / G, b / G), and both chains end
+    together. G is proposed by `_common_factor` and certified by zero
+    pseudo-remainders; any G that fails leaves the plain chain.
     """
     d = len(a) - 1
     if len(b) == d and b[0] * d * a[-1] == b[-1] * a[1]:  # b[0] : b[-1] = a'(0) : lead(a')
@@ -187,7 +183,8 @@ class SturmChain:
 
     def __init__(self, int_coeffs: Sequence[int]):
         p = _primitive(list(int_coeffs))
-        self.polys = (tuple(p),) if len(p) == 1 else _int_prs(p, _derivative(p))
+        self.polys = ((tuple(p),) if len(p) == 1
+                      else _prs(tuple(p), tuple(_primitive(_derivative(p)))))
         self.poly = p
 
     def variations_at(self, x: Fraction) -> int:
@@ -196,12 +193,6 @@ class SturmChain:
     def total_real_roots(self) -> int:
         """Number of distinct real roots (the Cauchy index of p'/p)."""
         return _cauchy_index(self.polys)
-
-
-def cauchy_bound(p: RationalPoly) -> Fraction:
-    """1 + max |c_i| / |lead|: every root lies strictly inside (-B, B)."""
-    lead = abs(p.leading())
-    return 1 + max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0)) / lead
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +254,15 @@ def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
     sampled on a finer grid of the same lattice, which it hands down to its
     parts; when the samples place c roots (`_placed`), those c intervals
     hold one root each. Otherwise one Sturm evaluation at the nonzero sample
-    nearest its middle splits it. From a dyadic (-t, t), every interval is
-    then a dyadic cell, or two cells around a root at a sample.
+    nearest its middle splits it. Isolation is dyadic: t doubles from 1 until
+    V(-t) - V(t) = V(-inf) - V(+inf), at the latest at the first power of two
+    past every root, so every interval is a dyadic cell, or two around a root.
     """
     total = chain.total_real_roots()
     if total == 0:
         return []
-    bound = cauchy_bound(RationalPoly(chain.poly))
     t = Fraction(1)
     while True:
-        if t >= bound:
-            t = bound  # roots are strictly inside (-B, B), so +-B are safe
         slo, shi = _eval_sign(sqfree, -t), _eval_sign(sqfree, t)
         if slo and shi:
             vlo, vhi = chain.variations_at(-t), chain.variations_at(t)
@@ -500,7 +489,7 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
     a, b = _int_poly(p), _int_poly(q)
     if len(a) < len(b):
         a, b = b, a
-    g = RationalPoly(_int_prs(a, b)[-1])
+    g = RationalPoly(_prs(tuple(a), tuple(b))[-1])
     return g.scale(1 / g.leading())
 
 
@@ -524,14 +513,13 @@ def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
     a, b = _int_poly(q), _int_poly(p)
-    if (a[-1] > 0) != (b[-1] > 0):
-        b = [-x for x in b]  # p and -p share a memo key; only Ind(p/q)'s sign flips
-    prs = _int_prs(a, b)
+    # p and -p share a memo key; only Ind(p/q)'s sign flips
+    prs = _prs(tuple(a), tuple(b if (a[-1] > 0) == (b[-1] > 0) else [-x for x in b]))
     if len(prs[-1]) == 1:
         return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
     # q first: a non-squarefree q fails without building p's chain, and when
     # p is a nonzero multiple of q', q's chain is prs, which the memo holds
-    for operand in (q, p):
-        if distinct_real_roots(operand) != operand.degree:
+    for c in (a, b):
+        if SturmChain(c).total_real_roots() != len(c) - 1:
             return FAIL
     return COMMON_ROOT

@@ -29,7 +29,7 @@ def cold_root_sample():
 
 @pytest.fixture(autouse=True)
 def cold_remainder_sequences():
-    """The _int_prs memo is shared by the whole session; clear it around each
+    """The _prs memo is shared by the whole session; clear it around each
     test so that no count of remainder-sequence builds depends on test order."""
     memo = roots._prs
     memo.cache_clear()
@@ -39,7 +39,7 @@ def cold_remainder_sequences():
 
 @pytest.fixture
 def remainder_sequence_builds(monkeypatch):
-    """Rebuild the _int_prs memo around a kernel that records each (a, b) it
+    """Rebuild the _prs memo around a kernel that records each (a, b) it
     builds, i.e. each memo miss; the list of them is the fixture's value."""
     built = []
     kernel = roots._prs.__wrapped__

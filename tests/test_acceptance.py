@@ -187,13 +187,13 @@ def test_interlacing_runs_on_half_degree_folds(monkeypatch):
     """No remainder sequence of criterion 6 at n <= 100 has an operand of more than
     51 coefficients: w*S_100 has 51, and N_100/x would give 100."""
     widths = []
-    real = roots._int_prs
+    real = roots._prs
 
     def recording(a, b):
         widths.append(max(len(a), len(b)))
         return real(a, b)
 
-    monkeypatch.setattr(roots, "_int_prs", recording)
+    monkeypatch.setattr(roots, "_prs", recording)
     assert acceptance.check_hyperbolic_interlacing(100).passed
     assert len(widths) == 98 and max(widths) == 51
 

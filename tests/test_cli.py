@@ -11,9 +11,18 @@ import pytest
 
 import schur_szego
 from schur_szego import acceptance, cli, css, narayana, roots, spectra
-from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file, write_poly_file
+from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file
 from schur_szego.exactpoly import RationalPoly, TheoremViolation
 from fractions import Fraction as F
+
+
+def write_poly_file(path: str, poly: RationalPoly) -> None:
+    """The polynomial file format that `read_poly_file` reads."""
+    deg = 0 if poly.is_zero() else int(poly.degree)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{deg}\n")
+        for i in range(deg + 1):
+            fh.write(f"{poly.coeff(i)}\n")
 
 
 def run_cli(capsys, *argv):

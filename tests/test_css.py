@@ -19,7 +19,7 @@ from schur_szego.exactpoly import (RationalMatrix, RationalPoly, TheoremViolatio
                                    binomial, kernel)
 from schur_szego.spectra import eigenvalues_closed_form
 
-from test_exactpoly import newton_interpolate
+from test_exactpoly import newton_interpolate, to_rows
 
 P = RationalPoly
 
@@ -81,7 +81,7 @@ def test_composition_factor():
 
 def test_build_phi_3_closed_form():
     phi = build_phi(3)
-    assert phi.linear.to_rows() == [[F(3, 2), F(-1, 2)], [F(0), F(1)]]
+    assert to_rows(phi.linear) == [[F(3, 2), F(-1, 2)], [F(0), F(1)]]
     assert phi.offset == (F(-1, 2), F(0))
     assert phi.apply((F(2), F(1))) == (F(2), F(1))   # (x+1)^2 is fixed
     assert phi.apply((F(1), F(0))) == (F(1), F(0))   # x(x+1) is fixed too
@@ -110,7 +110,7 @@ def _phi_by_probing(n):
 def test_build_phi_matches_probe_and_interpolate():
     for n in range(3, 18):
         rows, offset = _phi_by_probing(n)
-        assert build_phi(n).linear.to_rows() == rows
+        assert to_rows(build_phi(n).linear) == rows
         assert build_phi(n).offset == offset
 
 
@@ -140,9 +140,9 @@ def test_build_phi_matches_elimination():
 
 
 def matvec(matrix, v):
-    """matrix v, summed in Fractions from matrix.to_rows(): an oracle that does not
+    """matrix v, summed in Fractions from to_rows(matrix): an oracle that does not
     read the matrix's integer storage."""
-    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in matrix.to_rows())
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in to_rows(matrix))
 
 
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),

@@ -6,10 +6,13 @@ took peak RSS from 17 to 29 MB). The choice between the exact and the
 binary64 route is made in one place, `asymptotics._exact`, the content of a
 coefficient vector is taken in one place, `exactpoly._primitive`, two
 coefficient vectors are multiplied in one place, `exactpoly._mul`, a Sturm
-chain is evaluated at a point only to isolate roots, in `roots._isolate`, and
-Phi_n has one construction, its Lagrange basis, with no elimination in `css`. A
-falsified claim raises the one `exactpoly.TheoremViolation`; every other
-exception class the package defines is an input or domain error.
+chain is evaluated at a point only to isolate roots, in `roots._isolate`, a
+chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
+`interlace_check` and `poly_gcd` call, `roots` wraps integers back into a
+`RationalPoly` only for `poly_gcd`'s result, and Phi_n has one construction,
+its Lagrange basis, with no elimination in `css`. A falsified claim raises the
+one `exactpoly.TheoremViolation`; every other exception class the package
+defines is an input or domain error.
 """
 
 import ast
@@ -119,6 +122,36 @@ def test_sturm_evaluation_only_in_isolation():
     found = {where for where, node in _nodes() if _is_variations_call(node)}
     assert sorted(found - inside) == []
     assert inside
+
+
+def _scopes_calling(name):
+    """(module file, qualified name of the enclosing definitions, "" at module
+    level) for every call of `name`, by bare name or as an attribute."""
+    found = set()
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add((where, scope))
+            visit(child, where, scope)
+
+    for path in sorted(Path(schur_szego.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def test_one_entry_to_the_chain_memo():
+    assert _scopes_calling("_prs") == {("roots.py", "SturmChain.__init__"),
+                                       ("roots.py", "interlace_check"), ("roots.py", "poly_gcd")}
+
+
+def test_roots_makes_a_rational_poly_only_for_a_gcd():
+    assert {s for s in _scopes_calling("RationalPoly") if s[0] == "roots.py"} \
+        == {("roots.py", "poly_gcd")}
 
 
 def _names_rref(node):

@@ -17,7 +17,6 @@ from schur_szego.roots import (
     STRICT_INTERLACE,
     STURM,
     SturmChain,
-    cauchy_bound,
     certify_roots,
     distinct_real_roots,
     interlace_check,
@@ -260,6 +259,35 @@ def test_close_roots_are_split_by_sturm_after_sampling(monkeypatch):
     assert any(abs(x) != 1 for x in points)  # not just the +-t bound search
 
 
+def _dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+def test_isolation_of_a_non_dyadic_root_stays_dyadic(monkeypatch):
+    # 3x - 7: a Cauchy cap 1 + 7/3 would start the search from (-10/3, 10/3)
+    dens = []
+    real = roots._horner
+    monkeypatch.setattr(roots, "_horner", lambda c, num, den: dens.append(den) or real(c, num, den))
+    iso = isolate_roots(P([-7, 3]))
+    assert [_dyadic(x) for interval in iso.intervals for x in interval] == [True, True]
+    assert dens and all(den & (den - 1) == 0 for den in dens)  # every sample too
+    assert roots_float(P([-5, 1])) == [5.0]
+
+
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(2, 9)), min_size=1, max_size=4))
+def test_isolation_endpoints_are_dyadic_for_any_leading_coefficient(factors):
+    # a product of linear factors b x - a, b in 2..9, so the leading coefficient is no unit
+    poly = P([1])
+    for a, b in factors:
+        poly = poly * P([-a, b])
+    iso = isolate_roots(poly)
+    assert all(_dyadic(x) for interval in iso.intervals for x in interval)
+    want = sorted(F(a, b) for a, b in factors)
+    got = roots_float(poly)
+    assert len(got) == len(want)
+    assert all(abs(F(g) - r) <= TOL40 for g, r in zip(got, want))
+
+
 def _bisect(iso, index, tol):
     """refine's specification: bisect from the certified endpoint signs."""
     lo, hi = iso.intervals[index]
@@ -466,9 +494,8 @@ def test_census_helpers():
     assert distinct_real_roots(P([1, 0, 1])) == 0
 
 
-def test_cauchy_bound():
-    b = cauchy_bound(P([1, 6, 6, 1]))
-    assert b == 7
+def test_root_bits_bound_holds_every_sturm_root():
+    b = 1 << roots._root_bits([1, 6, 6, 1])
     assert sturm_count(P([1, 6, 6, 1]), -b, b) == 3
 
 
@@ -480,7 +507,7 @@ def test_q_poly_roots_reciprocal_pairs():
             iso = isolate_roots(q)
             assert len(iso.intervals) == j
             assert iso.multiplicities == (1,) * j
-            assert sturm_count(q, F(0), cauchy_bound(q)) == j
+            assert sturm_count(q, F(0), 1 << roots._root_bits(roots._int_poly(q))) == j
             for i in range(j):
                 lo, hi = refine(iso, i, F(1, 2**20))
                 assert lo > 0
@@ -534,13 +561,13 @@ def test_tower_signs_reject_a_broken_isolation(monkeypatch, p, lo, hi):
 def test_remainder_sequences_per_question(monkeypatch):
     # one chain answers hyperbolicity; isolation adds one per gcd-tower level
     calls = []
-    original = roots._int_prs
+    original = roots._prs
 
     def counting(a, b):
         calls.append(len(a) - 1)
         return original(a, b)
 
-    monkeypatch.setattr(roots, "_int_prs", counting)
+    monkeypatch.setattr(roots, "_prs", counting)
     poly = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
     assert is_hyperbolic(poly)
     assert len(calls) == 1
@@ -591,13 +618,14 @@ def test_warm_memo_negative_controls():
     assert interlace_check(bad.derivative(), bad) == FAIL
     assert not is_hyperbolic(bad)
     assert interlace_check(q.exact_divide(P([-2, 1])), q) == COMMON_ROOT
-    c = roots._int_poly(q)
-    seq = roots._int_prs(c, roots._derivative(c))
+    c = tuple(roots._int_poly(q))
+    dc = tuple(roots._primitive(roots._derivative(c)))
+    seq = roots._prs(c, dc)
     with pytest.raises(TypeError):
         seq[0] = (1,)
     with pytest.raises(TypeError):
         seq[0][0] = 1
-    assert roots._int_prs(c, roots._derivative(c))[0] == tuple(c)
+    assert roots._prs(c, dc)[0] == c
 
 
 def _two_pass_prs(a, b, seen):

@@ -16,6 +16,8 @@ from schur_szego.spectra import (
     verify_mjnj,
 )
 
+from test_exactpoly import to_rows
+
 P = RationalPoly
 
 
@@ -125,7 +127,7 @@ def test_closed_form_b_is_the_similarity_of_a():
         m = n - 1
         t_inv = [[binomial(m - 1 - r, m - 1 - i) for r in range(m)] for i in range(m)]
         t = [[-c if (i - r) % 2 else c for r, c in enumerate(row)] for i, row in enumerate(t_inv)]
-        a = css.build_phi(n).linear.to_rows()
+        a = to_rows(css.build_phi(n).linear)
         t_a = [[sum(t[i][l] * a[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
         b = [[sum(t_a[i][l] * t_inv[l][r] for l in range(m)) for r in range(m)] for i in range(m)]
         assert [[x * math.factorial(m) for x in row] for row in b] == spectra._closed_form_b(n)
@@ -137,7 +139,7 @@ def test_closed_form_b_is_the_similarity_of_a():
 def _below_diagonal_perturbed(real):
     def build_phi(n):
         phi = real(n)
-        rows = phi.linear.to_rows()
+        rows = to_rows(phi.linear)
         rows[-1][0] += 1
         return css.AffineMapQ(RationalMatrix.from_rows(rows), phi.offset)
     return build_phi
