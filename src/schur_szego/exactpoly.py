@@ -12,11 +12,11 @@ chains that roots builds on cofactors), integer pseudo-division
 gcd in roots) and the fold of a palindrome by x -> 1/x (_fold, behind
 criterion 6). One fraction-free reduction, _rref (forward Bareiss
 elimination, then exact back-substitution to the reduced form), serves kernel,
-solve_linear and RationalMatrix.determinant. One integer Lagrange basis,
-_lagrange_basis (exact synthetic division of the product of the nodes' linear
-factors), serves interpolate and css.build_phi, and _combine sums it with
-rational weights over one denominator. Floats stay out, save the binary64
-error estimate that neville_zero returns.
+solve_linear, RationalMatrix.determinant and system (Sigma) in spectra. One
+integer Lagrange basis, _lagrange_basis (exact synthetic division of the
+product of the nodes' linear factors), serves interpolate and css.build_phi,
+and _combine sums it with rational weights over one denominator. Floats stay
+out, save the binary64 error estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -175,7 +175,10 @@ class RationalPoly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        object.__setattr__(self, "coeffs", tuple(_trim([Fraction(c) for c in coeffs])))
+        # an exact Fraction is immutable and kept as it is; ints, floats and
+        # subclasses of Fraction are converted
+        object.__setattr__(self, "coeffs", tuple(_trim(
+            [c if type(c) is Fraction else Fraction(c) for c in coeffs])))
 
     # -- constructors -------------------------------------------------
 

@@ -179,10 +179,13 @@ class SturmChain:
     non-squarefree p too (the trailing gcd scales the whole sign sequence
     at non-root points, leaving variation counts intact). Its last member
     is gcd(p, p').
+
+    int_coeffs must be primitive (content 1), as every caller's are: an
+    `_int_poly` vector or a member of another chain.
     """
 
     def __init__(self, int_coeffs: Sequence[int]):
-        p = _primitive(list(int_coeffs))
+        p = list(int_coeffs)
         self.polys = ((tuple(p),) if len(p) == 1
                       else _prs(tuple(p), tuple(_primitive(_derivative(p)))))
         self.poly = p

@@ -14,8 +14,11 @@ Three routes are implemented:
 * sigma_system_solve (Sigma route): the linear system L_k = R_k in the
   unknown interior coefficients q_1..q_{j-1} of Q_{j,n} (leading 1, constant
   (-1)^j fixed), assembled from the coefficient identities of the
-  eigen-relation, solved on the block k = 1..j-1 and verified on every
-  remaining k up to n-1.
+  eigen-relation. _sigma_rows builds all n-1 equations at once in integers
+  (at most 204 bits at n = 160, j = 7, not the 1452 of the scale that
+  clears the denominators as first written), from one Pascal row; the block
+  k = 1..j-1 is reduced by _rref and the integer solution, over its one
+  denominator, is verified on every k up to n-1.
 
 The exact agreement of the kernel and triangular routes for 3 <= n <= 12,
 and of the triangular and Sigma routes for 4 <= n <= 10, are acceptance
@@ -32,9 +35,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalMatrix, RationalPoly, SingularMatrixError, TheoremViolation,
-                        _clear_denominators, _primitive, binomial, kernel, neville_zero,
-                        solve_linear)
+from .exactpoly import (RationalPoly, TheoremViolation, _clear_denominators, _primitive, _rref,
+                        binomial, kernel, neville_zero)
 from .narayana import narayana_number
 
 
@@ -169,54 +171,63 @@ def spectrum_report(n: int) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_row(n: int, j: int, k: int) -> tuple[list[int], int]:
-    """Equation L_k - R_k = 0 as (coefficients of q_1..q_{j-1}, constant) in
-    integers, divided by its content, which would otherwise inflate every number
-    the elimination in solve_linear makes.
+def _sigma_rows(n: int, j: int) -> list[list[int]]:
+    """Equations L_k - R_k = 0, k = 1..n-1, as integer rows [c_1, .., c_{j-1}, c_0]
+    meaning c_1 q_1 + .. + c_{j-1} q_{j-1} + c_0 = 0.
 
-    With a = C(n-1,k-1), C(n-1,k) = a (n-k) / k and C(n,k) = n a / k, the equation
+    With a = C(n-1,k-1), C(n-1,k) = a (n-k) / k and C(n,k) = n a / k, each equation
     has integer entries at scale 1: its right-side term in nu is a (n-k)^{nu+1}
-    k^{j-nu}. Any positive scale, such as the C(n,k)^{j+1} that clears the
-    denominators as first written, has the same primitive row; scale 1 keeps the
-    entries before the gcd small (204 rather than 1452 bits at n = 160, j = 7)."""
-    a = binomial(n - 1, k - 1)
-    # left side: l_{j+1} * sum over the coefficients of Q, low-to-high degree
-    left = math.perm(n - 1, j + 1)
+    k^{j-nu}, and its left side reads one Pascal row C(n-j-2, .) times
+    l_{j+1} = (n-1)...(n-j-1); a steps by a (n-k) / k, exactly. Scale 1 keeps the
+    entries small (204 bits at n = 160, j = 7, against 1452 at the C(n,k)^{j+1} that
+    clears the denominators as first written). Only the block rows k < j, which
+    sigma_system_solve eliminates, are divided by their content, which would
+    otherwise inflate every number the elimination makes; the other rows meet
+    only a zero test, which no scale changes."""
     sign = (-1) ** j
-    vec = [0] * (j - 1)
-    const = left * (sign * binomial(n - j - 2, k - 1) + binomial(n - j - 2, k - 1 - j))
-    for nu in range(1, j):  # coefficient of x^nu in Q is q_{j-nu}
-        vec[j - nu - 1] += left * binomial(n - j - 2, k - 1 - nu)
-    # right side
-    const -= a * (n - k) * (k ** j + sign * (n - k) ** j)
-    for nu in range(1, j):
-        vec[nu - 1] -= a * (n - k) ** (nu + 1) * k ** (j - nu)
-    row = _primitive(vec + [const])
-    return row[:-1], row[-1]
+    m = n - j - 2
+    left = math.perm(n - 1, j + 1)
+    # l_{j+1} C(m, t) at index t + j, zero for t = -j..-1 and m+1..m+j
+    pascal = [0] * j + [left * binomial(m, t) for t in range(m + 1)] + [0] * j
+    rows = []
+    a = 1
+    for k in range(1, n):
+        b = n - k
+        k_pow = [1]  # k^0..k^j
+        for _ in range(j):
+            k_pow.append(k_pow[-1] * k)
+        right = []  # a b^{nu+1} k^{j-nu}, nu = 0..j
+        t = a * b
+        for nu in range(j + 1):
+            right.append(t * k_pow[j - nu])
+            t *= b
+        row = [pascal[k + i] - right[i + 1] for i in range(j - 1)]
+        row.append(sign * pascal[k + j - 1] + pascal[k - 1] - right[0] - sign * right[j])
+        rows.append(_primitive(row) if k < j else row)
+        a = a * b // k
+    return rows
 
 
 def sigma_system_solve(n: int, j: int) -> RationalPoly:
     """Q_{j,n} from system (Sigma), independent of the Phi_n kernel route.
 
-    Solves the k = 1..j-1 block, then checks every equation k = 1..n-1
-    exactly.
+    Reduces the integer block k = 1..j-1 with _rref, then checks every equation
+    k = 1..n-1 exactly on the integer solution over its one denominator.
     """
     if n < 4 or not 1 <= j <= n - 3:
         raise ValueError(f"need n >= 4 and 1 <= j <= n-3, got n={n}, j={j}")
-    all_rows = [_sigma_row(n, j, k) for k in range(1, n)]
-    q: tuple[Fraction, ...] = ()
+    rows = _sigma_rows(n, j)
+    q_int: list[int] = []  # q_i = q_int[i-1] / d
+    d = 1
     if j >= 2:
-        block = all_rows[:j - 1]
-        try:
-            q = solve_linear(RationalMatrix.from_rows([r[0] for r in block]),
-                             [-r[1] for r in block])
-        except SingularMatrixError as exc:
-            raise TheoremViolation(f"block k=1..{j - 1} is singular for n={n}, j={j}") from exc
-    q_int, d = _clear_denominators(q)
-    for k, (vec, const) in enumerate(all_rows, start=1):
-        if sum((vi * qi for vi, qi in zip(vec, q_int)), const * d) != 0:
+        block, piv_cols, d, _ = _rref([list(r) for r in rows[:j - 1]])
+        if piv_cols != list(range(j - 1)):
+            raise TheoremViolation(f"block k=1..{j - 1} is singular for n={n}, j={j}")
+        q_int = [-r[-1] for r in block]
+    for k, row in enumerate(rows, start=1):
+        if sum((c * qi for c, qi in zip(row, q_int)), row[-1] * d) != 0:
             raise TheoremViolation(f"nonzero residual at k={k} for n={n}, j={j}")
-    return RationalPoly([(-1) ** j, *q[::-1], 1])
+    return RationalPoly([(-1) ** j, *(Fraction(x, d) for x in reversed(q_int)), 1])
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,26 @@ def test_degree_conventions():
     assert P([1, 2, 0, 0]).coeffs == (F(1), F(2))  # trailing zeros trimmed
 
 
+class _Half(F):
+    """A Fraction subclass, which RationalPoly must convert like an int or a float."""
+
+
+def test_coefficients_are_exact_fractions():
+    # an exact Fraction is kept as the same object; ints, floats and subclasses
+    # are converted, and equality and hash depend only on the values
+    half = F(1, 2)
+    sources = ([1, half, 3], [F(1), 0.5, F(3)], [True, _Half(1, 2), 3.0])
+    made = [P(c) for c in sources]
+    for p in made:
+        assert all(type(c) is F for c in p.coeffs)
+        assert p.coeffs == (F(1), F(1, 2), F(3))
+    assert made[0].coeffs[1] is half
+    assert made[0] == made[1] == made[2]
+    assert len({hash(p) for p in made}) == 1
+    assert hash(made[0]) == hash(P([F(2, 2), F(2, 4), F(6, 2)]))
+    assert P([half, 0]).coeffs == (half,)
+
+
 def test_reverse_examples():
     assert P([1, -3, 1]).reverse() == P([1, -3, 1])
     assert P([1, 1]).reverse() == P([1, 1])

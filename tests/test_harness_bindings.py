@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from schur_szego import cli
+from schur_szego.exactpoly import _primitive
 from schur_szego.roots import SturmChain
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,3 +72,28 @@ def test_smoke_pass_fails_no_operation(harness, workload):
     attempted, failed, first = workloads.check_pass(workload, mods, inputs, outputs)
     assert attempted > 0
     assert failed == 0, first
+
+
+def test_sturm_chain_inputs_are_primitive(harness, monkeypatch, capsys):
+    """SturmChain takes the content of no input: every caller hands it a
+    primitive vector, over a roots-generic smoke pass and verify-all."""
+    _, worker = harness
+    inputs = []
+    init = SturmChain.__init__
+
+    def recording(self, int_coeffs):
+        inputs.append(list(int_coeffs))
+        init(self, int_coeffs)
+
+    monkeypatch.setattr(SturmChain, "__init__", recording)
+    workloads = importlib.import_module("workloads")
+    mods = SimpleNamespace(**{m: importlib.import_module(f"schur_szego.{m}")
+                              for m in worker.MODULES})
+    generic, _ = workloads.make_inputs("roots-generic", 0, mods, "smoke")
+    workloads.run_pass("roots-generic", mods, generic)
+    from_generic = len(inputs)
+    assert cli.main(["verify-all", "--max-n", "30"]) == 0
+    capsys.readouterr()
+    assert 0 < from_generic < len(inputs)
+    for c in inputs:
+        assert _primitive(list(c)) == c

@@ -5,7 +5,7 @@ import pytest
 
 from schur_szego import css, spectra
 from schur_szego.exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, binomial,
-                                   interpolate)
+                                   interpolate, solve_linear)
 from schur_szego.spectra import (
     eigenvalues_closed_form,
     eigenpolynomial,
@@ -309,6 +309,33 @@ def _fraction_sigma_row(n, j, k):
     return vec, const
 
 
+def _sigma_row(n, j, k):
+    """Equation L_k - R_k = 0 of system (Sigma) as (coefficients of q_1..q_{j-1},
+    constant) at scale 1, built row by row and made primitive (test oracle)."""
+    a = binomial(n - 1, k - 1)
+    left = math.perm(n - 1, j + 1)
+    sign = (-1) ** j
+    vec = [0] * (j - 1)
+    const = left * (sign * binomial(n - j - 2, k - 1) + binomial(n - j - 2, k - 1 - j))
+    for nu in range(1, j):
+        vec[j - nu - 1] += left * binomial(n - j - 2, k - 1 - nu)
+    const -= a * (n - k) * (k ** j + sign * (n - k) ** j)
+    for nu in range(1, j):
+        vec[nu - 1] -= a * (n - k) ** (nu + 1) * k ** (j - nu)
+    g = math.gcd(*vec, const) or 1
+    return [e // g for e in vec], const // g
+
+
+def _oracle_sigma_solve(n, j):
+    """Q_{j,n} from the oracle block rows by solve_linear over a RationalMatrix."""
+    q = ()
+    if j >= 2:
+        block = [_sigma_row(n, j, k) for k in range(1, j)]
+        q = solve_linear(RationalMatrix.from_rows([r[0] for r in block]),
+                         [-r[1] for r in block])
+    return P([(-1) ** j, *q[::-1], 1])
+
+
 # every (n, j) up to n = 14, then every j at n = 21 and the (n, j) of the
 # spectral benchmark's extrapolations where the entries are largest
 SIGMA_ROW_CASES = ([(n, j) for n in range(4, 15) for j in range(1, n - 2)]
@@ -316,28 +343,61 @@ SIGMA_ROW_CASES = ([(n, j) for n in range(4, 15) for j in range(1, n - 2)]
                    + [(n, j) for n in (80, 160) for j in range(1, 8)])
 
 
-def test_sigma_rows_are_the_fraction_rows_scaled_to_primitive_integers():
-    # C(n,k)^{j+1} clears every denominator; the gcd of the entries is then
-    # divided out, so the row is a positive multiple of the oracle row
+def test_sigma_rows_are_positive_multiples_of_the_fraction_rows():
+    # every row is the oracle row at a positive scale, and the block rows
+    # k < j, which the elimination sees, are primitive
     for n, j in SIGMA_ROW_CASES:
-        for k in range(1, n):
-            vec, const = spectra._sigma_row(n, j, k)
-            assert all(type(e) is int for e in [*vec, const])
+        rows = spectra._sigma_rows(n, j)
+        assert len(rows) == n - 1
+        for k, row in enumerate(rows, start=1):
+            assert len(row) == j and all(type(e) is int for e in row)
             old_vec, old_const = _fraction_sigma_row(n, j, k)
-            scaled = [binomial(n, k) ** (j + 1) * e for e in [*old_vec, old_const]]
-            assert all(e.denominator == 1 for e in scaled)
-            g = math.gcd(*(int(e) for e in scaled)) or 1
-            assert [*vec, const] == [e / g for e in scaled]
+            old = [*old_vec, old_const]
+            # C(n,k)^{j+1} clears every denominator of the rows as first written
+            assert all((binomial(n, k) ** (j + 1) * e).denominator == 1 for e in old)
+            i = next((i for i, e in enumerate(old) if e), None)
+            if i is None:
+                assert not any(row)
+                continue
+            scale = row[i] / old[i]
+            assert scale > 0
+            assert row == [scale * e for e in old]
+            if k < j:
+                assert math.gcd(*row) == 1
+
+
+def test_sigma_route_equals_the_row_by_row_oracle():
+    cases = ([(n, j) for n in range(4, 22) for j in range(1, n - 2)]
+             + [(n, j) for n in (20, 40, 80, 160) for j in range(1, 8)])
+    for n, j in cases:
+        assert sigma_system_solve(n, j) == _oracle_sigma_solve(n, j), (n, j)
+
+
+def test_sigma_rows_read_one_pascal_row(monkeypatch):
+    # C(n-j-2, .) once per (n, j): no binomial per row or per term
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return binomial(a, b)
+
+    monkeypatch.setattr(spectra, "binomial", counting)
+    n, j = 160, 7
+    spectra._sigma_rows(n, j)
+    assert 0 < len(calls) <= n - j - 1
 
 
 def _edit_sigma_rows(monkeypatch, edit):
-    original = spectra._sigma_row
+    original = spectra._sigma_rows
 
-    def row(n, j, k):
-        vec, const = original(n, j, k)
-        return edit(k, vec, const)
+    def rows(n, j):
+        out = []
+        for k, row in enumerate(original(n, j), start=1):
+            vec, const = edit(k, row[:-1], row[-1])
+            out.append([*vec, const])
+        return out
 
-    monkeypatch.setattr(spectra, "_sigma_row", row)
+    monkeypatch.setattr(spectra, "_sigma_rows", rows)
 
 
 def test_sigma_residual_check_catches_a_perturbed_equation(monkeypatch):
