@@ -1,4 +1,10 @@
-"""Schur-Szego composition, Narayana polynomials, and certified root analysis."""
+"""Schur-Szego composition, Narayana polynomials, and certified root analysis.
+
+`roots_float`, `is_hyperbolic` and `interlace_check` are library API for any
+polynomial over Q, beyond the Narayana family the commands check: no
+`verify-all` check calls the first, and the `roots` command calls the other
+two on N_n only.
+"""
 
 from .exactpoly import (
     RationalMatrix,
@@ -7,6 +13,18 @@ from .exactpoly import (
     interpolate,
     kernel,
     solve_linear,
+)
+# roots, the largest module, is imported before css, narayana and spectra: without a
+# bytecode cache its compilation sets the peak memory of the import, which is lower
+# while fewer modules are resident
+from .roots import (
+    RootIsolation,
+    interlace_check,
+    is_hyperbolic,
+    isolate_roots,
+    poly_gcd,
+    refine,
+    roots_float,
 )
 from .css import (
     AffineMapQ,
@@ -33,15 +51,6 @@ from .spectra import (
     sigma_system_solve,
     spectrum_report,
     verify_mjnj,
-)
-from .roots import (
-    RootIsolation,
-    interlace_check,
-    is_hyperbolic,
-    isolate_roots,
-    poly_gcd,
-    refine,
-    roots_float,
 )
 from .asymptotics import (
     RecurrenceSpec,

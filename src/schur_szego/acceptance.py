@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import asymptotics, narayana, roots, spectra
 from .exactpoly import (NotDivisibleError, RationalPoly, TheoremViolation, _clear_denominators,
-                        _fold, interpolate)
+                        _derivative, _fold, _primitive, interpolate)
 
 TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 
@@ -147,6 +147,8 @@ def check_hyperbolic_interlacing(max_n: int = 100):
     (c) w is a strictly decreasing bijection from (-1, 0) onto (-inf, 0) (and y = w - 2);
     (d) S_n's coefficients are positive (Descartes), and interlace_check on (S_{n-1}, S_n), n odd,
         or (S_{n-1}, w*S_n), n even, passes: S_n's roots are simple and negative, so M_n's are;
+        when S_{n-1} is a multiple of S_n' (every odd n <= 199), Rolle's theorem makes that
+        pass iff S_n has deg S_n simple real roots, which S_n's chain counts;
     (e) by (c), interlacing in w pulls back to (-1, 0), and by (b) to (-inf, -1);
     (f) -1 is placed: for n odd it is M_{n-1}'s root in M_n's middle gap (S_n(0) != 0), and
         for n even the factor w = y + 2 places it; the division by 1 + x is its parity.
@@ -170,8 +172,12 @@ def check_hyperbolic_interlacing(max_n: int = 100):
         if any(v <= 0 for v in s):
             return False, f"N_{n}/x folds to an S(w) with a coefficient <= 0 (Descartes fails)"
         if prev is not None:
-            top = RationalPoly(s if n % 2 else [0] + s)  # w*S_n for n even
-            verdict = roots.interlace_check(RationalPoly(prev), top)
+            if n % 2 and prev == _primitive(_derivative(s)):  # Rolle, (d)
+                simple = roots.SturmChain(_primitive(s)).total_real_roots() == len(s) - 1
+                verdict = roots.STRICT_INTERLACE if simple else roots.FAIL
+            else:
+                top = RationalPoly(s if n % 2 else [0] + s)  # w*S_n for n even
+                verdict = roots.interlace_check(RationalPoly(prev), top)
             if verdict != roots.STRICT_INTERLACE:
                 return False, f"N_{n}/x not strictly interlaced by N_{n - 1}/x ({verdict})"
         prev = s

@@ -147,8 +147,8 @@ def narayana_root_sample(n: int) -> RootSample:
     - sign M_n(1/x) = sign(x)^(n-1) sign M_n(x) gives the signs at 1/hi, 1/lo;
     - n disjoint brackets, each with a sign change, isolate all n roots.
     Those images are narrower than 2^-40, so refine evaluates nothing on
-    them. If the certificate fails, the roots come from Sturm isolation
-    (`roots.isolate_roots`, path STURM).
+    them. If the certificate fails, the roots come from `roots.isolate_roots`
+    (path SIGN_CHANGES when its dyadic grids place every root, else STURM).
     """
     p = narayana_poly_direct(n)
     iso = certify_roots(p, _lobatto_proposals(n)) or isolate_roots(p)

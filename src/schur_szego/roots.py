@@ -8,9 +8,14 @@ the chain of (p, p') is G times the chain of the cofactors, bit for bit: G is
 proposed by a heuristic gcd and certified by zero pseudo-remainders before the
 cofactors' cheaper chain is built. Every chain comes from `_prs`, the one memo,
 keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
-one such sequence. Sturm isolation is dyadic: its endpoints and samples have
+one such sequence. Isolation is dyadic: its endpoints and samples have
 power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
-Float root proposals can be certified by exact sign changes alone
+A polynomial whose squarefree part s shows deg s sign changes or zeros on a
+dyadic grid (`_sign_change_isolation`) has all its roots real, counted by the
+intermediate value theorem with no chain of its own: `isolate_roots`,
+`roots_float`, `is_hyperbolic` and, by Rolle's theorem, `interlace_check` on
+(c q', q) take that route first and build chains only when it fails. Float
+root proposals are certified by exact sign changes alone too
 (`certify_roots`); floats only choose where to look. Nothing here trusts the
 theorems it is used to test.
 """
@@ -55,8 +60,8 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-# maxsize 2: roots_float(q) builds q's chain, then a gcd-tower chain, before
-# is_hyperbolic(q) asks for q's chain again
+# maxsize 2: on a q that signs do not place, roots_float(q) builds q's chain,
+# then a gcd-tower chain, before is_hyperbolic(q) asks for q's chain again
 @lru_cache(maxsize=2)
 def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """PRS of the primitive tuples (a, b), the one memo key, with Sturm signs: each
@@ -207,11 +212,12 @@ class SturmChain:
 class RootIsolation:
     """Disjoint rational intervals, one distinct real root each.
 
-    `path` names the route that made it: STURM (`isolate_roots`) or
-    SIGN_CHANGES (`certify_roots`). On both, `certificates[i]` holds the
-    endpoint signs (sign s(lo), sign s(hi)) of interval i, opposite, where
-    s is the squarefree part whose integer coefficients `_sqfree` holds;
-    `refine` narrows on s from those signs.
+    `path` names the certificate that made it: SIGN_CHANGES (the intermediate
+    value theorem: `certify_roots`, or `isolate_roots` when dyadic grids place
+    every root) or STURM (`isolate_roots`' chain counts). On both,
+    `certificates[i]` holds the endpoint signs (sign s(lo), sign s(hi)) of
+    interval i, opposite, where s is the squarefree part whose integer
+    coefficients `_sqfree` holds; `refine` narrows on s from those signs.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -245,6 +251,50 @@ def _placed(pts: list) -> list:
     out = [(u, v) for u, v in zip(pts, pts[1:]) if u[1] * v[1] < 0]
     out += [(u, w) for u, v, w in zip(pts, pts[1:], pts[2:]) if not v[1] and u[1] and w[1]]
     return out
+
+
+def _sign_change_isolation(s: Sequence[int]) -> list | None:
+    """((lo, sign s(lo)), (hi, sign s(hi))) for deg s disjoint intervals, sorted,
+    each holding a root of s; None when the grids place fewer.
+
+    Signs of s are sampled at the points (2i - 2^k) 2^(u-k) of grids of 2^k cells
+    of [-2^u, 2^u], u = `_root_bits(s)`, from 2^k >= 4 deg s; each doubling
+    evaluates the new midpoints only, while rounds place more roots, up to 16 deg s
+    cells. A strict sign change across a cell or a zero at a grid point (beside a
+    zero too) places a root. Places are disjoint, so deg s of them hold all roots
+    of s, one each, real and simple (the intermediate value theorem); a zero x
+    becomes (x - h/2, x + h/2), h the cell width.
+    """
+    d, u = len(s) - 1, _root_bits(s)
+
+    def signs(k, points):
+        # at x = num / 2^e, 2^(e d) s(x) is the integer polynomial s_j 2^(e (d-j)) at num
+        e = max(k - u, 0)
+        c = [x << e * (d - j) for j, x in enumerate(s)]
+        return [_sign(horner(c, (2 * i - (1 << k)) << max(u - k, 0))) for i in points]
+
+    def at(i, k):
+        return Fraction(2 * i - (1 << k)) * Fraction(2) ** (u - k)
+
+    k, best = (4 * d - 1).bit_length(), -1
+    grid = signs(k, range((1 << k) + 1))
+    while True:
+        cells = [i for i in range(1 << k) if grid[i] * grid[i + 1] < 0]
+        zeros = [i for i, v in enumerate(grid) if not v]
+        placed = len(cells) + len(zeros)
+        if placed == d:
+            break
+        if placed <= best or 1 << k >= 16 * d:
+            return None
+        best, k = placed, k + 1
+        finer = [0] * ((1 << k) + 1)
+        finer[::2], finer[1::2] = grid, signs(k, range(1, 1 << k, 2))
+        grid = finer
+    out = [((at(i, k), grid[i]), (at(i + 1, k), grid[i + 1])) for i in cells]
+    for i in zeros:
+        ends = (2 * i - 1, 2 * i + 1)
+        out.append(tuple(zip([at(j, k + 1) for j in ends], signs(k + 1, ends))))
+    return sorted(out)
 
 
 def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
@@ -294,12 +344,37 @@ def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
     return out
 
 
+def _squarefree_split(ip: list[int]) -> tuple[list[int], list[int]] | None:
+    """(G, s): G = `_common_factor(ip, ip')`, certified to divide ip and ip' by zero
+    pseudo-remainders, and s = ip / G, primitive with a positive leading
+    coefficient; None for a constant ip or a failed G. A root of ip of
+    multiplicity m is one of G of order below m, so a root of s."""
+    if len(ip) < 2:
+        return None
+    dp = _primitive(_derivative(ip))
+    g = _common_factor(ip, dp)
+    if len(g) > len(dp):
+        return None
+    (_, q, r), (_, _, rd) = _pseudo_divmod(ip, g), _pseudo_divmod(dp, g)
+    return (g, _primitive(q, _sign(q[-1]))) if r == rd == [0] else None
+
+
+def _place(s: Sequence[int]) -> list | None:
+    """`_sign_change_isolation(s)` when it holds deg s intervals, else None."""
+    places = _sign_change_isolation(s)
+    return places if places is not None and len(places) == len(s) - 1 else None
+
+
 def isolate_roots(p: RationalPoly) -> RootIsolation:
     """Certified isolation of all distinct real roots, with multiplicities.
 
+    First by signs (path SIGN_CHANGES, no chain of p): when (G, s) =
+    `_squarefree_split(p)` places deg s roots (`_place`), they are all the
+    roots of p, simple roots of s, so G = gcd(p, p') up to a unit. Otherwise
+    by Sturm (path STURM, `_isolate`), gcd(p, p') the last chain member.
     Multiplicities come from the signs of the gcd tower G_0 = p,
-    G_{k+1} = gcd(G_k, G_k') (the last member of G_k's chain) at the
-    endpoints of each isolating interval:
+    G_1 = gcd(p, p'), G_{k+1} = gcd(G_k, G_k') (the last member of G_k's
+    chain) at the endpoints of each isolating interval:
     - the interval holds one distinct root r of p, of multiplicity m;
     - G_k divides p, so r is its only possible root there, of order max(m - k, 0);
     - no endpoint is a root of p, so G_k is nonzero at both;
@@ -309,18 +384,23 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     squarefree part p / G_1 at its endpoints, as on `certify_roots`'s path.
     """
     ip = _int_poly(p)
-    chain = SturmChain(ip)
-    _, q, r = _pseudo_divmod(ip, chain.polys[-1])
-    if r != [0]:
-        raise AssertionError("the last chain member does not divide the polynomial")
-    sqfree = _primitive(q, _sign(q[-1]))
-    iso = _isolate(chain, sqfree)
+    split = _squarefree_split(ip)
+    iso = split and _place(split[1])
+    if iso:
+        (g, sqfree), path = split, SIGN_CHANGES
+    else:
+        chain = SturmChain(ip)
+        g = chain.polys[-1]
+        _, q, r = _pseudo_divmod(ip, g)
+        if r != [0]:
+            raise AssertionError("the last chain member does not divide the polynomial")
+        sqfree = _primitive(q, _sign(q[-1]))
+        iso, path = _isolate(chain, sqfree), STURM
     intervals = tuple((lo, hi) for (lo, _), (hi, _) in iso)
     signs = tuple((slo, shi) for (_, slo), (_, shi) in iso)
     if any(slo * shi >= 0 for slo, shi in signs):
         raise AssertionError("squarefree part does not change sign across an isolating interval")
     tower = [ip]
-    g = chain.polys[-1]
     while len(g) > 1:
         tower.append(g)
         g = SturmChain(g).polys[-1]
@@ -331,7 +411,7 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
         if m == 0 or odd != [k < m and (m - 1 - k) % 2 == 0 for k in range(len(odd))]:
             raise AssertionError(f"gcd tower sign changes {odd} across ({lo}, {hi})")
         mults.append(m)
-    return RootIsolation(intervals, tuple(mults), signs, tuple(sqfree), STURM)
+    return RootIsolation(intervals, tuple(mults), signs, tuple(sqfree), path)
 
 
 def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation | None:
@@ -474,12 +554,18 @@ def distinct_real_roots(p: RationalPoly) -> int:
 
 
 def is_hyperbolic(p: RationalPoly) -> bool:
-    """True iff all roots are real (counted with multiplicity), by Sturm.
+    """True iff all roots are real (counted with multiplicity).
 
-    p and its squarefree part p / gcd(p, p') share their roots, so p is
-    hyperbolic iff its distinct real roots number deg p - deg gcd(p, p').
+    True when (G, s) = `_squarefree_split(p)` places deg s roots: every root of
+    p is one of s's. Otherwise by Sturm: p and p / gcd(p, p') share their
+    roots, so p is hyperbolic iff its distinct real roots number
+    deg p - deg gcd(p, p').
     """
-    chain = SturmChain(_int_poly(p))
+    ip = _int_poly(p)
+    split = _squarefree_split(ip)
+    if split and _place(split[1]):
+        return True
+    chain = SturmChain(ip)
     return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
 
 
@@ -501,28 +587,38 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
 # ---------------------------------------------------------------------------
 
 
+def _simple_real(c: list[int]) -> bool:
+    """Whether c has deg c distinct real roots: not when `_squarefree_split`
+    certifies a G of positive degree, so when G = 1 and signs place deg c
+    roots, and otherwise iff c's chain counts deg c."""
+    split = _squarefree_split(c)
+    if split and (len(split[0]) > 1 or _place(split[1])):
+        return len(split[0]) == 1
+    return SturmChain(c).total_real_roots() == len(c) - 1
+
+
 def interlace_check(p: RationalPoly, q: RationalPoly) -> str:
     """Verdict on strict interlacing of p (degree m) inside q (degree m+1).
 
-    Exact procedure: build the signed remainder sequence of (q, p). When it
-    ends in a constant (p, q coprime), its Cauchy index Ind(p/q) =
-    V(-inf) - V(+inf) collects one +-1 per odd-multiplicity real root of q,
-    with the same sign exactly when p changes sign between consecutive
-    ones; so |Ind(p/q)| = deg q iff q has deg q simple real roots with one
-    root of p strictly between each neighbouring pair. Otherwise p and q
-    share a root: FAIL unless each has as many distinct real roots as its
-    degree (so is squarefree and hyperbolic), in which case COMMON_ROOT.
+    When p is a multiple of q' (`_prs`'s O(1) test, then equal primitive
+    vectors), Rolle's theorem makes it STRICT_INTERLACE iff q has deg q simple
+    real roots (`_simple_real`), else FAIL. Otherwise build the signed
+    remainder sequence of (q, p). When it ends in a constant (p, q coprime),
+    its Cauchy index Ind(p/q) = V(-inf) - V(+inf) collects one +-1 per
+    odd-multiplicity real root of q, with the same sign exactly when p changes
+    sign between consecutive ones; so |Ind(p/q)| = deg q iff q has deg q
+    simple real roots with one root of p strictly between each neighbouring
+    pair. Otherwise p and q share a root: FAIL unless each has as many
+    distinct real roots as its degree (`_simple_real`), then COMMON_ROOT.
     """
     if p.degree + 1 != q.degree:
         raise ValueError("need deg q = deg p + 1")
     a, b = _int_poly(q), _int_poly(p)
     # p and -p share a memo key; only Ind(p/q)'s sign flips
-    prs = _prs(tuple(a), tuple(b if (a[-1] > 0) == (b[-1] > 0) else [-x for x in b]))
+    b = b if (a[-1] > 0) == (b[-1] > 0) else [-x for x in b]
+    if b[0] * (len(a) - 1) * a[-1] == b[-1] * a[1] and b == _primitive(_derivative(a)):
+        return STRICT_INTERLACE if _simple_real(a) else FAIL
+    prs = _prs(tuple(a), tuple(b))
     if len(prs[-1]) == 1:
         return STRICT_INTERLACE if abs(_cauchy_index(prs)) == q.degree else FAIL
-    # q first: a non-squarefree q fails without building p's chain, and when
-    # p is a nonzero multiple of q', q's chain is prs, which the memo holds
-    for c in (a, b):
-        if SturmChain(c).total_real_roots() != len(c) - 1:
-            return FAIL
-    return COMMON_ROOT
+    return COMMON_ROOT if _simple_real(a) and _simple_real(b) else FAIL

@@ -183,6 +183,38 @@ def test_folded_check_also_requires_palindromy(monkeypatch):
     assert acceptance.check_hyperbolic_interlacing(8).detail == "N_7/x is not palindromic"
 
 
+def _recording_interlace_checks(monkeypatch):
+    """deg q of every interlace_check(p, q) that criterion 6 makes from now on."""
+    degrees = []
+    real = roots.interlace_check
+    monkeypatch.setattr(roots, "interlace_check", lambda p, q: degrees.append(q.degree) or real(p, q))
+    return degrees
+
+
+def test_odd_n_takes_the_rolle_route(monkeypatch):
+    """For n odd, S_{n-1} is the primitive S_n' (lemma (d)): no interlace_check runs there,
+    so Rolle's theorem leaves only even n to it, on w*S_n of degree n/2."""
+    degrees = _recording_interlace_checks(monkeypatch)
+    assert acceptance.check_hyperbolic_interlacing(12).passed
+    assert degrees == [n // 2 for n in range(4, 13, 2)]
+
+
+@pytest.mark.parametrize("n, fake, degrees", [
+    # N_7 - 5 (x^3 + x^5) stays palindromic with a positive fold, S_6 is no multiple of
+    # S_7' any more, and interlace_check gives the verdict
+    (7, lambda p: p + P([0, 0, 0, -5, 0, -5]), [2, 3, 3]),
+    # N_7 + 20 x^4 changes only S_7's constant term: still S_6 ~ S_7', so S_7's chain count
+    (7, _coefficient_plus(4, 20), [2, 3]),
+], ids=["breaks-proportionality", "keeps-proportionality"])
+def test_odd_n_fakes_fail_on_either_route(monkeypatch, n, fake, degrees):
+    _with_n(n, fake)(monkeypatch)
+    checked = _recording_interlace_checks(monkeypatch)
+    result = acceptance.check_hyperbolic_interlacing(n)
+    assert result.status == "fail"
+    assert result.detail == f"N_{n}/x not strictly interlaced by N_{n - 1}/x (fail)"
+    assert checked == degrees
+
+
 def test_interlacing_runs_on_half_degree_folds(monkeypatch):
     """No remainder sequence of criterion 6 at n <= 100 has an operand of more than
     51 coefficients: w*S_100 has 51, and N_100/x would give 100."""

@@ -8,8 +8,9 @@ coefficient vector is taken in one place, `exactpoly._primitive`, two
 coefficient vectors are multiplied in one place, `exactpoly._mul`, a Sturm
 chain is evaluated at a point only to isolate roots, in `roots._isolate`, a
 chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
-`interlace_check` and `poly_gcd` call, `roots` wraps integers back into a
-`RationalPoly` only for `poly_gcd`'s result, and Phi_n has one construction,
+`interlace_check` and `poly_gcd` call, a common factor is proposed only for a
+chain (`_prs`) or a squarefree split (`_squarefree_split`), `roots` wraps
+integers back into a `RationalPoly` only for `poly_gcd`'s result, and Phi_n has one construction,
 its Lagrange basis, with no elimination in `css`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
 defines is an input or domain error.
@@ -147,6 +148,11 @@ def _scopes_calling(name):
 def test_one_entry_to_the_chain_memo():
     assert _scopes_calling("_prs") == {("roots.py", "SturmChain.__init__"),
                                        ("roots.py", "interlace_check"), ("roots.py", "poly_gcd")}
+
+
+def test_common_factor_proposed_only_for_a_chain_or_a_squarefree_split():
+    assert _scopes_calling("_common_factor") == {("roots.py", "_prs"),
+                                                 ("roots.py", "_squarefree_split")}
 
 
 def test_roots_makes_a_rational_poly_only_for_a_gcd():

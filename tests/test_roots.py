@@ -199,11 +199,16 @@ DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
 CLOSE_PAIR = P([F(-1, 3), 1]) * P([-F(1, 3) - F(1, 2**30), 1])  # both roots in one grid cell
 
 
-def _assert_isolation_certified(p):
-    """Each interval holds one distinct root of p (Sturm) and carries the
-    opposite signs of the squarefree part at its ends."""
+def _force_sturm(monkeypatch):
+    """Make isolate_roots, is_hyperbolic and interlace_check take their Sturm route."""
+    monkeypatch.setattr(roots, "_sign_change_isolation", lambda s: None)
+
+
+def _assert_isolation_certified(p, path):
+    """isolate_roots(p) takes `path`; each interval holds one distinct root of p
+    (Sturm) and carries the opposite signs of the squarefree part at its ends."""
     iso = isolate_roots(p)
-    assert iso.path == STURM
+    assert iso.path == path
     assert len(iso.intervals) == distinct_real_roots(p)
     for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
         assert sturm_count(p, lo, hi) == 1
@@ -211,11 +216,21 @@ def _assert_isolation_certified(p):
         assert slo * shi < 0
 
 
+# N_1 = x and N_2 = x (x + 1) have only grid points as roots; N_n, n >= 3, has roots too
+# close to 0 for the grids
 @pytest.mark.parametrize(
-    "p", [DOUBLED, CLOSE_PAIR] + [narayana_poly_direct(n) for n in range(1, 61)],
+    "p, path", [(DOUBLED, SIGN_CHANGES), (CLOSE_PAIR, STURM)]
+    + [(narayana_poly_direct(n), SIGN_CHANGES if n <= 2 else STURM) for n in range(1, 61)],
     ids=["doubled", "close-pair"] + [f"N_{n}" for n in range(1, 61)])
-def test_isolation_certificates_are_opposite_endpoint_signs(p):
-    _assert_isolation_certified(p)
+def test_isolation_certificates_are_opposite_endpoint_signs(p, path):
+    _assert_isolation_certified(p, path)
+
+
+@pytest.mark.parametrize("p", [DOUBLED, narayana_poly_direct(1), narayana_poly_direct(2)],
+                         ids=["doubled", "N_1", "N_2"])
+def test_forced_sturm_isolation_certificates(monkeypatch, p):
+    _force_sturm(monkeypatch)
+    _assert_isolation_certified(p, STURM)
 
 
 _DYADIC = st.integers(min_value=-64, max_value=64).map(lambda k: F(k, 16))
@@ -242,7 +257,119 @@ def _rooted(draw):
 @given(case=_rooted())
 def test_isolation_certificates_on_rational_roots(case):
     p, _, _ = case
-    _assert_isolation_certified(p)
+    path = isolate_roots(p).path
+    _assert_isolation_certified(p, path)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_sturm(monkeypatch)
+        _assert_isolation_certified(p, STURM)
+
+
+def _parent_interlace_check(p, q):
+    """interlace_check as it was before Rolle's route: the Cauchy index of the
+    remainder sequence of (q, p), and chain counts of both on a common root."""
+    a, b = roots._int_poly(q), roots._int_poly(p)
+    prs = roots._prs(tuple(a), tuple(b if (a[-1] > 0) == (b[-1] > 0) else [-x for x in b]))
+    if len(prs[-1]) == 1:
+        return STRICT_INTERLACE if abs(roots._cauchy_index(prs)) == q.degree else FAIL
+    if all(SturmChain(c).total_real_roots() == len(c) - 1 for c in (a, b)):
+        return COMMON_ROOT
+    return FAIL
+
+
+def _answers(q):
+    """isolate_roots' multiplicities and path, roots_float, is_hyperbolic and the
+    interlace_check verdicts of (q', q) and (-q', q)."""
+    iso = isolate_roots(q)
+    dq = q.derivative()
+    return (iso.multiplicities, iso.path, roots_float(q), is_hyperbolic(q),
+            interlace_check(dq, q), interlace_check(dq.scale(-1), q))
+
+
+@st.composite
+def _real_rooted(draw):
+    """A real-rooted q: distinct dyadic and non-dyadic rational roots, some of
+    multiplicity 2 or 3, times a constant."""
+    rs = draw(st.lists(st.one_of(_DYADIC, _RATIONAL), min_size=1, max_size=7, unique=True))
+    q = P([draw(st.sampled_from([1, -1, 3, F(-2, 5)]))])
+    for r in rs:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+            q = q * P([-r, 1])
+    return q
+
+
+@given(_real_rooted())
+def test_placement_route_gives_the_sturm_route_answers(q):
+    placed = _answers(q)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_sturm(monkeypatch)
+        sturm = _answers(q)
+    assert sturm[1] == STURM
+    assert placed[0] == sturm[0] and placed[2:] == sturm[2:]  # roots_float bit for bit
+    assert placed[3] is True
+    dq = q.derivative()
+    assert placed[4:] == (_parent_interlace_check(dq, q), _parent_interlace_check(dq.scale(-1), q))
+
+
+@pytest.mark.parametrize("q, floats, mults", [
+    (P([0, -6, 11, -6, 1]), [0.0, 1.0, 2.0, 3.0], (1, 1, 1, 1)),  # x(x-1)(x-2)(x-3)
+    (DOUBLED, [-1.0, -1.0, 2.0, 3.0], (2, 1, 1)),  # (x+1)^2 (x-2)(x-3)
+], ids=["0-1-2-3", "doubled"])
+def test_neighbouring_grid_zeros_are_each_placed(q, floats, mults):
+    # the grid of cell width 2 has the neighbouring zeros 0, 2 (or 2 alone), which place
+    # too few roots; the next grid has every integer, and neighbouring zeros count
+    s = roots._squarefree_split(roots._int_poly(q))[1]
+    assert roots._root_bits(s) == 4 and (4 * (len(s) - 1) - 1).bit_length() == 4
+    iso = isolate_roots(q)
+    assert iso.path == SIGN_CHANGES and iso.multiplicities == mults
+    assert iso.intervals == tuple((r - F(1, 2), r + F(1, 2)) for r in sorted(set(map(F, floats))))
+    assert roots_float(q) == floats
+
+
+def test_close_pair_falls_back_to_sturm():
+    s = roots._int_poly(CLOSE_PAIR)
+    assert roots._sign_change_isolation(s) is None
+    assert isolate_roots(CLOSE_PAIR).path == STURM
+    assert is_hyperbolic(CLOSE_PAIR)
+    assert interlace_check(CLOSE_PAIR.derivative(), CLOSE_PAIR) == STRICT_INTERLACE
+
+
+_CONTROL_INPUTS = {
+    "doubled": DOUBLED,
+    "squarefree": P([-1, 1]) * P([-2, 1]) * P([1, 2]) * P([3, 1]),
+    "not-real-rooted": DOUBLED * P([F(1, 3), 0, 1]),  # x^2 + 1/3 has no real root
+}
+_WRONG_G = {"coprime-claim": [1], "non-divisor": [-5, 1], "divides-q-only": [-2, 1]}
+
+
+@pytest.mark.parametrize("name", list(_CONTROL_INPUTS))
+@pytest.mark.parametrize("control", ["none", *_WRONG_G, "extra-interval"])
+def test_placement_negative_controls_fall_back(monkeypatch, name, control):
+    """A wrong proposal of G, or a placement that claims one interval too many,
+    gives the answers of the Sturm route, on it; [1] is right for a squarefree q."""
+    q = _CONTROL_INPUTS[name]
+    with pytest.MonkeyPatch.context() as forced:
+        _force_sturm(forced)
+        want = _answers(q)
+    kernel = roots._sign_change_isolation
+    if control == "extra-interval":
+        monkeypatch.setattr(roots, "_sign_change_isolation",
+                            lambda s: (kernel(s) or []) + [((F(100), 1), (F(101), -1))])
+    elif control != "none":
+        monkeypatch.setattr(roots, "_common_factor", lambda a, b: list(_WRONG_G[control]))
+    got = _answers(q)
+    placed = {("doubled", "none"), ("squarefree", "none"), ("squarefree", "coprime-claim")}
+    assert got[1] == (SIGN_CHANGES if (name, control) in placed else STURM)
+    assert got[0] == want[0] and got[2:] == want[2:]
+    assert got[3] == (name != "not-real-rooted")
+
+
+def test_roots_float_then_is_hyperbolic_builds_only_the_tower_chains(remainder_sequence_builds):
+    # (x+1)^3 (x-2)(x-3) is placed by signs: q gets no chain, so its two tower levels
+    # cannot evict one from the memo of two before is_hyperbolic asks for it
+    q = P.binomial_power(3) * P([-2, 1]) * P([-3, 1])
+    assert roots_float(q) == [-1.0, -1.0, -1.0, 2.0, 3.0]
+    assert is_hyperbolic(q)
+    assert remainder_sequence_builds == [((1, 2, 1), (1, 1)), ((1, 1), (1,))]
 
 
 def test_close_roots_are_split_by_sturm_after_sampling(monkeypatch):
@@ -320,8 +447,9 @@ def test_refine_matches_bisection_on_rational_roots(case):
 
 
 @pytest.mark.parametrize("n", range(1, 41))
-def test_refine_matches_bisection_on_narayana(n):
+def test_refine_matches_bisection_on_narayana(monkeypatch, n):
     p = narayana_poly_direct(n)
+    _force_sturm(monkeypatch)
     sturm = isolate_roots(p)
     signs = certify_roots(p, asymptotics._lobatto_proposals(n))
     assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
@@ -343,19 +471,25 @@ def test_refine_ignores_a_bad_secant_proposal(monkeypatch, bad):
     assert refine_all() == want
 
 
-def test_refine_on_sturm_path_requires_a_sign_change():
-    iso = isolate_roots(P([1, 6, 6, 1]))
-    assert iso.path == STURM
-    slo, _ = iso.certificates[0]
-    broken = dataclasses.replace(iso, certificates=((slo, slo),) + iso.certificates[1:])
-    with pytest.raises(AssertionError, match="bracket a simple root"):
-        refine(broken, 0, TOL40)
+def test_refine_on_sturm_path_requires_a_sign_change(monkeypatch):
+    placed = isolate_roots(P([1, 6, 6, 1]))
+    _force_sturm(monkeypatch)
+    sturm = isolate_roots(P([1, 6, 6, 1]))
+    assert (sturm.path, placed.path) == (STURM, SIGN_CHANGES)
+    for iso in (sturm, placed):
+        slo, _ = iso.certificates[0]
+        broken = dataclasses.replace(iso, certificates=((slo, slo),) + iso.certificates[1:])
+        with pytest.raises(AssertionError, match="bracket a simple root"):
+            refine(broken, 0, TOL40)
 
 
 def test_refine_reuses_certified_endpoint_signs(monkeypatch):
-    sturm = isolate_roots(DOUBLED)
+    placed = isolate_roots(DOUBLED)
+    with pytest.MonkeyPatch.context() as forced:
+        _force_sturm(forced)
+        sturm = isolate_roots(DOUBLED)
     signs = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
-    assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
+    assert (sturm.path, placed.path, signs.path) == (STURM, SIGN_CHANGES, SIGN_CHANGES)
     evaluated = []
     real = roots._horner
 
@@ -365,7 +499,7 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
 
     # every exact evaluation goes through _horner; the secant reads its values
     monkeypatch.setattr(roots, "_horner", counting)
-    for iso in (sturm, signs):
+    for iso in (sturm, placed, signs):
         evaluated.clear()
         refined_roots(iso)
         assert evaluated  # refine's own grid points
@@ -552,42 +686,61 @@ def test_isolation_recovers_known_roots(root_values, mults, complex_pair):
     (P([-1, 0, 1]), F(2), F(3)),  # no root inside
 ], ids=["endpoint-root", "two-roots", "no-root"])
 def test_tower_signs_reject_a_broken_isolation(monkeypatch, p, lo, hi):
-    # an isolation that claims opposite squarefree signs at (lo, hi) whatever p does there
-    monkeypatch.setattr(roots, "_isolate", lambda chain, sqfree: [((lo, -1), (hi, 1))])
+    # an isolation that claims opposite squarefree signs at (lo, hi) whatever p does there,
+    # on each route: deg s copies pass the placement's count, and one the Sturm route's
+    broken = [((lo, -1), (hi, 1))]
+    monkeypatch.setattr(roots, "_isolate", lambda chain, sqfree: broken)
+    monkeypatch.setattr(roots, "_sign_change_isolation", lambda s: broken * (len(s) - 1))
+    with pytest.raises(AssertionError, match="gcd tower sign changes"):
+        isolate_roots(p)
+    _force_sturm(monkeypatch)
     with pytest.raises(AssertionError, match="gcd tower sign changes"):
         isolate_roots(p)
 
 
 def test_remainder_sequences_per_question(monkeypatch):
-    # one chain answers hyperbolicity; isolation adds one per gcd-tower level
+    # placed by signs, no chain answers hyperbolicity and isolation asks only for the one
+    # gcd-tower level; not real-rooted, one chain answers hyperbolicity and isolation adds
+    # the tower level
     calls = []
     original = roots._prs
 
     def counting(a, b):
-        calls.append(len(a) - 1)
+        calls.append(a)
         return original(a, b)
 
     monkeypatch.setattr(roots, "_prs", counting)
-    poly = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
-    assert is_hyperbolic(poly)
-    assert len(calls) == 1
+    assert is_hyperbolic(DOUBLED)
+    assert calls == []
+    assert isolate_roots(DOUBLED).multiplicities == (2, 1, 1)
+    assert calls == [(1, 1)]  # gcd(p, p') = x + 1, from the certified common factor
     calls.clear()
+    poly = DOUBLED * P([1, 0, 1])
+    assert not is_hyperbolic(poly)
+    assert calls == [tuple(roots._int_poly(poly))]
     assert isolate_roots(poly).multiplicities == (2, 1, 1)
-    assert len(calls) == 2
+    assert calls == [tuple(roots._int_poly(poly))] * 2 + [(-1, -1)]  # the chain's last member
 
 
 @pytest.mark.parametrize("c", [1, -1])
 def test_one_remainder_sequence_per_pair_across_questions(remainder_sequence_builds, c):
     built = remainder_sequence_builds
     q = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1]) * P([1, 2])  # doubled root -1
-    dq = q.derivative()
+    tower = ((1, 1), (1,))  # the one gcd-tower level: gcd(q, q') = x + 1
+    # signs place q's roots: no chain of q, and c*q' fails on the certified gcd
     assert roots_float(q) == [-1.0, -1.0, -0.5, 2.0, 3.0]
     assert is_hyperbolic(q)
-    assert interlace_check(dq.scale(c), q) == FAIL  # c*q' shares the chain of q
+    assert interlace_check(q.derivative().scale(c), q) == FAIL
+    assert built == [tower]
+    # not real-rooted: one chain of q, shared by the three questions
+    q = q * P([1, 1, 1])
+    assert roots_float(q) == [-1.0, -1.0, -0.5, 2.0, 3.0]
+    assert not is_hyperbolic(q)
+    assert interlace_check(q.derivative().scale(c), q) == FAIL
     q_key = tuple(roots._int_poly(q))
     dq_key = tuple(roots._primitive(roots._derivative(q_key)))
-    # the chain of q, then the one gcd-tower level: gcd(q, q') = x + 1
-    assert built == [(q_key, dq_key), ((1, 1), (1,))]
+    # here the tower level is the last member of q's chain, -(x + 1)
+    assert built == [tower, (q_key, dq_key), ((-1, -1), (-1,))]
     assert not any(a == dq_key for a, _ in built)  # q' never gets a chain
 
 
@@ -611,13 +764,15 @@ def test_warm_memo_negative_controls():
     q = P([1])
     for r in (F(-3), F(-1), F(-1, 2), F(1, 3), F(2), F(5)):
         q = q * P([-r, 1])
-    assert is_hyperbolic(q)  # warms the memo with q's chain
-    assert interlace_check(q.derivative(), q) == STRICT_INTERLACE
-    assert roots._prs.cache_info().hits == 1
+    assert is_hyperbolic(q)  # placed by signs: no chain
+    assert interlace_check(q.derivative(), q) == STRICT_INTERLACE  # Rolle, placed again
+    assert roots._prs.cache_info()[:2] == (0, 0)  # (hits, misses)
     bad = q * P([F(1, 3), 0, 1])  # x^2 + 1/3 has no real root
-    assert interlace_check(bad.derivative(), bad) == FAIL
+    assert interlace_check(bad.derivative(), bad) == FAIL  # warms the memo with bad's chain
     assert not is_hyperbolic(bad)
-    assert interlace_check(q.exact_divide(P([-2, 1])), q) == COMMON_ROOT
+    assert roots._prs.cache_info()[:2] == (1, 1)
+    assert interlace_check(q.exact_divide(P([-2, 1])), q) == COMMON_ROOT  # both placed
+    assert roots._prs.cache_info()[:2] == (1, 2)
     c = tuple(roots._int_poly(q))
     dc = tuple(roots._primitive(roots._derivative(c)))
     seq = roots._prs(c, dc)
