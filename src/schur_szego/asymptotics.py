@@ -148,7 +148,8 @@ def narayana_root_sample(n: int) -> RootSample:
     - n disjoint brackets, each with a sign change, isolate all n roots.
     Those images are narrower than 2^-40, so refine evaluates nothing on
     them. If the certificate fails, the roots come from `roots.isolate_roots`
-    (path SIGN_CHANGES when its dyadic grids place every root, else STURM).
+    (path SIGN_CHANGES when signs on its dyadic grids place every root, else
+    STURM, its chain counting on from the last grid).
     """
     p = narayana_poly_direct(n)
     iso = certify_roots(p, _lobatto_proposals(n)) or isolate_roots(p)

@@ -10,11 +10,12 @@ cofactors' cheaper chain is built. Every chain comes from `_prs`, the one memo,
 keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
 one such sequence. Isolation is dyadic: its endpoints and samples have
 power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
-A polynomial whose squarefree part s shows deg s sign changes or zeros on a
-dyadic grid (`_sign_change_isolation`) has all its roots real, counted by the
-intermediate value theorem with no chain of its own: `isolate_roots`,
-`roots_float`, `is_hyperbolic` and, by Rolle's theorem, `interlace_check` on
-(c q', q) take that route first and build chains only when it fails. Float
+One kernel, `_isolate`, samples the signs of the squarefree part s on dyadic
+grids of that bound's box. When they show deg s sign changes or zeros, all
+roots are real, counted by the intermediate value theorem with no chain of
+their own: `isolate_roots`, `roots_float`, `is_hyperbolic` and, by Rolle's
+theorem, `interlace_check` on (c q', q) take that route first. Otherwise Sturm
+counts go on from the last grid, V at the box's ends read off leading signs. Float
 root proposals are certified by exact sign changes alone too
 (`certify_roots`); floats only choose where to look. Nothing here trusts the
 theorems it is used to test.
@@ -213,8 +214,8 @@ class RootIsolation:
     """Disjoint rational intervals, one distinct real root each.
 
     `path` names the certificate that made it: SIGN_CHANGES (the intermediate
-    value theorem: `certify_roots`, or `isolate_roots` when dyadic grids place
-    every root) or STURM (`isolate_roots`' chain counts). On both,
+    value theorem: `certify_roots`, or `isolate_roots` when signs on its dyadic
+    grids place every root) or STURM (`isolate_roots`' chain counts). On both,
     `certificates[i]` holds the endpoint signs (sign s(lo), sign s(hi)) of
     interval i, opposite, where s is the squarefree part whose integer
     coefficients `_sqfree` holds; `refine` narrows on s from those signs.
@@ -230,118 +231,103 @@ class RootIsolation:
         return sum(self.multiplicities)
 
 
-def _grid(sqfree: Sequence[int], pts: list, count: int) -> list:
-    """pts, equally spaced points (x, sign s(x)), with each gap cut into the
-    same power of two of equal cells, at least 4 * count cells in all."""
-    (lo, _), (hi, _) = pts[0], pts[-1]
-    parts = 1
-    while (len(pts) - 1) * parts < 4 * count:
-        parts *= 2
-    cells = (len(pts) - 1) * parts
-    step = (hi - lo) / cells
-    xs = (lo + i * step for i in range(cells + 1))
-    return [pts[i // parts] if i % parts == 0 else (x, _eval_sign(sqfree, x))
-            for i, x in enumerate(xs)]
+def _signs(s: Sequence[int], u: int, k: int, points) -> list[int]:
+    """Signs of s at the points (2i - 2^k) 2^(u-k), i in points, of the grid of 2^k
+    cells of [-2^u, 2^u]: integer indices over one power-of-two denominator."""
+    d, e = len(s) - 1, max(k - u, 0)
+    # at x = num / 2^e, 2^(e d) s(x) is the integer polynomial s_j 2^(e (d-j)) at num
+    c = [x << e * (d - j) for j, x in enumerate(s)]
+    return [_sign(horner(c, (2 * i - (1 << k)) << max(u - k, 0))) for i in points]
 
 
-def _placed(pts: list) -> list:
-    """Disjoint intervals between the points (x, sign s(x)) of pts that each
-    hold a root of s: a strict sign change between neighbours, or a zero of s
-    between nonzero neighbours. pts ends in nonzero points."""
-    out = [(u, v) for u, v in zip(pts, pts[1:]) if u[1] * v[1] < 0]
-    out += [(u, w) for u, v, w in zip(pts, pts[1:], pts[2:]) if not v[1] and u[1] and w[1]]
+def _at(u: int, k: int, i: int) -> Fraction:
+    """Point i of the grid of 2^k cells of [-2^u, 2^u]."""
+    return Fraction(2 * i - (1 << k)) * Fraction(2) ** (u - k)
+
+
+def _places(s: Sequence[int], u: int, k: int, i: int, g: list[int]) -> list:
+    """((lo, sign s(lo)), (hi, sign s(hi))) for the places of a root of s among the
+    signs g of s at points i, i + 1, ... of the grid of 2^k cells of [-2^u, 2^u],
+    whose ends are nonzero: a strict sign change across a cell, or a zero x of s
+    (beside a zero too), as (x - h/2, x + h/2), h the cell width."""
+    out = [((_at(u, k, i + m), g[m]), (_at(u, k, i + m + 1), g[m + 1]))
+           for m in range(len(g) - 1) if g[m] * g[m + 1] < 0]
+    for m in (m for m, v in enumerate(g) if not v):
+        ends = (2 * (i + m) - 1, 2 * (i + m) + 1)
+        out.append(tuple(zip([_at(u, k + 1, j) for j in ends], _signs(s, u, k + 1, ends))))
     return out
 
 
-def _sign_change_isolation(s: Sequence[int]) -> list | None:
-    """((lo, sign s(lo)), (hi, sign s(hi))) for deg s disjoint intervals, sorted,
-    each holding a root of s; None when the grids place fewer.
+def _sturm(p: Sequence[int]) -> tuple[SturmChain, list[int]]:
+    """p's Sturm chain and p / gcd(p, p'), primitive with a positive leading
+    coefficient, gcd(p, p') the chain's last member."""
+    chain = SturmChain(p)
+    _, q, r = _pseudo_divmod(p, chain.polys[-1])
+    if r != [0]:
+        raise AssertionError("the last chain member does not divide the polynomial")
+    return chain, _primitive(q, _sign(q[-1]))
 
-    Signs of s are sampled at the points (2i - 2^k) 2^(u-k) of grids of 2^k cells
-    of [-2^u, 2^u], u = `_root_bits(s)`, from 2^k >= 4 deg s; each doubling
-    evaluates the new midpoints only, while rounds place more roots, up to 16 deg s
-    cells. A strict sign change across a cell or a zero at a grid point (beside a
-    zero too) places a root. Places are disjoint, so deg s of them hold all roots
-    of s, one each, real and simple (the intermediate value theorem); a zero x
-    becomes (x - h/2, x + h/2), h the cell width.
+
+def _isolate(s: Sequence[int] | None, p: Sequence[int] | None = None) -> tuple | None:
+    """(iso, s, chain): iso the ((lo, sign s(lo)), (hi, sign s(hi))) of disjoint
+    intervals, sorted, one per distinct real root of s, the squarefree part of p.
+    chain is None when signs alone place deg s roots (without p, the answer is None
+    when they do not), else p's Sturm chain, which gives s when s is None or wrong.
+    Signs of s are sampled on grids of 2^k cells of [-2^u, 2^u], u =
+    `_root_bits(s)`, from 2^k >= 4 deg s, each doubling evaluating the new
+    midpoints only while rounds place more roots, up to 16 deg s cells. Otherwise
+    Sturm counts go on from the last grid (the first if the chain came first): a
+    run of samples whose places (`_places`) fall short of its count is split by one
+    `variations_at` at the nonzero sample nearest its middle, after going to a grid
+    of at least 4c cells if it counts c >= 2 roots with no nonzero sample inside.
     """
+    def finer(k, i, g, e):  # samples g at points i, i + 1, ... on a grid 2^e times finer
+        k, i, step = k + e, i << e, 1 << e
+        f = [0] * ((len(g) - 1) * step + 1)
+        f[::step] = g
+        for r in range(1, step):
+            f[r::step] = _signs(s, u, k, range(i + r, i + len(f) - 1, step))
+        return k, i, f
+
+    chain = None
+    if s is None:
+        chain, s = _sturm(p)
     d, u = len(s) - 1, _root_bits(s)
-
-    def signs(k, points):
-        # at x = num / 2^e, 2^(e d) s(x) is the integer polynomial s_j 2^(e (d-j)) at num
-        e = max(k - u, 0)
-        c = [x << e * (d - j) for j, x in enumerate(s)]
-        return [_sign(horner(c, (2 * i - (1 << k)) << max(u - k, 0))) for i in points]
-
-    def at(i, k):
-        return Fraction(2 * i - (1 << k)) * Fraction(2) ** (u - k)
-
     k, best = (4 * d - 1).bit_length(), -1
-    grid = signs(k, range((1 << k) + 1))
-    while True:
-        cells = [i for i in range(1 << k) if grid[i] * grid[i + 1] < 0]
-        zeros = [i for i, v in enumerate(grid) if not v]
-        placed = len(cells) + len(zeros)
+    grid = _signs(s, u, k, range((1 << k) + 1))
+    while chain is None:
+        placed = list(map(int.__mul__, grid, grid[1:])).count(-1) + grid.count(0)
         if placed == d:
+            found = _places(s, u, k, 0, grid)
+            if len(found) == d:
+                return sorted(found), s, None
+        if placed == d or placed <= best or 1 << k >= 16 * d:
+            if p is None:
+                return None
+            chain, sq = _sturm(p)
+            if sq != s:
+                return _isolate(None, p)
             break
-        if placed <= best or 1 << k >= 16 * d:
-            return None
-        best, k = placed, k + 1
-        finer = [0] * ((1 << k) + 1)
-        finer[::2], finer[1::2] = grid, signs(k, range(1, 1 << k, 2))
-        grid = finer
-    out = [((at(i, k), grid[i]), (at(i + 1, k), grid[i + 1])) for i in cells]
-    for i in zeros:
-        ends = (2 * i - 1, 2 * i + 1)
-        out.append(tuple(zip([at(j, k + 1) for j in ends], signs(k + 1, ends))))
-    return sorted(out)
-
-
-def _isolate(chain: SturmChain, sqfree: Sequence[int]) -> list:
-    """((lo, sign s(lo)), (hi, sign s(hi))) for disjoint intervals, one per
-    distinct real root of the chain's polynomial, sorted; s is its
-    squarefree part, nonzero at every endpoint.
-
-    Sturm counts say how many roots an interval holds, and signs of s place
-    them. An interval counting c >= 2 roots with no nonzero sample inside is
-    sampled on a finer grid of the same lattice, which it hands down to its
-    parts; when the samples place c roots (`_placed`), those c intervals
-    hold one root each. Otherwise one Sturm evaluation at the nonzero sample
-    nearest its middle splits it. Isolation is dyadic: t doubles from 1 until
-    V(-t) - V(t) = V(-inf) - V(+inf), at the latest at the first power of two
-    past every root, so every interval is a dyadic cell, or two around a root.
-    """
-    total = chain.total_real_roots()
-    if total == 0:
-        return []
-    t = Fraction(1)
-    while True:
-        slo, shi = _eval_sign(sqfree, -t), _eval_sign(sqfree, t)
-        if slo and shi:
-            vlo, vhi = chain.variations_at(-t), chain.variations_at(t)
-            if vlo - vhi == total:
-                break
-        t *= 2
-    out = []
-    stack = [([(-t, slo), (t, shi)], vlo, vhi)]
+        best = placed
+        k, _, grid = finer(k, 0, grid, 1)
+    vhi = _variations([_sign(c[-1]) for c in chain.polys])  # V(2^u) = V(+inf)
+    out, stack = [], [(k, 0, grid, vhi + chain.total_real_roots(), vhi)]
     while stack:
-        pts, vlo, vhi = stack.pop()
-        count = vlo - vhi
-        if count == 0:
+        k, i, g, vlo, vhi = stack.pop()
+        c = vlo - vhi
+        if c == 0:
             continue
-        if count > 1 and not any(s for _, s in pts[1:-1]):
-            pts = _grid(sqfree, pts, count)
-        placed = _placed(pts)
-        if len(placed) == count:
-            out.extend(placed)
+        if c > 1 and not any(g[1:-1]):  # least e with (len(g) - 1) 2^e >= 4c
+            k, i, g = finer(k, i, g, (-(-4 * c // (len(g) - 1)) - 1).bit_length())
+        found = _places(s, u, k, i, g)
+        if len(found) == c:
+            out += found
             continue
-        i = min((i for i in range(1, len(pts) - 1) if pts[i][1]),
-                key=lambda i: abs(2 * i - len(pts) + 1))  # pts are equally spaced
-        vmid = chain.variations_at(pts[i][0])
-        stack.append((pts[:i + 1], vlo, vmid))
-        stack.append((pts[i:], vmid, vhi))
-    out.sort()
-    return out
+        n = len(g) - 1
+        m = min((j for j in range(1, n) if g[j]), key=lambda j: abs(2 * j - n))
+        vmid = chain.variations_at(_at(u, k, i + m))
+        stack += [(k, i, g[:m + 1], vlo, vmid), (k, i + m, g[m:], vmid, vhi)]
+    return sorted(out), s, chain
 
 
 def _squarefree_split(ip: list[int]) -> tuple[list[int], list[int]] | None:
@@ -359,19 +345,16 @@ def _squarefree_split(ip: list[int]) -> tuple[list[int], list[int]] | None:
     return (g, _primitive(q, _sign(q[-1]))) if r == rd == [0] else None
 
 
-def _place(s: Sequence[int]) -> list | None:
-    """`_sign_change_isolation(s)` when it holds deg s intervals, else None."""
-    places = _sign_change_isolation(s)
-    return places if places is not None and len(places) == len(s) - 1 else None
-
-
 def isolate_roots(p: RationalPoly) -> RootIsolation:
     """Certified isolation of all distinct real roots, with multiplicities.
 
-    First by signs (path SIGN_CHANGES, no chain of p): when (G, s) =
-    `_squarefree_split(p)` places deg s roots (`_place`), they are all the
-    roots of p, simple roots of s, so G = gcd(p, p') up to a unit. Otherwise
-    by Sturm (path STURM, `_isolate`), gcd(p, p') the last chain member.
+    `_isolate` places the roots of s, the squarefree part of (G, s) =
+    `_squarefree_split(p)`, on dyadic grids of [-2^u, 2^u], u = `_root_bits(s)`:
+    by signs alone (path SIGN_CHANGES, no chain of p) when deg s roots are
+    placed, which are then all the roots of p, simple roots of s, so G =
+    gcd(p, p') up to a unit; otherwise with p's Sturm chain (path STURM),
+    gcd(p, p') its last member. Every root is inside the box, and V changes
+    only at roots, so V(-2^u) = V(-inf) and V(2^u) = V(+inf), from leading signs.
     Multiplicities come from the signs of the gcd tower G_0 = p,
     G_1 = gcd(p, p'), G_{k+1} = gcd(G_k, G_k') (the last member of G_k's
     chain) at the endpoints of each isolating interval:
@@ -385,17 +368,8 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     """
     ip = _int_poly(p)
     split = _squarefree_split(ip)
-    iso = split and _place(split[1])
-    if iso:
-        (g, sqfree), path = split, SIGN_CHANGES
-    else:
-        chain = SturmChain(ip)
-        g = chain.polys[-1]
-        _, q, r = _pseudo_divmod(ip, g)
-        if r != [0]:
-            raise AssertionError("the last chain member does not divide the polynomial")
-        sqfree = _primitive(q, _sign(q[-1]))
-        iso, path = _isolate(chain, sqfree), STURM
+    iso, sqfree, chain = _isolate(split and split[1], ip)
+    g, path = (split[0], SIGN_CHANGES) if chain is None else (chain.polys[-1], STURM)
     intervals = tuple((lo, hi) for (lo, _), (hi, _) in iso)
     signs = tuple((slo, shi) for (_, slo), (_, shi) in iso)
     if any(slo * shi >= 0 for slo, shi in signs):
@@ -556,14 +530,14 @@ def distinct_real_roots(p: RationalPoly) -> int:
 def is_hyperbolic(p: RationalPoly) -> bool:
     """True iff all roots are real (counted with multiplicity).
 
-    True when (G, s) = `_squarefree_split(p)` places deg s roots: every root of
-    p is one of s's. Otherwise by Sturm: p and p / gcd(p, p') share their
-    roots, so p is hyperbolic iff its distinct real roots number
-    deg p - deg gcd(p, p').
+    True when signs place deg s roots of s, (G, s) = `_squarefree_split(p)`
+    (`_isolate` without p): every root of p is one of s's. Otherwise by Sturm:
+    p and p / gcd(p, p') share their roots, so p is hyperbolic iff its distinct
+    real roots number deg p - deg gcd(p, p').
     """
     ip = _int_poly(p)
     split = _squarefree_split(ip)
-    if split and _place(split[1]):
+    if split and _isolate(split[1]):
         return True
     chain = SturmChain(ip)
     return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
@@ -592,7 +566,7 @@ def _simple_real(c: list[int]) -> bool:
     certifies a G of positive degree, so when G = 1 and signs place deg c
     roots, and otherwise iff c's chain counts deg c."""
     split = _squarefree_split(c)
-    if split and (len(split[0]) > 1 or _place(split[1])):
+    if split and (len(split[0]) > 1 or _isolate(split[1])):
         return len(split[0]) == 1
     return SturmChain(c).total_real_roots() == len(c) - 1
 

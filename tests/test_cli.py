@@ -327,7 +327,9 @@ def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, arg
     (("eigen", "--n", "21"), "70d29e685c6e7321658e42a4c999c85f440fe6ca02963266c9dac1c0c5d2d10a"),
     (("css", "--phi", "8"), "99f470abcf289f7d50326653ffc68d5a7b93c6b3fc1b824d9ea76a467bfe4f3c"),
     (("limits", "--j", "6"), "94de2caad5018a121145920d440ea84ab22d5e073de7723dcedb82e6e2342b69"),
-], ids=["eigen-n10-j4", "eigen-n21", "css-phi8", "limits-j6"])
+    (("roots", "--n", "12", "--isolate"),
+     "560f017450b416901bcf90847951f10c022151ab747360adaec1d6d9ab60b7d9"),
+], ids=["eigen-n10-j4", "eigen-n21", "css-phi8", "limits-j6", "roots-n12-isolate"])
 def test_pinned_stdout(capsys, argv, digest):
     # the exact bytes these commands print, so a rewrite of the routes behind them cannot move any
     code, out, _ = run_cli(capsys, *argv)
@@ -393,7 +395,9 @@ def test_closed_stdout_is_not_a_traceback(argv, read, unbuffered):
 
 
 def test_verify_all_under_python_O():
-    """`python -O` strips assert statements; no check may go with them."""
+    """`python -O` strips assert statements; no check may go with them, and the
+    Sturm route of root isolation (which `verify-all` does not reach) keeps its
+    certificates."""
     proc = _cli_process("verify-all", "--max-n", "8", flags=("-O",))
     out, err = proc.communicate(timeout=120)
     env = parse_envelope(out.decode())
@@ -402,3 +406,8 @@ def test_verify_all_under_python_O():
     checks = env["payload"]["checks"].values()
     assert len(checks) == 10 and all(c["passed"] for c in checks)
     assert err.decode().count("PASS") == 10
+    proc = _cli_process("roots", "--n", "12", "--isolate", flags=("-O",))
+    out, _ = proc.communicate(timeout=120)
+    env = parse_envelope(out.decode())
+    assert proc.returncode == 0 and env["status"] == "pass"
+    assert env["payload"]["multiplicities"] == [1] * 12

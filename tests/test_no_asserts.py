@@ -6,7 +6,8 @@ took peak RSS from 17 to 29 MB). The choice between the exact and the
 binary64 route is made in one place, `asymptotics._exact`, the content of a
 coefficient vector is taken in one place, `exactpoly._primitive`, two
 coefficient vectors are multiplied in one place, `exactpoly._mul`, a Sturm
-chain is evaluated at a point only to isolate roots, in `roots._isolate`, a
+chain is evaluated at a point only to split a run of grid samples, in
+`roots._isolate`, the one kernel that isolates roots on one dyadic lattice, a
 chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
 `interlace_check` and `poly_gcd` call, a common factor is proposed only for a
 chain (`_prs`) or a squarefree split (`_squarefree_split`), `roots` wraps

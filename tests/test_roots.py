@@ -34,8 +34,8 @@ TOL40 = F(1, 2**40)
 
 
 def sturm_count(p, lo, hi):
-    """Distinct real roots of p in (lo, hi], by the chain evaluations that
-    `_isolate` counts with; certified only at non-root endpoints lo < hi."""
+    """Distinct real roots of p in (lo, hi], by the chain evaluations with which
+    `_isolate` splits a run of samples; certified only at non-root endpoints lo < hi."""
     lo, hi = F(lo), F(hi)
     chain = SturmChain(roots._int_poly(p))
     assert lo < hi and roots._eval_sign(chain.poly, lo) and roots._eval_sign(chain.poly, hi)
@@ -199,9 +199,17 @@ DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
 CLOSE_PAIR = P([F(-1, 3), 1]) * P([-F(1, 3) - F(1, 2**30), 1])  # both roots in one grid cell
 
 
+def _whole_box(k, g):
+    """Whether the samples g are all 2^k + 1 points of the grid of 2^k cells of the box."""
+    return len(g) == (1 << k) + 1
+
+
 def _force_sturm(monkeypatch):
-    """Make isolate_roots, is_hyperbolic and interlace_check take their Sturm route."""
-    monkeypatch.setattr(roots, "_sign_change_isolation", lambda s: None)
+    """Make isolate_roots, is_hyperbolic and interlace_check take their Sturm route: the
+    places of the whole box are none, so signs place no root and its run is split."""
+    places = roots._places
+    monkeypatch.setattr(roots, "_places",
+                        lambda s, u, k, i, g: [] if _whole_box(k, g) else places(s, u, k, i, g))
 
 
 def _assert_isolation_certified(p, path):
@@ -327,7 +335,7 @@ def test_neighbouring_grid_zeros_are_each_placed(q, floats, mults):
 
 def test_close_pair_falls_back_to_sturm():
     s = roots._int_poly(CLOSE_PAIR)
-    assert roots._sign_change_isolation(s) is None
+    assert roots._isolate(s) is None
     assert isolate_roots(CLOSE_PAIR).path == STURM
     assert is_hyperbolic(CLOSE_PAIR)
     assert interlace_check(CLOSE_PAIR.derivative(), CLOSE_PAIR) == STRICT_INTERLACE
@@ -350,10 +358,10 @@ def test_placement_negative_controls_fall_back(monkeypatch, name, control):
     with pytest.MonkeyPatch.context() as forced:
         _force_sturm(forced)
         want = _answers(q)
-    kernel = roots._sign_change_isolation
-    if control == "extra-interval":
-        monkeypatch.setattr(roots, "_sign_change_isolation",
-                            lambda s: (kernel(s) or []) + [((F(100), 1), (F(101), -1))])
+    places = roots._places
+    if control == "extra-interval":  # claimed for the whole box
+        monkeypatch.setattr(roots, "_places", lambda s, u, k, i, g: places(s, u, k, i, g)
+                            + [((F(100), 1), (F(101), -1))] * _whole_box(k, g))
     elif control != "none":
         monkeypatch.setattr(roots, "_common_factor", lambda a, b: list(_WRONG_G[control]))
     got = _answers(q)
@@ -383,7 +391,22 @@ def test_close_roots_are_split_by_sturm_after_sampling(monkeypatch):
     monkeypatch.setattr(roots.SturmChain, "variations_at", recording)
     iso = isolate_roots(CLOSE_PAIR)
     assert len(iso.intervals) == 2
-    assert any(abs(x) != 1 for x in points)  # not just the +-t bound search
+    assert any(abs(x) != 1 for x in points)  # a split between the close roots
+
+
+@pytest.mark.parametrize("n, parent", [(30, 40), (60, 56), (100, 69)])
+def test_sturm_route_continues_the_sign_grid(monkeypatch, n, parent):
+    # the chain splits runs of the last sign grid: fewer evaluations than the parent's
+    # bound search and grids on (-t, t) made, and none at or outside the box's ends
+    points = []
+    real = roots.SturmChain.variations_at
+    monkeypatch.setattr(roots.SturmChain, "variations_at",
+                        lambda chain, x: points.append(x) or real(chain, x))
+    iso = isolate_roots(narayana_poly_direct(n))
+    assert iso.path == STURM and iso.multiplicities == (1,) * n
+    box = 1 << roots._root_bits(iso._sqfree)
+    assert 0 < len(points) < parent
+    assert all(-box < x < box for x in points)
 
 
 def _dyadic(x):
@@ -689,8 +712,8 @@ def test_tower_signs_reject_a_broken_isolation(monkeypatch, p, lo, hi):
     # an isolation that claims opposite squarefree signs at (lo, hi) whatever p does there,
     # on each route: deg s copies pass the placement's count, and one the Sturm route's
     broken = [((lo, -1), (hi, 1))]
-    monkeypatch.setattr(roots, "_isolate", lambda chain, sqfree: broken)
-    monkeypatch.setattr(roots, "_sign_change_isolation", lambda s: broken * (len(s) - 1))
+    monkeypatch.setattr(roots, "_places", lambda s, u, k, i, g:
+                        broken * (len(s) - 1) if _whole_box(k, g) else broken)
     with pytest.raises(AssertionError, match="gcd tower sign changes"):
         isolate_roots(p)
     _force_sturm(monkeypatch)
