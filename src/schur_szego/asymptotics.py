@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import _derivative, horner, neville_zero
+from .exactpoly import (NotDivisibleError, RationalPoly, _clear_denominators, _derivative, _fold,
+                        horner, neville_zero)
 from .narayana import narayana_poly_direct
-from .roots import certify_roots, isolate_roots, refined_roots
+from .roots import _REFINE_WIDTH, certify_roots, isolate_roots, refine, refined_roots
 
 _NEWTON_STEPS = 12
 
@@ -119,41 +120,60 @@ def _lobatto_node(n: int, theta: float) -> float:
 
 
 def _lobatto_proposals(n: int) -> list[float]:
-    """Float proposals for the n roots of N_n.
+    """Float proposals for the floor((n-1)/2) roots of S_n (`exactpoly._fold`).
 
-    n N_n(x) = x (1-x)^{n-1} P^{(1,1)}_{n-1}((1+x)/(1-x)), and P^{(1,1)}_{n-1}
-    is a multiple of the Legendre derivative P_n'. So the roots are 0 and
-    -tan^2(theta/2) for the zeros cos(theta) of P_n' (the interior
-    Gauss-Lobatto nodes). Those come in pairs theta, pi - theta, i.e.
-    x, 1/x: only theta < pi/2 is computed (starting at pi k / n), and
-    for even n the middle node pi/2 gives x = -1.
+    n N_n(x) = x (1-x)^{n-1} P^{(1,1)}_{n-1}((1+x)/(1-x)), and P^{(1,1)}_{n-1} is a
+    multiple of the Legendre derivative P_n'. So N_n's roots are 0 and x = -tan^2(theta/2)
+    for the zeros cos(theta) of P_n' (interior Gauss-Lobatto nodes), at w = x + 2 + 1/x =
+    -4 cot^2(theta); x and 1/x (theta, pi - theta) share w: only theta < pi/2 is computed.
     """
-    half = [-math.tan(_lobatto_node(n, math.pi * k / n) / 2) ** 2
+    return [-4.0 / math.tan(_lobatto_node(n, math.pi * k / n)) ** 2
             for k in range(1, (n - 1) // 2 + 1)]
-    middle = [-1.0] if n % 2 == 0 else []
-    return [0.0] + half + middle + [1.0 / x for x in half]
+
+
+def _x_of_w(w: Fraction, upper: bool) -> Fraction:
+    """A dyadic bound above (or below) x(w) = (w - 2 - sqrt(w^2 - 4w)) / 2 at a dyadic
+    w = m / 2^e < 0, by `math.isqrt` of (w^2 - 4w) 4^(e+64) in integers."""
+    m, e = w.numerator, w.denominator.bit_length() - 1
+    d = (m * m - (m << e + 2)) << 128
+    r = math.isqrt(d)
+    r += not upper and r * r < d
+    return Fraction(((m - (2 << e)) << 64) - r, 1 << e + 65)
 
 
 @lru_cache(maxsize=8)
 def narayana_root_sample(n: int) -> RootSample:
-    """Certified binary64 roots of N_n, 0 included, sorted: the midpoints of
-    exact brackets refined to width 2^-40.
-
-    Floats propose the roots (`_lobatto_proposals`). Exact sign changes of
-    N_n at dyadic bracket endpoints certify -1 (n even), 0 and the roots
-    below -1, and reciprocity the rest (`roots.certify_roots`, SIGN_CHANGES):
-    - palindromy, checked exactly, pairs the roots r, 1/r of N_n/x = M_n;
-    - x -> 1/x maps (-inf, -1) onto (-1, 0), decreasing: (lo, hi) -> (1/hi, 1/lo);
-    - sign M_n(1/x) = sign(x)^(n-1) sign M_n(x) gives the signs at 1/hi, 1/lo;
-    - n disjoint brackets, each with a sign change, isolate all n roots.
-    Those images are narrower than 2^-40, so refine evaluates nothing on
-    them. If the certificate fails, the roots come from `roots.isolate_roots`
-    (path SIGN_CHANGES when signs on its dyadic grids place every root, else
-    STURM, its chain counting on from the last grid).
+    """Certified binary64 roots of N_n, 0 included, sorted: midpoints of exact
+    brackets narrower than 2^-40, from `certify_roots` on S_n in w = x + 2 + 1/x
+    (`_lobatto_proposals`). The lemma, each hypothesis checked:
+    - N_n = x M_n (N_n(0) = 0);
+    - M_n = (1+x)^e x^k S_n(w), e = deg M_n mod 2 (`exactpoly._fold`; M_n(1) = 2^e S_n(4));
+    - w maps (-inf, -1) and (-1, 0) one to one onto (-inf, 0);
+    - k disjoint brackets below 0 give 2k + e + 1 = n distinct roots.
+    x(w) = (w - 2 - sqrt(w^2 - 4w)) / 2 increases on w < 0: a w-bracket, refined until
+    its image is narrower than 2^-40, gives x in [a, b] (`_x_of_w`), 1/x in [1/b, 1/a].
+    On any failure `roots.isolate_roots(N_n)` gives the roots (path STURM, or
+    SIGN_CHANGES when signs on its dyadic grids place them all).
     """
     p = narayana_poly_direct(n)
-    iso = certify_roots(p, _lobatto_proposals(n)) or isolate_roots(p)
-    return RootSample(refined_roots(iso), iso.path)
+    c = _clear_denominators(p.coeffs[1:])[0]  # a positive multiple of N_n/x
+    try:
+        s = p.coeff(0) == 0 and _fold(c)
+    except NotDivisibleError:
+        s = None
+    e = (len(c) - 1) % 2
+    iso = s and certify_roots(RationalPoly(s), _lobatto_proposals(n))
+    if not iso or horner(c, 1) != horner(s, 4) << e or any(hi >= 0 for _, hi in iso.intervals):
+        iso = isolate_roots(p)
+        return RootSample(refined_roots(iso), iso.path)
+    xs = [0.0] + [-1.0] * e
+    for i, (lo, hi) in enumerate(iso.intervals):
+        tol = _REFINE_WIDTH
+        while (b := _x_of_w(hi, True)) - (a := _x_of_w(lo, False)) >= _REFINE_WIDTH:
+            tol /= 2
+            lo, hi = refine(iso, i, tol)
+        xs += [float((a + b) / 2), float((1 / a + 1 / b) / 2)]
+    return RootSample(sorted(xs), iso.path)
 
 
 # ---------------------------------------------------------------------------

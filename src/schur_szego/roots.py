@@ -16,9 +16,9 @@ roots are real, counted by the intermediate value theorem with no chain of
 their own: `isolate_roots`, `roots_float`, `is_hyperbolic` and, by Rolle's
 theorem, `interlace_check` on (c q', q) take that route first. Otherwise Sturm
 counts go on from the last grid, V at the box's ends read off leading signs. Float
-root proposals are certified by exact sign changes alone too
-(`certify_roots`); floats only choose where to look. Nothing here trusts the
-theorems it is used to test.
+root proposals are certified by exact sign changes alone too (`certify_roots`);
+floats only choose where to look. Every point evaluated is dyadic (`_horner`
+refuses any other). Nothing here trusts the theorems it is used to test.
 """
 
 from __future__ import annotations
@@ -142,19 +142,15 @@ def _chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...
 
 
 def _horner(c: Sequence[int], num: int, den: int) -> int:
-    """den^deg(c) * c(num/den) for den > 0, by homogenized Horner; a
-    power-of-two den shifts the coefficients instead of multiplying them."""
-    d = len(c) - 1
+    """den^deg(c) * c(num/den) for a power of two den, by homogenized Horner that
+    shifts the coefficients instead of multiplying them. Every point that roots
+    evaluates is dyadic; any other den raises ValueError."""
+    if den & (den - 1):
+        raise ValueError(f"{num}/{den} is not a dyadic point")
+    d, e = len(c) - 1, den.bit_length() - 1
     acc = c[-1]
-    if den & (den - 1) == 0:
-        e = den.bit_length() - 1
-        for i in range(d - 1, -1, -1):
-            acc = acc * num + (c[i] << e * (d - i))
-    else:
-        dp = 1
-        for i in range(d - 1, -1, -1):
-            dp *= den
-            acc = acc * num + c[i] * dp
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + (c[i] << e * (d - i))
     return acc
 
 
@@ -211,7 +207,7 @@ class SturmChain:
 
 @dataclass(frozen=True)
 class RootIsolation:
-    """Disjoint rational intervals, one distinct real root each.
+    """Disjoint intervals with dyadic ends, one distinct real root each.
 
     `path` names the certificate that made it: SIGN_CHANGES (the intermediate
     value theorem: `certify_roots`, or `isolate_roots` when signs on its dyadic
@@ -398,19 +394,12 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
     brackets that each show a strict sign change hold a root each (the
     intermediate value theorem) and p has no more: its roots are real,
     simple and isolated by the brackets. No Sturm chain is built.
-
-    When p = x M for a palindromic M of degree d, no proposal in (-1, 0) is
-    bracketed: as p(1/t) = t^-(d+2) p(t), each bracket (lo, hi) below -1
-    gives (1/hi, 1/lo), with its signs times (-1)^d.
     """
     poly = _int_poly(p)
     if len(proposals) != len(poly) - 1 or not all(map(isfinite, proposals)):
         return None
-    reciprocal = poly[0] == 0 and poly[1:] == poly[:0:-1]
     brackets = []
     for r in sorted(proposals):
-        if reciprocal and -1 < r < 0:
-            continue
         exponent = min(frexp(r)[1] - 46, -42)
         for _ in range(_WIDENINGS + 1):
             half = Fraction(2) ** exponent
@@ -423,11 +412,7 @@ def certify_roots(p: RationalPoly, proposals: Sequence[float]) -> RootIsolation 
         else:
             return None
         brackets.append((lo, hi, slo, shi))
-    if reciprocal:
-        s = (-1) ** (len(poly) - 2)
-        brackets += [(1 / hi, 1 / lo, s * shi, s * slo) for lo, hi, slo, shi in brackets if hi < -1]
-        brackets.sort()
-    if len(brackets) != len(poly) - 1 or any(a[1] > b[0] for a, b in zip(brackets, brackets[1:])):
+    if any(a[1] > b[0] for a, b in zip(brackets, brackets[1:])):
         return None
     return RootIsolation(tuple((lo, hi) for lo, hi, _, _ in brackets), (1,) * len(brackets),
                          tuple((slo, shi) for _, _, slo, shi in brackets), tuple(poly),

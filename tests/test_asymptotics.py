@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schur_szego import asymptotics
+from schur_szego import asymptotics, roots
 from schur_szego.asymptotics import (
     BranchCutError,
     PoleError,
@@ -29,7 +29,7 @@ from schur_szego.asymptotics import (
     theta_limit,
     theta_n,
 )
-from schur_szego.exactpoly import RationalPoly, horner
+from schur_szego.exactpoly import RationalPoly, _fold, horner
 from schur_szego.narayana import catalan, narayana_poly_direct
 from schur_szego.roots import SIGN_CHANGES, STURM, roots_float
 
@@ -262,7 +262,7 @@ def test_narayana_root_sample_cached():
 def test_narayana_root_sample_matches_sturm():
     # the sign-change route against Sturm isolation: both are midpoints of
     # certified brackets of width <= 2^-40 around the same roots
-    for n in [*range(2, 41), 100]:
+    for n in [*range(2, 41), 100, 200]:
         sample = narayana_root_sample(n)
         reference = roots_float(narayana_poly_direct(n))
         assert sample.path == SIGN_CHANGES
@@ -281,6 +281,67 @@ def test_narayana_root_sample_falls_back_to_sturm(monkeypatch, cold_root_sample)
     assert sample.path == STURM
     assert sample == tuple(roots_float(fake))
     assert len(sample) == 28
+
+
+def test_lobatto_proposals_are_one_per_root_of_the_fold():
+    for n in [*range(1, 41), 100, 200]:
+        proposals = asymptotics._lobatto_proposals(n)
+        assert len(proposals) == (n - 1) // 2 and all(w < 0 for w in proposals)
+
+
+def _fold_over_x(p):
+    """The fold in w = x + 2 + 1/x of p / x (p(0) = 0), integer coefficients."""
+    return _fold(roots._int_poly(p.exact_divide(P.x())))
+
+
+def _assert_falls_back(monkeypatch, n, fake):
+    """narayana_root_sample(n), with `fake` read as N_n, takes the Sturm fallback."""
+    monkeypatch.setattr(asymptotics, "narayana_poly_direct",
+                        lambda m: fake if m == n else narayana_poly_direct(m))
+    sample = narayana_root_sample(n)
+    assert sample.path == STURM
+    assert sample == tuple(roots_float(fake))
+
+
+def test_a_fold_root_at_w_one_falls_back(monkeypatch, cold_root_sample):
+    # x^2 + x + 1 = x (w - 1): the fold of N_29 (x^2 + x + 1) is S_29 (w - 1), and
+    # w = 1 is the complex pair; certify_roots accepts the fold's true roots, so only
+    # the requirement that every bracket lies below w = 0 rejects them
+    fake = narayana_poly_direct(29) * P([1, 1, 1])
+    s = P(_fold_over_x(fake))
+    proposals = roots_float(s)
+    assert proposals[-1] == 1.0 and roots.certify_roots(s, proposals) is not None
+    monkeypatch.setattr(asymptotics, "_lobatto_proposals", lambda n: proposals)
+    _assert_falls_back(monkeypatch, 31, fake)
+
+
+@pytest.mark.parametrize("j", [0, 3, 14])
+def test_a_wrong_fold_falls_back(monkeypatch, cold_root_sample, j):
+    # one Clenshaw coefficient of S_30 off by one; off at j = 3 the fold's roots move
+    # less than their brackets, so only the identity at x = 1 rejects it
+    fold = asymptotics._fold
+
+    def off(c):
+        s = fold(c)
+        s[j] += 1
+        return s
+
+    monkeypatch.setattr(asymptotics, "_fold", off)
+    _assert_falls_back(monkeypatch, 30, narayana_poly_direct(30))
+
+
+def test_proposals_short_by_one_fall_back(monkeypatch, cold_root_sample):
+    proposals = asymptotics._lobatto_proposals
+    monkeypatch.setattr(asymptotics, "_lobatto_proposals", lambda n: proposals(n)[:-1])
+    _assert_falls_back(monkeypatch, 30, narayana_poly_direct(30))
+
+
+def test_a_nonzero_constant_term_falls_back(monkeypatch, cold_root_sample):
+    # N_30 + 1 has N_30's higher coefficients, whose fold certifies N_30's roots
+    fake = narayana_poly_direct(30) + P([1])
+    s = _fold(roots._int_poly(P(fake.coeffs[1:])))
+    assert roots.certify_roots(P(s), asymptotics._lobatto_proposals(30)) is not None
+    _assert_falls_back(monkeypatch, 30, fake)
 
 
 def test_poincare_fibonacci():

@@ -12,7 +12,9 @@ chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
 `interlace_check` and `poly_gcd` call, a common factor is proposed only for a
 chain (`_prs`) or a squarefree split (`_squarefree_split`), `roots` wraps
 integers back into a `RationalPoly` only for `poly_gcd`'s result, and Phi_n has one construction,
-its Lagrange basis, with no elimination in `css`. A falsified claim raises the
+its Lagrange basis, with no elimination in `css`. The Narayana family has one
+folded root representation: `exactpoly._fold` serves criterion 6 and
+`narayana_root_sample`, the one caller of `certify_roots`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
 defines is an input or domain error.
 """
@@ -154,6 +156,12 @@ def test_one_entry_to_the_chain_memo():
 def test_common_factor_proposed_only_for_a_chain_or_a_squarefree_split():
     assert _scopes_calling("_common_factor") == {("roots.py", "_prs"),
                                                  ("roots.py", "_squarefree_split")}
+
+
+def test_one_folded_root_representation():
+    assert _scopes_calling("_fold") == {("acceptance.py", "check_hyperbolic_interlacing"),
+                                        ("asymptotics.py", "narayana_root_sample")}
+    assert _scopes_calling("certify_roots") == {("asymptotics.py", "narayana_root_sample")}
 
 
 def test_roots_makes_a_rational_poly_only_for_a_gcd():

@@ -33,13 +33,31 @@ P = RationalPoly
 TOL40 = F(1, 2**40)
 
 
+def _exact_sign(c, x):
+    """Sign of the integer polynomial c at any rational x = a/b, b > 0, from the integer
+    b^deg(c) c(a/b) by homogenized Horner with a running power of b: the tests' own
+    evaluator, as roots evaluates at dyadic points only."""
+    a, b = F(x).as_integer_ratio()
+    acc, power = c[-1], 1
+    for v in c[-2::-1]:
+        power *= b
+        acc = acc * a + v * power
+    return roots._sign(acc)
+
+
 def sturm_count(p, lo, hi):
-    """Distinct real roots of p in (lo, hi], by the chain evaluations with which
-    `_isolate` splits a run of samples; certified only at non-root endpoints lo < hi."""
+    """Distinct real roots of p in (lo, hi], by the variations of p's Sturm chain,
+    evaluated by `_exact_sign`; certified only at non-root endpoints lo < hi."""
     lo, hi = F(lo), F(hi)
     chain = SturmChain(roots._int_poly(p))
-    assert lo < hi and roots._eval_sign(chain.poly, lo) and roots._eval_sign(chain.poly, hi)
-    return chain.variations_at(lo) - chain.variations_at(hi)
+    assert lo < hi and _exact_sign(chain.poly, lo) and _exact_sign(chain.poly, hi)
+    return (roots._variations([_exact_sign(c, lo) for c in chain.polys])
+            - roots._variations([_exact_sign(c, hi) for c in chain.polys]))
+
+
+def _fold_of(n):
+    """S_n: N_n/x folded in w = x + 2 + 1/x, integer coefficients."""
+    return exactpoly._fold(roots._int_poly(narayana_poly_direct(n).exact_divide(P.x())))
 
 
 def test_sturm_count_examples():
@@ -157,42 +175,21 @@ def _recording_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("n", [*range(1, 41), 100])
 def test_reciprocal_certificate_signs_are_the_true_signs(monkeypatch, n):
-    """N_n = x M_n with M_n palindromic: the brackets in (-1, 0) are the images
-    (1/hi, 1/lo) of the dyadic ones below -1, with signs from palindromy and no
-    evaluation there; those signs are the true ones, and each bracket holds a root."""
-    p, props = narayana_poly_direct(n), asymptotics._lobatto_proposals(n)
+    """N_n's reciprocal pairs x, 1/x are certified as the roots of S_n in
+    w = x + 2 + 1/x: every bracket end is dyadic, strictly negative and evaluated,
+    its true sign is the certificate's, and each bracket holds a root."""
+    s = P(_fold_of(n))
     evaluated = _recording_evaluations(monkeypatch)
-    iso = certify_roots(p, props)
+    iso = certify_roots(s, asymptotics._lobatto_proposals(n))
     monkeypatch.undo()
     assert iso is not None and iso.path == SIGN_CHANGES
-    inside = [(lo, hi) for lo, hi in iso.intervals if -1 < lo and hi < 0]
-    assert inside == [(1 / hi, 1 / lo) for lo, hi in iso.intervals if hi < -1][::-1]
-    assert len(inside) == (n - 1) // 2 and not {x for iv in inside for x in iv} & set(evaluated)
+    assert len(iso.intervals) == (n - 1) // 2
     for (lo, hi), (slo, shi) in zip(iso.intervals, iso.certificates):
-        assert (slo, shi) == (roots._eval_sign(iso._sqfree, lo), roots._eval_sign(iso._sqfree, hi))
+        assert _dyadic(lo) and _dyadic(hi) and lo < hi < 0 and {lo, hi} <= set(evaluated)
+        assert (slo, shi) == (_exact_sign(iso._sqfree, lo), _exact_sign(iso._sqfree, hi))
         assert slo * shi < 0
-        if (lo, hi) not in inside:
-            assert lo.denominator & (lo.denominator - 1) == 0 and hi in set(evaluated)
         if n <= 12:
-            assert sturm_count(p, lo, hi) == 1
-
-
-X_PLUS_2, TWO_X_PLUS_1 = P([2, 1]), P([1, 2])
-
-
-@pytest.mark.parametrize("p, mirrored", [
-    (narayana_poly_direct(11) * X_PLUS_2, False),
-    (narayana_poly_direct(11) * X_PLUS_2 * TWO_X_PLUS_1, True),
-    (narayana_poly_direct(11).exact_divide(P.x()) * X_PLUS_2 * TWO_X_PLUS_1, False),
-], ids=["not-palindromic", "x-times-palindrome", "palindrome"])
-def test_certificate_uses_reciprocity_only_for_x_times_a_palindrome(monkeypatch, p, mirrored):
-    props = roots_float(p)
-    evaluated = _recording_evaluations(monkeypatch)
-    iso = certify_roots(p, props)
-    monkeypatch.undo()
-    assert iso is not None and len(iso.intervals) == len(props)
-    skipped = {x for iv in iso.intervals for x in iv} - set(evaluated)
-    assert bool(skipped) == mirrored
+            assert sturm_count(s, lo, hi) == 1
 
 
 DOUBLED = P([1, 1]) * P([1, 1]) * P([-2, 1]) * P([-3, 1])  # (x+1)^2 (x-2)(x-3)
@@ -413,6 +410,18 @@ def _dyadic(x):
     return x.denominator & (x.denominator - 1) == 0
 
 
+def test_non_dyadic_points_are_refused(monkeypatch):
+    # every point roots evaluates is dyadic; any other raises rather than gets a sign
+    with pytest.raises(ValueError, match="dyadic"):
+        SturmChain([-1, 0, 3]).variations_at(F(1, 3))
+    iso = isolate_roots(P([-1, 0, 3]))  # roots -+1/sqrt(3)
+    third = dataclasses.replace(iso, intervals=((F(-1), F(-1, 3)),) + iso.intervals[1:])
+    with pytest.raises(ValueError, match="dyadic"):
+        refine(third, 0, TOL40)
+    evaluated = _recording_evaluations(monkeypatch)
+    assert refine(third, 0, F(1)) == (F(-1), F(-1, 3)) and evaluated == []  # narrower than tol
+
+
 def test_isolation_of_a_non_dyadic_root_stays_dyadic(monkeypatch):
     # 3x - 7: a Cauchy cap 1 + 7/3 would start the search from (-10/3, 10/3)
     dens = []
@@ -474,7 +483,7 @@ def test_refine_matches_bisection_on_narayana(monkeypatch, n):
     p = narayana_poly_direct(n)
     _force_sturm(monkeypatch)
     sturm = isolate_roots(p)
-    signs = certify_roots(p, asymptotics._lobatto_proposals(n))
+    signs = certify_roots(P(_fold_of(n)), asymptotics._lobatto_proposals(n))
     assert (sturm.path, signs.path) == (STURM, SIGN_CHANGES)
     for iso in (sturm, signs):
         _assert_refine_is_bisection(iso)
@@ -483,7 +492,7 @@ def test_refine_matches_bisection_on_narayana(monkeypatch, n):
 @pytest.mark.parametrize("bad", [0, -7, 1, 10**9], ids=["left-end", "outside", "one", "far"])
 def test_refine_ignores_a_bad_secant_proposal(monkeypatch, bad):
     isos = [isolate_roots(DOUBLED), isolate_roots(narayana_poly_direct(17)),
-            certify_roots(narayana_poly_direct(30), asymptotics._lobatto_proposals(30))]
+            certify_roots(P(_fold_of(30)), asymptotics._lobatto_proposals(30))]
 
     def refine_all():
         return [refine(iso, i, tol) for iso in isos
@@ -511,7 +520,7 @@ def test_refine_reuses_certified_endpoint_signs(monkeypatch):
     with pytest.MonkeyPatch.context() as forced:
         _force_sturm(forced)
         sturm = isolate_roots(DOUBLED)
-    signs = certify_roots(narayana_poly_direct(100), asymptotics._lobatto_proposals(100))
+    signs = certify_roots(P(_fold_of(100)), asymptotics._lobatto_proposals(100))
     assert (sturm.path, placed.path, signs.path) == (STURM, SIGN_CHANGES, SIGN_CHANGES)
     evaluated = []
     real = roots._horner
@@ -928,16 +937,14 @@ def test_interlacing_pairs_get_no_proposal(monkeypatch):
     q = P([0, 1]) * P([-2, 1]) * P([-4, 1])
     assert interlace_check(P([-1, 1]) * P([-3, 1]), q) == STRICT_INTERLACE
     # criterion 6's folds for n even: (w S_n, S_{n-1})
-    s = [exactpoly._fold(roots._int_poly(narayana_poly_direct(n).exact_divide(RationalPoly.x())))
-         for n in (9, 10)]
+    s = [_fold_of(n) for n in (9, 10)]
     assert interlace_check(P(s[0]), P([0] + s[1])) == STRICT_INTERLACE
 
 
 def test_odd_folds_are_sturm_pairs_shown_coprime():
     # S_{n-1} is the primitive derivative of S_n for n odd, so criterion 6 asks _prs
     # for Sturm pairs there; each is shown coprime at its root bound, with no split
-    s = {n: exactpoly._fold(roots._int_poly(narayana_poly_direct(n).exact_divide(RationalPoly.x())))
-         for n in range(2, 62)}
+    s = {n: _fold_of(n) for n in range(2, 62)}
     for n in range(3, 62, 2):
         a, b = tuple(s[n]), tuple(s[n - 1])
         assert b == tuple(roots._primitive(roots._derivative(a)))
