@@ -3,7 +3,11 @@
 `roots_float`, `is_hyperbolic` and `interlace_check` are library API for any
 polynomial over Q, beyond the Narayana family the commands check: no
 `verify-all` check calls the first, and the `roots` command calls the other
-two on N_n only.
+two on N_n only. So are `poly_gcd`, the monic gcd over Q, which
+`roots --interlace` calls only after a verdict other than strict
+interlacing, and `factor_symmetric_functions`, the paper's own construction
+(the elementary symmetric functions of a polynomial's composition factors),
+which no command calls.
 """
 
 from .exactpoly import (

@@ -6,16 +6,18 @@ variation counts are those of the classical rational chain), evaluated by
 integer-homogenized Horner at rational points. When p has a repeated factor G,
 the chain of (p, p') is G times the chain of the cofactors, bit for bit: G is
 proposed by a heuristic gcd and certified by zero pseudo-remainders before the
-cofactors' cheaper chain is built. Every chain comes from `_prs`, the one memo,
+cofactors' cheaper chain is built. Every chain comes from the memo `_prs`,
 keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
 one such sequence. Isolation is dyadic: its endpoints and samples have
 power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
-One kernel, `_isolate`, samples the signs of the squarefree part s on dyadic
-grids of that bound's box. When they show deg s sign changes or zeros, all
-roots are real, counted by the intermediate value theorem with no chain of
-their own: `isolate_roots`, `roots_float`, `is_hyperbolic` and, by Rolle's
-theorem, `interlace_check` on (c q', q) take that route first. Otherwise Sturm
-counts go on from the last grid, V at the box's ends read off leading signs. Float
+One kernel samples the signs of the squarefree part s on dyadic grids of that
+bound's box, once per polynomial: the second memo, `_placement`, keyed on a
+primitive vector, holds its squarefree split and the outcome of the sign phase.
+When the signs show deg s sign changes or zeros, all roots are real, counted by
+the intermediate value theorem with no chain of their own: `isolate_roots`,
+`roots_float`, `is_hyperbolic` and, by Rolle's theorem, `interlace_check` on
+(c q', q) read that placement first. Otherwise `_isolate`'s Sturm counts go on
+from the memo's last grid, V at the box's ends read off leading signs. Float
 root proposals are certified by exact sign changes alone too (`certify_roots`);
 floats only choose where to look. Every point evaluated is dyadic (`_horner`
 refuses any other). Nothing here trusts the theorems it is used to test.
@@ -65,7 +67,7 @@ def _sign(x: int) -> int:
 # then a gcd-tower chain, before is_hyperbolic(q) asks for q's chain again
 @lru_cache(maxsize=2)
 def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """PRS of the primitive tuples (a, b), the one memo key, with Sturm signs: each
+    """PRS of the primitive tuples (a, b), the memo key, with Sturm signs: each
     step appends a positive rescaling of -(a mod b); it ends at the (primitive) gcd.
 
     Built on cofactors when b ends like a multiple of a': for a common factor G of
@@ -264,73 +266,50 @@ def _sturm(p: Sequence[int]) -> tuple[SturmChain, list[int]]:
     return chain, _primitive(q, _sign(q[-1]))
 
 
-def _isolate(s: Sequence[int] | None, p: Sequence[int] | None = None) -> tuple | None:
-    """(iso, s, chain): iso the ((lo, sign s(lo)), (hi, sign s(hi))) of disjoint
-    intervals, sorted, one per distinct real root of s, the squarefree part of p.
-    chain is None when signs alone place deg s roots (without p, the answer is None
-    when they do not), else p's Sturm chain, which gives s when s is None or wrong.
-    Signs of s are sampled on grids of 2^k cells of [-2^u, 2^u], u =
-    `_root_bits(s)`, from 2^k >= 4 deg s, each doubling evaluating the new
-    midpoints only while rounds place more roots, up to 16 deg s cells. Otherwise
-    Sturm counts go on from the last grid (the first if the chain came first): a
-    run of samples whose places (`_places`) fall short of its count is split by one
-    `variations_at` at the nonzero sample nearest its middle, after going to a grid
-    of at least 4c cells if it counts c >= 2 roots with no nonzero sample inside.
-    """
-    def finer(k, i, g, e):  # samples g at points i, i + 1, ... on a grid 2^e times finer
-        k, i, step = k + e, i << e, 1 << e
-        f = [0] * ((len(g) - 1) * step + 1)
-        f[::step] = g
-        for r in range(1, step):
-            f[r::step] = _signs(s, u, k, range(i + r, i + len(f) - 1, step))
-        return k, i, f
+def _first_grid(s: Sequence[int], u: int) -> tuple[int, list[int]]:
+    """(k, signs of s on the grid of 2^k cells of [-2^u, 2^u]), 2^k >= 4 deg s the least."""
+    k = (4 * (len(s) - 1) - 1).bit_length()
+    return k, _signs(s, u, k, range((1 << k) + 1))
 
-    chain = None
-    if s is None:
-        chain, s = _sturm(p)
-    d, u = len(s) - 1, _root_bits(s)
-    k, best = (4 * d - 1).bit_length(), -1
-    grid = _signs(s, u, k, range((1 << k) + 1))
-    while chain is None:
+
+def _finer(s: Sequence[int], u: int, k: int, i: int, g: Sequence[int], e: int) -> tuple:
+    """(k + e, i 2^e, f): the samples g of s at points i, i + 1, ... of the grid of 2^k
+    cells of [-2^u, 2^u], and those of the grid 2^e times finer between them, in f."""
+    k, i, step = k + e, i << e, 1 << e
+    f = [0] * ((len(g) - 1) * step + 1)
+    f[::step] = g
+    for r in range(1, step):
+        f[r::step] = _signs(s, u, k, range(i + r, i + len(f) - 1, step))
+    return k, i, f
+
+
+def _sign_phase(s: tuple[int, ...]) -> tuple:
+    """(k, grid, places): grid the signs of s on the last grid of 2^k cells of
+    [-2^u, 2^u] sampled, u = `_root_bits(s)`, and places the sorted
+    ((lo, sign s(lo)), (hi, sign s(hi))) of one disjoint interval per root when
+    the signs place deg s roots, else None. Sampling starts from 2^k >= 4 deg s
+    cells and each doubling evaluates the new midpoints only, while rounds place
+    more roots, up to 16 deg s cells."""
+    d, u, best = len(s) - 1, _root_bits(s), -1
+    k, grid = _first_grid(s, u)
+    while True:
         placed = list(map(int.__mul__, grid, grid[1:])).count(-1) + grid.count(0)
         if placed == d:
             found = _places(s, u, k, 0, grid)
             if len(found) == d:
-                return sorted(found), s, None
+                return k, tuple(grid), tuple(sorted(found))
         if placed == d or placed <= best or 1 << k >= 16 * d:
-            if p is None:
-                return None
-            chain, sq = _sturm(p)
-            if sq != s:
-                return _isolate(None, p)
-            break
+            return k, tuple(grid), None
         best = placed
-        k, _, grid = finer(k, 0, grid, 1)
-    vhi = _variations([_sign(c[-1]) for c in chain.polys])  # V(2^u) = V(+inf)
-    out, stack = [], [(k, 0, grid, vhi + chain.total_real_roots(), vhi)]
-    while stack:
-        k, i, g, vlo, vhi = stack.pop()
-        c = vlo - vhi
-        if c == 0:
-            continue
-        if c > 1 and not any(g[1:-1]):  # least e with (len(g) - 1) 2^e >= 4c
-            k, i, g = finer(k, i, g, (-(-4 * c // (len(g) - 1)) - 1).bit_length())
-        found = _places(s, u, k, i, g)
-        if len(found) == c:
-            out += found
-            continue
-        n = len(g) - 1
-        m = min((j for j in range(1, n) if g[j]), key=lambda j: abs(2 * j - n))
-        vmid = chain.variations_at(_at(u, k, i + m))
-        stack += [(k, i, g[:m + 1], vlo, vmid), (k, i + m, g[m:], vmid, vhi)]
-    return sorted(out), s, chain
+        k, _, grid = _finer(s, u, k, 0, grid, 1)
 
 
-def _squarefree_split(ip: list[int]) -> tuple[list[int], list[int]] | None:
+def _squarefree_split(ip: Sequence[int]) -> tuple[list[int], list[int]] | None:
     """(G, s): G = `_common_factor(ip, ip')`, certified to divide ip and ip' by zero
     pseudo-remainders, and s = ip / G, primitive with a positive leading
     coefficient; None for a constant ip or a failed G. A root of ip of
-    multiplicity m is one of G of order below m, so a root of s."""
+    multiplicity m is one of G of order below m, so a root of s. Only the memo
+    `_placement` calls it."""
     if len(ip) < 2:
         return None
     dp = _primitive(_derivative(ip))
@@ -341,15 +320,71 @@ def _squarefree_split(ip: list[int]) -> tuple[list[int], list[int]] | None:
     return (g, _primitive(q, _sign(q[-1]))) if r == rd == [0] else None
 
 
+# maxsize 2, as `_prs`: a polynomial's questions come one after another, and
+# interlace_check's common-root verdict asks about two
+@lru_cache(maxsize=2)
+def _placement(ip: tuple[int, ...]) -> tuple | None:
+    """(G, s, k, grid, places) for the primitive tuple ip, the memo key: (G, s) =
+    `_squarefree_split(ip)` and (k, grid, places) = `_sign_phase(s)`, all frozen;
+    None when the split fails. `isolate_roots`, `is_hyperbolic` and `_simple_real`
+    read a polynomial's split and sign grid only here, so each is made once."""
+    split = _squarefree_split(ip)
+    if split is None:
+        return None
+    g, s = map(tuple, split)
+    return (g, s, *_sign_phase(s))
+
+
+def _isolate(ip: list[int]) -> tuple:
+    """(iso, s, G, path): iso the ((lo, sign s(lo)), (hi, sign s(hi))) of disjoint
+    intervals, sorted, one per distinct real root of s, the squarefree part of ip,
+    and G = gcd(ip, ip') up to a unit. path is SIGN_CHANGES when `_placement(ip)`'s
+    signs place deg s roots; G and s are then its split. Otherwise (path STURM) ip's
+    Sturm chain gives s and G, its last member, and Sturm counts go on from the
+    memo's last grid (from s's first grid when the split failed or was wrong): a run
+    of samples whose places (`_places`) fall short of its count is split by one
+    `variations_at` at the nonzero sample nearest its middle, after going to a grid
+    of at least 4c cells if it counts c >= 2 roots with no nonzero sample inside.
+    """
+    placement = _placement(tuple(ip))
+    if placement and placement[-1]:
+        g, s, _, _, places = placement
+        return places, s, g, SIGN_CHANGES
+    chain, s = _sturm(ip)
+    u = _root_bits(s)
+    if placement and placement[1] == tuple(s):
+        k, grid = placement[2:4]
+    else:
+        k, grid = _first_grid(s, u)
+    vhi = _variations([_sign(c[-1]) for c in chain.polys])  # V(2^u) = V(+inf)
+    out, stack = [], [(k, 0, grid, vhi + chain.total_real_roots(), vhi)]
+    while stack:
+        k, i, g, vlo, vhi = stack.pop()
+        c = vlo - vhi
+        if c == 0:
+            continue
+        if c > 1 and not any(g[1:-1]):  # least e with (len(g) - 1) 2^e >= 4c
+            k, i, g = _finer(s, u, k, i, g, (-(-4 * c // (len(g) - 1)) - 1).bit_length())
+        found = _places(s, u, k, i, g)
+        if len(found) == c:
+            out += found
+            continue
+        n = len(g) - 1
+        m = min((j for j in range(1, n) if g[j]), key=lambda j: abs(2 * j - n))
+        vmid = chain.variations_at(_at(u, k, i + m))
+        stack += [(k, i, g[:m + 1], vlo, vmid), (k, i + m, g[m:], vmid, vhi)]
+    return sorted(out), s, chain.polys[-1], STURM
+
+
 def isolate_roots(p: RationalPoly) -> RootIsolation:
     """Certified isolation of all distinct real roots, with multiplicities.
 
     `_isolate` places the roots of s, the squarefree part of (G, s) =
-    `_squarefree_split(p)`, on dyadic grids of [-2^u, 2^u], u = `_root_bits(s)`:
-    by signs alone (path SIGN_CHANGES, no chain of p) when deg s roots are
-    placed, which are then all the roots of p, simple roots of s, so G =
-    gcd(p, p') up to a unit; otherwise with p's Sturm chain (path STURM),
-    gcd(p, p') its last member. Every root is inside the box, and V changes
+    `_squarefree_split(p)` (read from `_placement`), on dyadic grids of
+    [-2^u, 2^u], u = `_root_bits(s)`: by signs alone (path SIGN_CHANGES, no
+    chain of p) when deg s roots are placed, which are then all the roots of
+    p, simple roots of s, so G = gcd(p, p') up to a unit; otherwise with p's
+    Sturm chain (path STURM), gcd(p, p') its last member. Every root is inside the box, and V changes
     only at roots, so V(-2^u) = V(-inf) and V(2^u) = V(+inf), from leading signs.
     Multiplicities come from the signs of the gcd tower G_0 = p,
     G_1 = gcd(p, p'), G_{k+1} = gcd(G_k, G_k') (the last member of G_k's
@@ -363,9 +398,7 @@ def isolate_roots(p: RationalPoly) -> RootIsolation:
     squarefree part p / G_1 at its endpoints, as on `certify_roots`'s path.
     """
     ip = _int_poly(p)
-    split = _squarefree_split(ip)
-    iso, sqfree, chain = _isolate(split and split[1], ip)
-    g, path = (split[0], SIGN_CHANGES) if chain is None else (chain.polys[-1], STURM)
+    iso, sqfree, g, path = _isolate(ip)
     intervals = tuple((lo, hi) for (lo, _), (hi, _) in iso)
     signs = tuple((slo, shi) for (_, slo), (_, shi) in iso)
     if any(slo * shi >= 0 for slo, shi in signs):
@@ -515,14 +548,14 @@ def distinct_real_roots(p: RationalPoly) -> int:
 def is_hyperbolic(p: RationalPoly) -> bool:
     """True iff all roots are real (counted with multiplicity).
 
-    True when signs place deg s roots of s, (G, s) = `_squarefree_split(p)`
-    (`_isolate` without p): every root of p is one of s's. Otherwise by Sturm:
+    True when `_placement(p)`'s signs place deg s roots of s, (G, s) the
+    squarefree split: every root of p is one of s's. Otherwise by Sturm:
     p and p / gcd(p, p') share their roots, so p is hyperbolic iff its distinct
     real roots number deg p - deg gcd(p, p').
     """
     ip = _int_poly(p)
-    split = _squarefree_split(ip)
-    if split and _isolate(split[1]):
+    placement = _placement(tuple(ip))
+    if placement and placement[-1]:
         return True
     chain = SturmChain(ip)
     return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
@@ -547,12 +580,12 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
 
 
 def _simple_real(c: list[int]) -> bool:
-    """Whether c has deg c distinct real roots: not when `_squarefree_split`
-    certifies a G of positive degree, so when G = 1 and signs place deg c
+    """Whether c has deg c distinct real roots: not when `_placement(c)`'s split
+    certifies a G of positive degree, so when G = 1 and its signs place deg c
     roots, and otherwise iff c's chain counts deg c."""
-    split = _squarefree_split(c)
-    if split and (len(split[0]) > 1 or _isolate(split[1])):
-        return len(split[0]) == 1
+    placement = _placement(tuple(c))
+    if placement and (len(placement[0]) > 1 or placement[-1]):
+        return len(placement[0]) == 1
     return SturmChain(c).total_real_roots() == len(c) - 1
 
 

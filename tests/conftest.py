@@ -29,12 +29,15 @@ def cold_root_sample():
 
 @pytest.fixture(autouse=True)
 def cold_remainder_sequences():
-    """The _prs memo is shared by the whole session; clear it around each
-    test so that no count of remainder-sequence builds depends on test order."""
-    memo = roots._prs
-    memo.cache_clear()
+    """The _prs and _placement memos are shared by the whole session; clear them
+    around each test so that no count of remainder-sequence builds or placements
+    depends on test order."""
+    memos = (roots._prs, roots._placement)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    memo.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -9,11 +9,13 @@ coefficient vectors are multiplied in one place, `exactpoly._mul`, a Sturm
 chain is evaluated at a point only to split a run of grid samples, in
 `roots._isolate`, the one kernel that isolates roots on one dyadic lattice, a
 chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
-`interlace_check` and `poly_gcd` call, a common factor is proposed only for a
-chain (`_prs`) or a squarefree split (`_squarefree_split`), `roots` wraps
-integers back into a `RationalPoly` only for `poly_gcd`'s result, and Phi_n has one construction,
-its Lagrange basis, with no elimination in `css`. The Narayana family has one
-folded root representation: `exactpoly._fold` serves criterion 6 and
+`interlace_check` and `poly_gcd` call, a polynomial's squarefree split and
+sign grid are made only inside the other memo, `roots._placement`, a common
+factor is proposed only for a chain (`_prs`) or a squarefree split
+(`_squarefree_split`), `roots` wraps integers back into a `RationalPoly` only
+for `poly_gcd`'s result, and Phi_n has one construction, its Lagrange basis,
+with no elimination in `css`. The Narayana family has one folded root
+representation: `exactpoly._fold` serves criterion 6 and
 `narayana_root_sample`, the one caller of `certify_roots`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
 defines is an input or domain error.
@@ -151,6 +153,12 @@ def _scopes_calling(name):
 def test_one_entry_to_the_chain_memo():
     assert _scopes_calling("_prs") == {("roots.py", "SturmChain.__init__"),
                                        ("roots.py", "interlace_check"), ("roots.py", "poly_gcd")}
+
+
+def test_one_entry_to_the_placement_memo():
+    # a polynomial is split and its sign grid sampled once, in the memo's kernel
+    assert _scopes_calling("_squarefree_split") == {("roots.py", "_placement")}
+    assert _scopes_calling("_sign_phase") == {("roots.py", "_placement")}
 
 
 def test_common_factor_proposed_only_for_a_chain_or_a_squarefree_split():

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schur_szego import asymptotics, cli, exactpoly, roots
@@ -203,10 +204,14 @@ def _whole_box(k, g):
 
 def _force_sturm(monkeypatch):
     """Make isolate_roots, is_hyperbolic and interlace_check take their Sturm route: the
-    places of the whole box are none, so signs place no root and its run is split."""
+    places of the whole box are none, so signs place no root and its run is split. A
+    fresh placement memo keeps what the forced route computes apart from the unforced."""
     places = roots._places
     monkeypatch.setattr(roots, "_places",
                         lambda s, u, k, i, g: [] if _whole_box(k, g) else places(s, u, k, i, g))
+    memo = roots._placement
+    monkeypatch.setattr(roots, "_placement",
+                        functools.lru_cache(memo.cache_parameters()["maxsize"])(memo.__wrapped__))
 
 
 def _assert_isolation_certified(p, path):
@@ -332,7 +337,7 @@ def test_neighbouring_grid_zeros_are_each_placed(q, floats, mults):
 
 def test_close_pair_falls_back_to_sturm():
     s = roots._int_poly(CLOSE_PAIR)
-    assert roots._isolate(s) is None
+    assert roots._sign_phase(tuple(s))[2] is None  # signs place no pair
     assert isolate_roots(CLOSE_PAIR).path == STURM
     assert is_hyperbolic(CLOSE_PAIR)
     assert interlace_check(CLOSE_PAIR.derivative(), CLOSE_PAIR) == STRICT_INTERLACE
@@ -404,6 +409,65 @@ def test_sturm_route_continues_the_sign_grid(monkeypatch, n, parent):
     box = 1 << roots._root_bits(iso._sqfree)
     assert 0 < len(points) < parent
     assert all(-box < x < box for x in points)
+
+
+def _questions(q):
+    """The questions a polynomial q is asked: isolate_roots, roots_float, is_hyperbolic
+    and interlace_check on (q', q) and (-q', q)."""
+    dq = q.derivative()
+    return [lambda: isolate_roots(q), lambda: roots_float(q), lambda: is_hyperbolic(q),
+            lambda: interlace_check(dq, q), lambda: interlace_check(dq.scale(-1), q)]
+
+
+@pytest.mark.parametrize("q", [_CONTROL_INPUTS["squarefree"], DOUBLED], ids=["squarefree", "doubled"])
+def test_one_split_and_one_sign_phase_per_polynomial(monkeypatch, q):
+    # before the placement memo, each question split q again: 4 splits, and 4 sign phases
+    # on the squarefree q, 2 on the doubled one (Rolle's route stops at a certified G)
+    calls = []
+    for name in ("_squarefree_split", "_sign_phase"):
+        real = getattr(roots, name)
+        monkeypatch.setattr(roots, name, lambda c, name=name, real=real:
+                            calls.append(name) or real(c))
+    answers = [ask() for ask in _questions(q)[1:]]
+    assert calls == ["_squarefree_split", "_sign_phase"]
+    assert answers[1:] == [True] + [FAIL if q is DOUBLED else STRICT_INTERLACE] * 2
+
+
+@pytest.mark.parametrize("n, horner_calls, chain_calls", [(30, 492, 30), (60, 1480, 40),
+                                                          (100, 2868, 49)])
+def test_sturm_route_samples_each_grid_point_once(monkeypatch, n, horner_calls, chain_calls):
+    # the Sturm counts go on from the memo's last sign grid: as many evaluations as when
+    # one function sampled the grid and split its runs
+    counts = {"horner": 0, "variations_at": 0}
+    horner, variations_at = roots.horner, roots.SturmChain.variations_at
+
+    def counting_horner(c, x):
+        counts["horner"] += 1
+        return horner(c, x)
+
+    def counting_variations_at(chain, x):
+        counts["variations_at"] += 1
+        return variations_at(chain, x)
+
+    monkeypatch.setattr(roots, "horner", counting_horner)
+    monkeypatch.setattr(roots.SturmChain, "variations_at", counting_variations_at)
+    assert isolate_roots(narayana_poly_direct(n)).path == STURM
+    assert counts == {"horner": horner_calls, "variations_at": chain_calls}
+
+
+@given(_real_rooted())
+@example(_CONTROL_INPUTS["not-real-rooted"])
+@example(CLOSE_PAIR)
+def test_answers_do_not_depend_on_the_placement_memo(q):
+    questions = _questions(q)
+    cold = []
+    for ask in questions:
+        roots._placement.cache_clear()
+        cold.append(ask())
+    roots._placement.cache_clear()
+    backward = [ask() for ask in reversed(questions)][::-1]  # each after those behind it
+    forward = [ask() for ask in questions]  # each after all the others
+    assert backward == cold and forward == cold
 
 
 def _dyadic(x):
