@@ -11,8 +11,9 @@ keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
 one such sequence. Isolation is dyadic: its endpoints and samples have
 power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
 One kernel samples the signs of the squarefree part s on dyadic grids of that
-bound's box, once per polynomial: the second memo, `_placement`, keyed on a
-primitive vector, holds its squarefree split and the outcome of the sign phase.
+bound's box, at most once per polynomial: the second memo, `_placement`, keyed
+on a primitive vector, holds its squarefree split and, once a reader needs it,
+the outcome of the sign phase.
 When the signs show deg s sign changes or zeros, all roots are real, counted by
 the intermediate value theorem with no chain of their own: `isolate_roots`,
 `roots_float`, `is_hyperbolic` and, by Rolle's theorem, `interlace_check` on
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
@@ -320,19 +321,29 @@ def _squarefree_split(ip: Sequence[int]) -> tuple[list[int], list[int]] | None:
     return (g, _primitive(q, _sign(q[-1]))) if r == rd == [0] else None
 
 
+@dataclass(frozen=True)
+class _Placement:
+    """A polynomial's certified squarefree split (g, s) and `phase`, the outcome
+    (k, grid, places) of `_sign_phase(s)`, sampled when first read: a verdict that
+    G of positive degree settles alone (`_simple_real`) samples no grid."""
+    g: tuple[int, ...]
+    s: tuple[int, ...]
+
+    @cached_property
+    def phase(self) -> tuple:
+        return _sign_phase(self.s)
+
+
 # maxsize 2, as `_prs`: a polynomial's questions come one after another, and
 # interlace_check's common-root verdict asks about two
 @lru_cache(maxsize=2)
-def _placement(ip: tuple[int, ...]) -> tuple | None:
-    """(G, s, k, grid, places) for the primitive tuple ip, the memo key: (G, s) =
-    `_squarefree_split(ip)` and (k, grid, places) = `_sign_phase(s)`, all frozen;
-    None when the split fails. `isolate_roots`, `is_hyperbolic` and `_simple_real`
-    read a polynomial's split and sign grid only here, so each is made once."""
+def _placement(ip: tuple[int, ...]) -> _Placement | None:
+    """The `_Placement` of the primitive tuple ip, the memo key; None when
+    `_squarefree_split(ip)` fails. `isolate_roots`, `is_hyperbolic` and
+    `_simple_real` read a polynomial's split and sign grid only here, so each is
+    made at most once."""
     split = _squarefree_split(ip)
-    if split is None:
-        return None
-    g, s = map(tuple, split)
-    return (g, s, *_sign_phase(s))
+    return split and _Placement(*map(tuple, split))
 
 
 def _isolate(ip: list[int]) -> tuple:
@@ -347,13 +358,12 @@ def _isolate(ip: list[int]) -> tuple:
     of at least 4c cells if it counts c >= 2 roots with no nonzero sample inside.
     """
     placement = _placement(tuple(ip))
-    if placement and placement[-1]:
-        g, s, _, _, places = placement
-        return places, s, g, SIGN_CHANGES
+    if placement and placement.phase[2]:
+        return placement.phase[2], placement.s, placement.g, SIGN_CHANGES
     chain, s = _sturm(ip)
     u = _root_bits(s)
-    if placement and placement[1] == tuple(s):
-        k, grid = placement[2:4]
+    if placement and placement.s == tuple(s):
+        k, grid, _ = placement.phase
     else:
         k, grid = _first_grid(s, u)
     vhi = _variations([_sign(c[-1]) for c in chain.polys])  # V(2^u) = V(+inf)
@@ -555,7 +565,7 @@ def is_hyperbolic(p: RationalPoly) -> bool:
     """
     ip = _int_poly(p)
     placement = _placement(tuple(ip))
-    if placement and placement[-1]:
+    if placement and placement.phase[2]:
         return True
     chain = SturmChain(ip)
     return chain.total_real_roots() == len(chain.poly) - len(chain.polys[-1])
@@ -584,8 +594,8 @@ def _simple_real(c: list[int]) -> bool:
     certifies a G of positive degree, so when G = 1 and its signs place deg c
     roots, and otherwise iff c's chain counts deg c."""
     placement = _placement(tuple(c))
-    if placement and (len(placement[0]) > 1 or placement[-1]):
-        return len(placement[0]) == 1
+    if placement and (len(placement.g) > 1 or placement.phase[2]):
+        return len(placement.g) == 1
     return SturmChain(c).total_real_roots() == len(c) - 1
 
 

@@ -10,7 +10,8 @@ chain is evaluated at a point only to split a run of grid samples, in
 `roots._isolate`, the one kernel that isolates roots on one dyadic lattice, a
 chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
 `interlace_check` and `poly_gcd` call, a polynomial's squarefree split and
-sign grid are made only inside the other memo, `roots._placement`, a common
+sign grid are made only inside the other memo, `roots._placement` (the grid
+when first read, by `_Placement.phase`), a common
 factor is proposed only for a chain (`_prs`) or a squarefree split
 (`_squarefree_split`), `roots` wraps integers back into a `RationalPoly` only
 for `poly_gcd`'s result, and Phi_n has one construction, its Lagrange basis,
@@ -158,7 +159,7 @@ def test_one_entry_to_the_chain_memo():
 def test_one_entry_to_the_placement_memo():
     # a polynomial is split and its sign grid sampled once, in the memo's kernel
     assert _scopes_calling("_squarefree_split") == {("roots.py", "_placement")}
-    assert _scopes_calling("_sign_phase") == {("roots.py", "_placement")}
+    assert _scopes_calling("_sign_phase") == {("roots.py", "_Placement.phase")}
 
 
 def test_common_factor_proposed_only_for_a_chain_or_a_squarefree_split():

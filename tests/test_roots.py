@@ -433,6 +433,20 @@ def test_one_split_and_one_sign_phase_per_polynomial(monkeypatch, q):
     assert answers[1:] == [True] + [FAIL if q is DOUBLED else STRICT_INTERLACE] * 2
 
 
+@pytest.mark.parametrize("p", [DOUBLED.derivative(), P([1, 1]) * P([-2, 1]) * P([-5, 1])],
+                         ids=["rolle", "common-root"])
+def test_a_repeated_root_alone_samples_no_grid(monkeypatch, p):
+    # G of positive degree settles _simple_real(DOUBLED): asked alone, the verdict
+    # splits DOUBLED once and samples no sign grid
+    calls = []
+    for name in ("_squarefree_split", "_sign_phase"):
+        real = getattr(roots, name)
+        monkeypatch.setattr(roots, name, lambda c, name=name, real=real:
+                            calls.append(name) or real(c))
+    assert interlace_check(p, DOUBLED) == FAIL
+    assert calls == ["_squarefree_split"]
+
+
 @pytest.mark.parametrize("n, horner_calls, chain_calls", [(30, 492, 30), (60, 1480, 40),
                                                           (100, 2868, 49)])
 def test_sturm_route_samples_each_grid_point_once(monkeypatch, n, horner_calls, chain_calls):
