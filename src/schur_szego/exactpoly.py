@@ -5,12 +5,11 @@ Everything here is pure and exact: coefficients are ``fractions.Fraction``,
 matrices are row-major integers over one denominator. Each coefficient-vector
 job has one kernel here for the whole package: clearing denominators, content
 (_primitive, which strips a multiword content by one divmod pass), trim,
-derivative, integer product (_mul, behind RationalPoly.__mul__ and the Sturm
-chains that roots builds on cofactors), integer pseudo-division
-(RationalPoly.divmod, the remainder sequences in roots), a generic Horner
-(RationalPoly.__call__, the binary64 quotients in asymptotics, the heuristic
-gcd in roots) and the fold of a palindrome by x -> 1/x (_fold, behind
-criterion 6). One fraction-free reduction, _rref (forward Bareiss
+derivative, integer product (_mul, behind RationalPoly.__mul__ only), integer
+pseudo-division (RationalPoly.divmod, the remainder sequences in roots), a
+generic Horner (RationalPoly.__call__, the binary64 quotients in asymptotics,
+the heuristic gcd in roots) and the fold of a palindrome by x -> 1/x (_fold,
+behind criterion 6). One fraction-free reduction, _rref (forward Bareiss
 elimination, then exact back-substitution to the reduced form), serves kernel,
 solve_linear, RationalMatrix.determinant and system (Sigma) in spectra. One
 integer Lagrange basis, _lagrange_basis (exact synthetic division of the

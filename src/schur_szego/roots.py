@@ -3,17 +3,15 @@
 All certificates are exact: Sturm chains are sign-faithful primitive
 integer polynomial remainder sequences (only positive scalings, so sign
 variation counts are those of the classical rational chain), evaluated by
-integer-homogenized Horner at rational points. When p has a repeated factor G,
-the chain of (p, p') is G times the chain of the cofactors, bit for bit: G is
-proposed by a heuristic gcd and certified by zero pseudo-remainders before the
-cofactors' cheaper chain is built. Every chain comes from the memo `_prs`,
-keyed on a primitive pair. Interlacing verdicts come from the Cauchy index of
-one such sequence. Isolation is dyadic: its endpoints and samples have
-power-of-two denominators, and Fujiwara's `_root_bits` is the one root bound.
+integer-homogenized Horner at rational points. Every chain comes from the
+memo `_prs`, keyed on a primitive pair. Interlacing verdicts come from the
+Cauchy index of one such sequence. Isolation endpoints and samples are dyadic,
+and Fujiwara's `_root_bits` is the one root bound.
 One kernel samples the signs of the squarefree part s on dyadic grids of that
 bound's box, at most once per polynomial: the second memo, `_placement`, keyed
-on a primitive vector, holds its squarefree split and, once a reader needs it,
-the outcome of the sign phase.
+on a primitive vector, holds its squarefree split (the one place a common factor
+is proposed, by a heuristic gcd, and certified, by zero pseudo-remainders) and,
+once a reader needs it, the outcome of the sign phase.
 When the signs show deg s sign changes or zeros, all roots are real, counted by
 the intermediate value theorem with no chain of their own: `isolate_roots`,
 `roots_float`, `is_hyperbolic` and, by Rolle's theorem, `interlace_check` on
@@ -32,7 +30,7 @@ from functools import cached_property, lru_cache
 from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
-from .exactpoly import (RationalPoly, _clear_denominators, _derivative, _mul, _primitive,
+from .exactpoly import (RationalPoly, _clear_denominators, _derivative, _primitive,
                         _pseudo_divmod, horner)
 
 STRICT_INTERLACE = "strict-interlace"
@@ -65,27 +63,28 @@ def _sign(x: int) -> int:
 
 
 # maxsize 2: on a q that signs do not place, roots_float(q) builds q's chain,
-# then a gcd-tower chain, before is_hyperbolic(q) asks for q's chain again
+# then a gcd-tower chain, before is_hyperbolic(q) asks for q's chain again.
+# Members are built as lists and frozen once at the end; building each as a
+# tuple from a generator left about 0.6 MB more allocated after the
+# hyperbolicity-interlacing check
 @lru_cache(maxsize=2)
 def _prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """PRS of the primitive tuples (a, b), the memo key, with Sturm signs: each
-    step appends a positive rescaling of -(a mod b); it ends at the (primitive) gcd.
-
-    Built on cofactors when b ends like a multiple of a': for a common factor G of
-    a and b, primitive, (G f) mod (G g) = G (f mod g) and Gauss's lemma make each
-    member of the chain of (a, b) G times that of (a / G, b / G), and both chains end
-    together. G is proposed by `_common_factor` and certified by zero
-    pseudo-remainders; any G that fails leaves the plain chain.
-    """
-    d = len(a) - 1
-    if len(b) == d and b[0] * d * a[-1] == b[-1] * a[1]:  # b[0] : b[-1] = a'(0) : lead(a')
-        g = _common_factor(a, b)
-        if len(b) >= len(g) > 1:
-            (ma, qa, ra), (mb, qb, rb) = _pseudo_divmod(a, g), _pseudo_divmod(b, g)
-            if ra == rb == [0]:
-                cofactors = _chain(tuple(x // ma for x in qa), tuple(x // mb for x in qb))
-                return tuple(tuple(_mul(g, c)) for c in cofactors)
-    return _chain(a, b)
+    step appends a positive rescaling of -(a mod b); it ends at the (primitive) gcd."""
+    chain = [a, b]
+    while True:
+        f, g = chain[-2], chain[-1]
+        if len(g) == 1:
+            break
+        if len(f) < len(g):
+            raise AssertionError("PRS degree order violated")
+        mult, _, r = _pseudo_divmod(f, g)
+        if r == [0]:
+            break  # g divides f: g is the gcd, chain ends there
+        # mult f = q g + r, so -(f mod g) = -r / mult: the signed content division
+        # (-content when mult > 0) makes it primitive in one pass over r
+        chain.append(_primitive(r, -1 if mult > 0 else 1))
+    return tuple(map(tuple, chain))
 
 
 def _root_bits(c: Sequence[int]) -> int:
@@ -122,26 +121,6 @@ def _common_factor(a: Sequence[int], b: Sequence[int]) -> list[int]:
         digits.append(digit)
         gamma = (gamma - digit) >> e
     return _primitive(digits, _sign(digits[-1]))
-
-
-# Members are built as lists and frozen once at the end; building each as a
-# tuple from a generator left about 0.6 MB more allocated after the
-# hyperbolicity-interlacing check
-def _chain(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    chain = [a, b]
-    while True:
-        f, g = chain[-2], chain[-1]
-        if len(g) == 1:
-            break
-        if len(f) < len(g):
-            raise AssertionError("PRS degree order violated")
-        mult, _, r = _pseudo_divmod(f, g)
-        if r == [0]:
-            break  # g divides f: g is the gcd, chain ends there
-        # mult f = q g + r, so -(f mod g) = -r / mult: the signed content division
-        # (-content when mult > 0) makes it primitive in one pass over r
-        chain.append(_primitive(r, -1 if mult > 0 else 1))
-    return tuple(map(tuple, chain))
 
 
 def _horner(c: Sequence[int], num: int, den: int) -> int:
@@ -482,7 +461,9 @@ def refine(iso: RootIsolation, index: int, tol: Fraction) -> tuple[Fraction, Fra
     values at both ends of the bracket, a secant through them proposes a
     point on a grid of 2^bits cells of the bracket, and signs there and at
     one neighbour either shrink the bracket to one such cell (bits doubles)
-    or not (bits halves). Before that, the bracket is bisected.
+    or not (bits halves). Before that, the bracket is bisected. An interval
+    already narrower than tol comes back unchanged, so `refined_roots` of roots
+    closer than about 2^-38 depends on where isolation stopped, within 2^-40.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -11,11 +11,10 @@ chain is evaluated at a point only to split a run of grid samples, in
 chain is built through one memo entry, `roots._prs`, which only `SturmChain`,
 `interlace_check` and `poly_gcd` call, a polynomial's squarefree split and
 sign grid are made only inside the other memo, `roots._placement` (the grid
-when first read, by `_Placement.phase`), a common
-factor is proposed only for a chain (`_prs`) or a squarefree split
-(`_squarefree_split`), `roots` wraps integers back into a `RationalPoly` only
-for `poly_gcd`'s result, and Phi_n has one construction, its Lagrange basis,
-with no elimination in `css`. The Narayana family has one folded root
+when first read, by `_Placement.phase`), a common factor is proposed only
+for that split (`_squarefree_split`), never for a chain, `roots` wraps
+integers back into a `RationalPoly` only for `poly_gcd`'s result, and Phi_n
+has one construction, its Lagrange basis, with no elimination in `css`. The Narayana family has one folded root
 representation: `exactpoly._fold` serves criterion 6 and
 `narayana_root_sample`, the one caller of `certify_roots`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
@@ -162,9 +161,8 @@ def test_one_entry_to_the_placement_memo():
     assert _scopes_calling("_sign_phase") == {("roots.py", "_Placement.phase")}
 
 
-def test_common_factor_proposed_only_for_a_chain_or_a_squarefree_split():
-    assert _scopes_calling("_common_factor") == {("roots.py", "_prs"),
-                                                 ("roots.py", "_squarefree_split")}
+def test_common_factor_proposed_only_for_the_squarefree_split():
+    assert _scopes_calling("_common_factor") == {("roots.py", "_squarefree_split")}
 
 
 def test_one_folded_root_representation():

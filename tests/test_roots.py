@@ -447,8 +447,8 @@ def test_a_repeated_root_alone_samples_no_grid(monkeypatch, p):
     assert calls == ["_squarefree_split"]
 
 
-@pytest.mark.parametrize("n, horner_calls, chain_calls", [(30, 492, 30), (60, 1480, 40),
-                                                          (100, 2868, 49)])
+@pytest.mark.parametrize("n, horner_calls, chain_calls", [(30, 490, 30), (60, 1478, 40),
+                                                          (100, 2866, 49)])
 def test_sturm_route_samples_each_grid_point_once(monkeypatch, n, horner_calls, chain_calls):
     # the Sturm counts go on from the memo's last sign grid: as many evaluations as when
     # one function sampled the grid and split its runs
@@ -956,38 +956,22 @@ factors = st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=2, max_size=3
 
 
 @given(factors)
-def test_split_chain_equals_the_plain_chain_bit_for_bit(fs):
+def test_chain_of_repeated_factors_equals_the_two_pass_chain(fs):
     a, b = _sturm_pair(*fs)
     assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
 
 
-def test_split_builds_the_chain_on_cofactors(monkeypatch):
-    a, b = _sturm_pair(*REPEATED)
-    g = roots._common_factor(a, b)
-    assert g == roots._int_poly(P([-1, 1]) * P([2, 1]) * P([2, 1]))
-    built = []
-    chain = roots._chain
-    monkeypatch.setattr(roots, "_chain", lambda f, h: built.append((f, h)) or chain(f, h))
-    assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
-    cofactor = tuple(roots._int_poly(P([-1, 1]) * P([2, 1]) * P([1, 2])))
-    assert [f for f, _ in built] == [cofactor]  # one chain, on the cofactor pair
-    assert len(built[0][1]) == len(b) - len(g) + 1
-
-
-@pytest.mark.parametrize("forced, split", [
-    ([-1, 1], True),  # x - 1 divides the gcd (x - 1)(x + 2)^2 properly
-    ([-5, 1], False),  # x - 5 divides neither member
-    ([1], False),  # a constant splits nothing off
-    ([2, 1, 0, 0, 0, 0, 1], False),  # longer than b
-], ids=["proper-divisor", "non-divisor", "constant", "longer-than-b"])
-def test_forced_proposals_give_the_plain_chain(monkeypatch, forced, split):
-    a, b = _sturm_pair(*REPEATED)
-    monkeypatch.setattr(roots, "_common_factor", lambda f, h: list(forced))
-    built = []
-    chain = roots._chain
-    monkeypatch.setattr(roots, "_chain", lambda f, h: built.append(f) or chain(f, h))
-    assert roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
-    assert (built != [a]) == split
+def test_a_triple_root_beside_nonreal_roots_takes_the_sturm_route():
+    # signs cannot place x^2 + 1/3, so the chain of p counts; the gcd tower
+    # (x - 1)^2 (x + 2), x - 1 has depth 2
+    p = P([F(1, 3), 0, 1]) * P([-1, 1]) * P([-1, 1]) * P([-1, 1]) * P([2, 1]) * P([2, 1])
+    iso = isolate_roots(p)
+    assert iso.path == STURM
+    assert iso.multiplicities == (2, 3)
+    assert iso.intervals == ((F(-9, 4), F(-7, 4)), (F(3, 4), F(5, 4)))
+    assert not is_hyperbolic(p)
+    assert roots_float(p) == [-2.0, -2.0, 1.0, 1.0, 1.0]
+    assert distinct_real_roots(p) == 2
 
 
 def test_a_squarefree_pair_is_shown_coprime_at_the_root_bound(monkeypatch):
@@ -1008,8 +992,10 @@ def test_root_bits_bound_every_root(c):
 
 
 def test_interlacing_pairs_get_no_proposal(monkeypatch):
+    # no chain proposes a common factor, not even a Sturm pair with repeated factors:
+    # only the squarefree split does
     def refuse(a, b):
-        raise AssertionError("a common factor was proposed for an interlacing pair")
+        raise AssertionError("a common factor was proposed for a chain")
 
     monkeypatch.setattr(roots, "_common_factor", refuse)
     q = P([0, 1]) * P([-2, 1]) * P([-4, 1])
@@ -1017,11 +1003,14 @@ def test_interlacing_pairs_get_no_proposal(monkeypatch):
     # criterion 6's folds for n even: (w S_n, S_{n-1})
     s = [_fold_of(n) for n in (9, 10)]
     assert interlace_check(P(s[0]), P([0] + s[1])) == STRICT_INTERLACE
+    a, b = _sturm_pair(*REPEATED)
+    assert SturmChain(a).polys == roots._prs.__wrapped__(a, b) == _two_pass_prs(a, b, set())
 
 
 def test_odd_folds_are_sturm_pairs_shown_coprime():
-    # S_{n-1} is the primitive derivative of S_n for n odd, so criterion 6 asks _prs
-    # for Sturm pairs there; each is shown coprime at its root bound, with no split
+    # S_{n-1} is the primitive derivative of S_n for n odd, so criterion 6 reads the
+    # Sturm chain of S_n there and asks for no common factor; each pair is still
+    # shown coprime at its root bound
     s = {n: _fold_of(n) for n in range(2, 62)}
     for n in range(3, 62, 2):
         a, b = tuple(s[n]), tuple(s[n - 1])
