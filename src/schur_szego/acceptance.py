@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, narayana, roots, spectra
-from .exactpoly import (NotDivisibleError, RationalPoly, TheoremViolation, _clear_denominators,
-                        _derivative, _fold, _primitive, interpolate)
+from .exactpoly import (NotDivisibleError, RationalPoly, TheoremViolation, _derivative, _fold,
+                        _primitive, interpolate)
 
 TRIANGLE_NT = ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1), (1, 10, 20, 10, 1))
 
@@ -156,9 +156,9 @@ def check_hyperbolic_interlacing(max_n: int = 100):
     prev = None
     for n in range(2, max_n + 1):
         p = narayana.narayana_poly_direct(n)
-        if p.coeff(0) != 0 or p.coeff(1) == 0:
+        c = p.ints[1:]  # a positive multiple of N_n/x
+        if p.ints[0] != 0 or not c or c[0] == 0:
             return False, f"0 not a simple root of N_{n}"
-        c = _clear_denominators(p.coeffs[1:])[0]  # a positive multiple of N_n/x
         if len(c) != n:
             return False, f"N_{n}/x has degree {len(c) - 1}, not {n - 1}"
         if any(v <= 0 for v in c):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import (NotDivisibleError, RationalPoly, _clear_denominators, _derivative, _fold,
-                        horner, neville_zero)
+from .exactpoly import (NotDivisibleError, RationalPoly, _derivative, _fold, horner,
+                        neville_zero)
 from .narayana import narayana_poly_direct
 from .roots import _REFINE_WIDTH, certify_roots, isolate_roots, refine, refined_roots
 
@@ -156,9 +156,9 @@ def narayana_root_sample(n: int) -> RootSample:
     SIGN_CHANGES when signs on its dyadic grids place them all).
     """
     p = narayana_poly_direct(n)
-    c = _clear_denominators(p.coeffs[1:])[0]  # a positive multiple of N_n/x
+    c = p.ints[1:]  # a positive multiple of N_n/x
     try:
-        s = p.coeff(0) == 0 and _fold(c)
+        s = p.ints[0] == 0 and _fold(c)
     except NotDivisibleError:
         s = None
     e = (len(c) - 1) % 2
@@ -191,8 +191,8 @@ def _exact(*values) -> bool:
 def _float_coeffs(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Binary64 coefficients of (N_n', N_n), each rounded once from the exact
     value; keyed by n so that a hit neither rebuilds nor hashes N_n."""
-    coeffs = narayana_poly_direct(n).coeffs
-    return tuple(map(float, _derivative(coeffs))), tuple(map(float, coeffs))
+    p = narayana_poly_direct(n)
+    return tuple(c / p.den for c in _derivative(p.ints)), tuple(c / p.den for c in p.ints)
 
 
 def _quotient(x, exact, floats, scale=1) -> complex | Fraction:

@@ -84,8 +84,8 @@ class AffineMapQ:
                      for row, o in zip(self.linear.int_rows(), self.offset))
 
 
-def _verify_all_identities(p: Sequence[Fraction], sigma: Sequence[Fraction], n: int) -> None:
-    p_int, d_p = _clear_denominators(p)
+def _verify_all_identities(p: RationalPoly, sigma: Sequence[Fraction], n: int) -> None:
+    p_int, d_p = p.ints, p.den  # deg p = n
     s_int, d_s = _clear_denominators(sigma)
     full = [d_s] + s_int  # d_s sigma, sigma_0 = 1: each identity is checked times d_p d_s
     for j in range(n + 1):
@@ -144,5 +144,5 @@ def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:
     cofactor = p.exact_divide(RationalPoly([1, 1]))
     c = [cofactor.coeff(n - 2 - i) for i in range(n - 1)]  # c_1..c_{n-1}
     sigma = build_phi(n).apply(c)
-    _verify_all_identities(list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs)), sigma, n)
+    _verify_all_identities(p, sigma, n)
     return sigma

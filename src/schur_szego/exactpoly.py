@@ -1,21 +1,22 @@
 """Exact rational univariate polynomials, their coefficient kernels, and small
 dense linear algebra.
 
-Everything here is pure and exact: coefficients are ``fractions.Fraction``,
-matrices are row-major integers over one denominator. Each coefficient-vector
-job has one kernel here for the whole package: clearing denominators, content
-(_primitive, which strips a multiword content by one divmod pass), trim,
-derivative, integer product (_mul, behind RationalPoly.__mul__ only), integer
-pseudo-division (RationalPoly.divmod, the remainder sequences in roots), a
-generic Horner (RationalPoly.__call__, the binary64 quotients in asymptotics,
-the heuristic gcd in roots) and the fold of a palindrome by x -> 1/x (_fold,
-behind criterion 6). One fraction-free reduction, _rref (forward Bareiss
-elimination, then exact back-substitution to the reduced form), serves kernel,
-solve_linear, RationalMatrix.determinant and system (Sigma) in spectra. One
-integer Lagrange basis, _lagrange_basis (exact synthetic division of the
-product of the nodes' linear factors), serves interpolate and css.build_phi,
-and _combine sums it with rational weights over one denominator. Floats stay
-out, save the binary64 error estimate that neville_zero returns.
+Everything here is pure and exact, in one stored format: a polynomial's
+coefficients and a matrix's entries are integers over one positive denominator
+in lowest terms (_lowest_terms). Each coefficient-vector job has one kernel here
+for the whole package: clearing denominators, content (_primitive, which strips
+a multiword content by one divmod pass), trim, derivative, integer product
+(_mul, behind RationalPoly.__mul__ only), integer pseudo-division
+(RationalPoly.divmod, the remainder sequences in roots), a generic Horner
+(RationalPoly.__call__, the binary64 quotients in asymptotics, the heuristic gcd
+in roots) and the fold of a palindrome by x -> 1/x (_fold, behind criterion 6).
+One fraction-free reduction, _rref (forward Bareiss elimination, then exact
+back-substitution to the reduced form), serves kernel, solve_linear,
+RationalMatrix.determinant and system (Sigma) in spectra. One integer Lagrange
+basis, _lagrange_basis (exact synthetic division of the product of the nodes'
+linear factors), serves interpolate and css.build_phi, and _combine sums it with
+rational weights over one denominator. Floats stay out, save the binary64 error
+estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
@@ -64,10 +66,19 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, den) with values[i] = ints[i] / den, den the least common one."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(ints, den) with values[i] = ints[i] / den, den least; values: ints, Fractions, floats."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _lowest_terms(values: Sequence, den: int) -> tuple[list[int], int]:
+    """(ints, d) with values[i] / den = ints[i] / d, d > 0 and gcd(d, *ints) = 1, for a
+    nonzero integer den: the one stored form of RationalPoly and RationalMatrix."""
+    ints, d = _clear_denominators(values)
+    reduced = _primitive([d * den] + ints, -1 if den < 0 else 1)
+    return reduced[1:], reduced[0]
 
 
 def _primitive(c: list[int], sign: int = 1) -> list[int]:
@@ -155,29 +166,34 @@ def _fold(c: Sequence[int]) -> list[int] | None:
 
 
 def horner(coeffs: Sequence, x):
-    """coeffs(x) by Horner: exact for Fraction/int coefficients at a Fraction/int
-    x, complex at a complex x."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
+    """coeffs(x) by Horner, from 0 so that a constant also takes x's type: exact for
+    Fraction/int coefficients at a Fraction/int x, complex at a complex x."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Dense univariate polynomial over Q, constant term first.
-
-    The zero polynomial is the single coefficient [0]; its degree is
-    reported as -inf so degree comparisons never involve a fake -1.
+    """Dense univariate polynomial over Q, constant term first, stored as RationalMatrix is: the
+    coefficient of x^i is ints[i] / den, den > 0 and gcd(den, *ints) = 1, so equal ones compare
+    and hash equal; .coeffs reads them back as Fractions. For a nonzero integer den,
+    RationalPoly(coeffs, den) is coeffs / den. The zero polynomial is the single coefficient 0;
+    its degree is reported as -inf so degree comparisons never involve a fake -1.
     """
 
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        # an exact Fraction is immutable and kept as it is; ints, floats and
-        # subclasses of Fraction are converted
-        object.__setattr__(self, "coeffs", tuple(_trim(
-            [c if type(c) is Fraction else Fraction(c) for c in coeffs])))
+    def __init__(self, coeffs: Iterable[Fraction | int | float], den: int = 1):
+        ints, d = _lowest_terms(list(coeffs), den)
+        object.__setattr__(self, "ints", tuple(_trim(ints)))
+        object.__setattr__(self, "den", d)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     # -- constructors -------------------------------------------------
 
@@ -200,52 +216,49 @@ class RationalPoly:
     def degree(self) -> int | float:
         if self.is_zero():
             return NEG_INF
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return self.ints == (0,)
 
     def leading(self) -> Fraction:
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.coeffs[-1] == 1
+        return self.ints[-1] == self.den
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x^i (0 outside the stored range)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.ints[i] if 0 <= i < len(self.ints) else 0, self.den)
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments."""
-        return horner(self.coeffs, x)
+        """Horner evaluation: a Fraction at a Fraction/int x, else of x's type."""
+        return horner(self.ints, x) / Fraction(self.den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPoly([ai + (b[i] if i < len(b) else 0) for i, ai in enumerate(a)])
+        return RationalPoly([a * other.den + b * self.den for a, b in
+                             zip_longest(self.ints, other.ints, fillvalue=0)],
+                            self.den * other.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly([-c for c in self.ints], self.den)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        (a, da), (b, db) = _clear_denominators(self.coeffs), _clear_denominators(other.coeffs)
-        return RationalPoly([Fraction(c, da * db) for c in _mul(a, b)])
+        return RationalPoly(_mul(self.ints, other.ints), self.den * other.den)
 
     def scale(self, factor: Fraction | int) -> "RationalPoly":
-        return RationalPoly([c * Fraction(factor) for c in self.coeffs])
+        p, q = factor.as_integer_ratio()
+        return RationalPoly([c * p for c in self.ints], self.den * q)
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly(_derivative(self.coeffs))
+        return RationalPoly(_derivative(self.ints), self.den)
 
     def divmod(self, divisor: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
         """Euclidean division over Q: self = divisor * quot + rem.
@@ -255,13 +268,11 @@ class RationalPoly:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(divisor.coeffs):
+        if len(self.ints) < len(divisor.ints):
             return RationalPoly.zero(), self
-        f, a = _clear_denominators(self.coeffs)
-        g, b = _clear_denominators(divisor.coeffs)
-        m, q, r = _pseudo_divmod(f, g)
-        return (RationalPoly([Fraction(c * b, m * a) for c in q]),
-                RationalPoly([Fraction(c, m * a) for c in r]))
+        m, q, r = _pseudo_divmod(self.ints, divisor.ints)
+        return (RationalPoly([c * divisor.den for c in q], m * self.den),
+                RationalPoly(r, m * self.den))
 
     def exact_divide(self, divisor: "RationalPoly") -> "RationalPoly":
         """Quotient when the division is exact; raises otherwise.
@@ -278,7 +289,7 @@ class RationalPoly:
 
     def reverse(self) -> "RationalPoly":
         """The reverted polynomial x^n * P(1/x), n = deg P."""
-        return RationalPoly(reversed(self.coeffs))
+        return RationalPoly(self.ints[::-1], self.den)
 
     def self_reciprocal_sign(self) -> int | None:
         """+1 if P^R = P, -1 if P^R = -P (n = deg P), else None."""
@@ -357,9 +368,8 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> RationalPoly:
         raise ValueError("interpolation nodes must be distinct")
     m = len(xs)
     basis = _lagrange_basis([(x.denominator, x.numerator) for x in xs])
-    ints, den = _combine([(Fraction(y) * x.denominator ** (m - 1) / h, q)
-                          for x, (_, y), (q, h) in zip(xs, points, basis)], m)
-    return RationalPoly([Fraction(c, den) for c in ints])
+    return RationalPoly(*_combine([(Fraction(y) * x.denominator ** (m - 1) / h, q)
+                                   for x, (_, y), (q, h) in zip(xs, points, basis)], m))
 
 
 def neville_zero(points: Sequence[tuple]) -> tuple[object, float]:
@@ -396,22 +406,13 @@ class RationalMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int], den: int = 1):
         """The rows x cols matrix of entries / den (den a nonzero integer)."""
-        ints, d = _clear_denominators(list(entries))
+        ints, d = _lowest_terms(list(entries), den)
         if len(ints) != rows * cols:
             raise ValueError("entry count does not match shape")
-        reduced = _primitive([d * den] + ints, -1 if den < 0 else 1)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "ints", tuple(reduced[1:]))
-        object.__setattr__(self, "den", reduced[0])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("rows of a matrix must have equal length")
-        return cls(r, c, [e for row in rows for e in row])
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", d)
 
     def int_rows(self) -> list[list[int]]:
         """The rows of den * self, as new lists."""

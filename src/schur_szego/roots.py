@@ -30,8 +30,7 @@ from functools import cached_property, lru_cache
 from math import frexp, gcd, isfinite, lcm
 from typing import Sequence
 
-from .exactpoly import (RationalPoly, _clear_denominators, _derivative, _primitive,
-                        _pseudo_divmod, horner)
+from .exactpoly import RationalPoly, _derivative, _primitive, _pseudo_divmod, horner
 
 STRICT_INTERLACE = "strict-interlace"
 COMMON_ROOT = "common-root"
@@ -55,7 +54,7 @@ def _int_poly(p: RationalPoly) -> list[int]:
     zero polynomial have no answer)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return _primitive(_clear_denominators(p.coeffs)[0])
+    return _primitive(list(p.ints))
 
 
 def _sign(x: int) -> int:

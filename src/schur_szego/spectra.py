@@ -74,7 +74,7 @@ def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
     d = _primitive(_clear_denominators(v)[0])
     if d[0] == 0:
         raise TheoremViolation("direction polynomial is not of full degree")
-    poly = RationalPoly([Fraction(a + b, d[0]) for a, b in zip([0] + d, d + [0])][::-1])
+    poly = RationalPoly([a + b for a, b in zip([0] + d, d + [0])][::-1], d[0])
     if j == 1:
         expected = RationalPoly.binomial_power(n - 1)
         if poly != expected:
@@ -123,7 +123,7 @@ def _cofactor(w: Sequence[int], n: int, j: int) -> RationalPoly:
         raise TheoremViolation(f"x does not divide the eigenpolynomial for lambda_({j + 2},{n})")
     if r[1] != (-1) ** j * w[0]:
         raise TheoremViolation(f"Q_({j},{n}) constant term is not (-1)^j")
-    return RationalPoly([Fraction(c, w[0]) for c in r[1:]])
+    return RationalPoly(r[1:], w[0])
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def sigma_system_solve(n: int, j: int) -> RationalPoly:
     for k, row in enumerate(rows, start=1):
         if sum((c * qi for c, qi in zip(row, q_int)), row[-1] * d) != 0:
             raise TheoremViolation(f"nonzero residual at k={k} for n={n}, j={j}")
-    return RationalPoly([(-1) ** j, *(Fraction(x, d) for x in reversed(q_int)), 1])
+    return RationalPoly([(-1) ** j * d, *reversed(q_int), d], d)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +271,8 @@ def m_transform(q: RationalPoly, j: int) -> RationalPoly:
     """M_j(x) = (-1)^{j-1} x Q_{j-1}(-x) for deg Q = j-1."""
     if q.degree != j - 1:
         raise ValueError(f"expected degree {j - 1}, got {q.degree}")
-    sign = Fraction(-1) ** (j - 1)
-    return RationalPoly([0] + [sign * Fraction(-1) ** i * q.coeff(i) for i in range(j)])
+    sign = (-1) ** (j - 1)
+    return RationalPoly([0] + [sign * (-1) ** i * c for i, c in enumerate(q.ints)], q.den)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,23 @@ def test_hyperbolicity_check_builds_one_remainder_sequence_per_n(remainder_seque
     assert len(remainder_sequence_builds) == max_n - 2
 
 
+def test_hyperbolicity_check_makes_no_fraction(monkeypatch):
+    """Criterion 6 reads N_n's integers and its folds stay integers: no
+    Fraction is made on the way into interlace_check."""
+    made = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    passed = acceptance.check_hyperbolic_interlacing(40).passed
+    monkeypatch.undo()
+    assert passed
+    assert made == []
+
+
 def _with_n(n, fake):
     """narayana_poly_direct with N_n replaced by fake(the real N_n)."""
     real = narayana.narayana_poly_direct

@@ -36,6 +36,15 @@ def to_rows(m):
     return [list(m.row(i)) for i in range(m.rows)]
 
 
+def from_rows(rows):
+    """The RationalMatrix with these rows of ints or Fractions."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    if any(len(row) != c for row in rows):
+        raise ValueError("rows of a matrix must have equal length")
+    return RationalMatrix(r, c, [e for row in rows for e in row])
+
+
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys = st.lists(fractions, min_size=1, max_size=6).map(P)
 
@@ -62,19 +71,34 @@ class _Half(F):
 
 
 def test_coefficients_are_exact_fractions():
-    # an exact Fraction is kept as the same object; ints, floats and subclasses
-    # are converted, and equality and hash depend only on the values
+    # ints, Fractions, floats and subclasses of Fraction are all read as their
+    # values, and equality and hash depend only on the values
     half = F(1, 2)
     sources = ([1, half, 3], [F(1), 0.5, F(3)], [True, _Half(1, 2), 3.0])
     made = [P(c) for c in sources]
     for p in made:
         assert all(type(c) is F for c in p.coeffs)
         assert p.coeffs == (F(1), F(1, 2), F(3))
-    assert made[0].coeffs[1] is half
     assert made[0] == made[1] == made[2]
     assert len({hash(p) for p in made}) == 1
     assert hash(made[0]) == hash(P([F(2, 2), F(2, 4), F(6, 2)]))
     assert P([half, 0]).coeffs == (half,)
+
+
+@given(st.lists(fractions, min_size=1, max_size=6), st.integers(-12, 12).filter(bool))
+@example([F(0)], -3)  # the zero polynomial is 0 over 1
+@example([F(6), F(-4)], -6)  # a negative den divides out with its sign
+def test_integers_over_one_denominator(c, den):
+    p = P(c, den)
+    by_values = P([x / den for x in c])
+    assert p == by_values and hash(p) == hash(by_values)
+    assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
+    assert P(p.ints, p.den) == p
+    for x in (3, F(-2, 3)):
+        value = p(x)
+        assert type(value) is F and value == sum(a * F(x) ** i for i, a in enumerate(p.coeffs))
+    assert type(p(0.5)) is float and p(0.5) == pytest.approx(float(p(F(1, 2))))
+    assert type(p(0.5j)) is complex
 
 
 def test_reverse_examples():
@@ -295,8 +319,8 @@ def test_binomial_convention():
 
 
 def test_kernel_examples():
-    assert kernel(RationalMatrix.from_rows([[1, 0], [0, 1]])) == []
-    m = RationalMatrix.from_rows([[0, F(-1, 2)], [0, F(-1, 2)]])
+    assert kernel(from_rows([[1, 0], [0, 1]])) == []
+    m = from_rows([[0, F(-1, 2)], [0, F(-1, 2)]])
     assert kernel(m) == [(F(1), F(0))]
     assert len(kernel(RationalMatrix(2, 2, [0] * 4))) == 2
 
@@ -304,19 +328,19 @@ def test_kernel_examples():
 def test_from_rows_rejects_ragged_rows():
     # rows of length 2, 3 and 1 hold six entries, which fit a 3 x 2 shape by count alone
     with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1, 2], [3, 4, 5], [6]])
-    assert to_rows(RationalMatrix.from_rows([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
+        from_rows([[1, 2], [3, 4, 5], [6]])
+    assert to_rows(from_rows([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
 
 
 def test_solve_identity():
     v = (F(3), F(-2, 7))
-    assert solve_linear(RationalMatrix.from_rows([[1, 0], [0, 1]]), v) == v
+    assert solve_linear(from_rows([[1, 0], [0, 1]]), v) == v
 
 
 def test_solve_vandermonde_nodes_2_and_half():
     # rows j = 1, 2 of the n = 3 coefficient-matching system, nodes 2 and 1/2;
     # must reproduce Phi_3(c) for the polynomial x(x+1)^2 <-> c = (1, 0)
-    m = RationalMatrix.from_rows([[2, 4], [F(1, 2), F(1, 4)]])
+    m = from_rows([[2, 4], [F(1, 2), F(1, 4)]])
     # p-coefficients of x(x+1)^2: identities sum t^nu sigma_nu = p_j C(3,j)/C(2,j-1)^2 - 1
     rhs = [F(1) * 3 - 1, F(2) * 3 / 4 - 1]
     assert solve_linear(m, rhs) == (F(1), F(0))
@@ -477,7 +501,7 @@ def test_matrix_stores_integers_over_one_denominator(entries, k, lam):
     rows = [entries[i * n:(i + 1) * n] for i in range(n)]
     assert to_rows(m) == rows
     assert RationalMatrix(n, n, [k * e for e in entries], k) == m  # k A / k
-    assert m.shifted(lam) == RationalMatrix.from_rows(
+    assert m.shifted(lam) == from_rows(
         [[e - lam * (i == j) for j, e in enumerate(row)] for i, row in enumerate(rows)])
 
 
@@ -545,11 +569,11 @@ def rational_matrices(draw):
 @example([[1, 2, 3, 4], [2, 4, 1, 0], [3, 7, 2, 1]], [1, 0, 2] * 2)  # swap at the second pivot
 def test_fraction_free_rref_matches_rational_oracle(rows, rhs):
     red, piv_cols, _ = _oracle_rref(rows)
-    ints, got_cols, d, _ = _rref(RationalMatrix.from_rows(rows).int_rows())
+    ints, got_cols, d, _ = _rref(from_rows(rows).int_rows())
     assert ([[F(x, d) for x in row] for row in ints], got_cols) == (red, piv_cols)
-    assert kernel(RationalMatrix.from_rows(rows)) == _oracle_kernel(rows)
+    assert kernel(from_rows(rows)) == _oracle_kernel(rows)
     n = min(len(rows), len(rows[0]))  # the leading square block
-    square = RationalMatrix.from_rows([row[:n] for row in rows[:n]])
+    square = from_rows([row[:n] for row in rows[:n]])
     _, piv_cols, det = _oracle_rref(to_rows(square))
     assert square.determinant() == (det if len(piv_cols) == n else 0)
     red, piv_cols, _ = _oracle_rref([row + [v] for row, v in zip(to_rows(square), rhs)])

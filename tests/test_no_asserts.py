@@ -18,7 +18,8 @@ has one construction, its Lagrange basis, with no elimination in `css`. The Nara
 representation: `exactpoly._fold` serves criterion 6 and
 `narayana_root_sample`, the one caller of `certify_roots`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
-defines is an input or domain error.
+defines is an input or domain error. A `RationalPoly` is stored as integers over
+one denominator, so no `_clear_denominators` call reads its `.coeffs` back.
 """
 
 import ast
@@ -111,6 +112,20 @@ def test_one_product_kernel():
     found = {where for where, node in _nodes() if _is_convolution_step(node)}
     assert sorted(found - inside) == []
     assert len(inside) == 1
+
+
+def _clears_coeffs(node):
+    """A `_clear_denominators(...)` call whose argument reads `.coeffs`."""
+    return (isinstance(node, ast.Call)
+            and "_clear_denominators" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))
+            and any(isinstance(n, ast.Attribute) and n.attr == "coeffs"
+                    for arg in node.args for n in ast.walk(arg)))
+
+
+def test_no_polynomial_cleared_back_to_integers():
+    assert _clears_coeffs(ast.parse("_clear_denominators(p.coeffs[1:])").body[0].value)
+    assert [where for where, node in _nodes() if _clears_coeffs(node)] == []
 
 
 def _is_variations_call(node):

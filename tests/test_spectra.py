@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from schur_szego import css, spectra
-from schur_szego.exactpoly import (RationalMatrix, RationalPoly, TheoremViolation, binomial,
-                                   interpolate, solve_linear)
+from schur_szego.exactpoly import (RationalPoly, TheoremViolation, binomial, interpolate,
+                                   solve_linear)
 from schur_szego.spectra import (
     eigenvalues_closed_form,
     eigenpolynomial,
@@ -16,7 +16,7 @@ from schur_szego.spectra import (
     verify_mjnj,
 )
 
-from test_exactpoly import to_rows
+from test_exactpoly import from_rows, to_rows
 
 P = RationalPoly
 
@@ -141,7 +141,7 @@ def _below_diagonal_perturbed(real):
         phi = real(n)
         rows = to_rows(phi.linear)
         rows[-1][0] += 1
-        return css.AffineMapQ(RationalMatrix.from_rows(rows), phi.offset)
+        return css.AffineMapQ(from_rows(rows), phi.offset)
     return build_phi
 
 
@@ -331,7 +331,7 @@ def _oracle_sigma_solve(n, j):
     q = ()
     if j >= 2:
         block = [_sigma_row(n, j, k) for k in range(1, j)]
-        q = solve_linear(RationalMatrix.from_rows([r[0] for r in block]),
+        q = solve_linear(from_rows([r[0] for r in block]),
                          [-r[1] for r in block])
     return P([(-1) ** j, *q[::-1], 1])
 
