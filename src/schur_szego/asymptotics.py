@@ -298,9 +298,10 @@ def equimodular_check(x) -> bool:
 class RecurrenceSpec:
     """f(t+2) + P_1(t) f(t+1) + P_0(t) f(t) = 0.
 
-    coefficient_fns[i] evaluates P_i at integer t (binary64 or exact
-    rationals); limits[i] is lim P_i; initial holds f(0), f(1). The order
-    is len(limits), which must be 2.
+    coefficient_fns[i] evaluates P_i at integer t; limits[i] is lim P_i;
+    initial holds f(0), f(1). When initial and limits are exact (`_exact`),
+    the coefficients must be too (Fraction or int); else binary64. The
+    order is len(limits), which must be 2.
     """
 
     coefficient_fns: tuple[Callable[[int], complex | Fraction], ...]
@@ -341,6 +342,29 @@ def _extrapolate_tail(ratios: Sequence, t_max: int):
     return neville_zero(pts)
 
 
+def _exact_trajectory(spec: RecurrenceSpec, t_max: int) -> tuple[list, list]:
+    """(values f(0..t_max), ratios f(t+1)/f(t), None where f(t) = 0) of an exact spec, in
+    integers: the pair (f(t), f(t+1)) is kept as (a, b) over one denominator d, reduced by
+    gcd(a, b, d) after each step. A step reads P_i(t) = p_i / q_i as two integers:
+    f(t+2) = -(p_0 q_1 a + p_1 q_0 b) / (q_0 q_1 d). Each value and each ratio is made
+    once, as a Fraction of two integers; no two Fractions are combined."""
+    f0, f1 = spec.initial
+    c0, c1 = spec.coefficient_fns
+    d = math.lcm(f0.denominator, f1.denominator)
+    a, b = f0.numerator * (d // f0.denominator), f1.numerator * (d // f1.denominator)
+    values, ratios = [Fraction(a, d), Fraction(b, d)], []
+    for t in range(t_max - 1):
+        ratios.append(None if a == 0 else Fraction(b, a))
+        p0, p1 = c0(t), c1(t)
+        q0, q1 = p0.denominator, p1.denominator
+        a, b, d = b * q0 * q1, -(p0.numerator * q1 * a + p1.numerator * q0 * b), d * q0 * q1
+        g = math.gcd(a, b, d)
+        a, b, d = a // g, b // g, d // g
+        values.append(Fraction(b, d))
+    ratios.append(None if a == 0 else Fraction(b, a))
+    return values, ratios
+
+
 def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     """Iterate the recurrence and estimate the ratio limit f(t+1)/f(t).
 
@@ -348,7 +372,8 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     when two of them are equimodular no limit is claimed (trajectory only).
     The limit estimate is adaptive: the raw last ratio and a Richardson
     extrapolation of the tail compete on their own error estimates (raw
-    wins for geometric convergence, extrapolation for O(1/t) tails).
+    wins for geometric convergence, extrapolation for O(1/t) tails). An
+    exact spec is iterated in integers (`_exact_trajectory`).
     """
     k = spec.order
     if t_max < k:
@@ -356,13 +381,16 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     char = tuple(characteristic_roots([*spec.limits, 1]))
     equimodular = _equimodular(spec.limits)
 
-    values = list(spec.initial)
-    for t in range(t_max - k + 1):
-        nxt = -sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(k))
-        values.append(nxt)
-    ratios: list = []
-    for a, b in zip(values, values[1:]):
-        ratios.append(None if a == 0 else b / a)
+    if _exact(*spec.initial, *spec.limits):
+        values, ratios = _exact_trajectory(spec, t_max)
+    else:
+        values = list(spec.initial)
+        for t in range(t_max - k + 1):
+            nxt = -sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(k))
+            values.append(nxt)
+        ratios: list = []
+        for a, b in zip(values, values[1:]):
+            ratios.append(None if a == 0 else b / a)
 
     if equimodular:
         return PoincareResult(tuple(values), tuple(ratios), ratios[-1] if ratios else None,

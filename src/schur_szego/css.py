@@ -76,11 +76,13 @@ class AffineMapQ:
     linear: RationalMatrix
     offset: tuple[Fraction, ...]
 
-    def apply(self, c: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    def apply(self, c: Sequence[Fraction | int], den: int = 1) -> tuple[Fraction, ...]:
+        """A v + b for v = c / den: c of ints or Fractions, den a nonzero integer."""
         if len(c) != self.linear.cols:
             raise ValueError("vector length mismatch")
         c_int, d_c = _clear_denominators(c)
-        return tuple(Fraction(sum(x * y for x, y in zip(row, c_int)), self.linear.den * d_c) + o
+        d = self.linear.den * d_c * den
+        return tuple(Fraction(sum(x * y for x, y in zip(row, c_int)), d) + o
                      for row, o in zip(self.linear.int_rows(), self.offset))
 
 
@@ -142,7 +144,6 @@ def factor_symmetric_functions(p: RationalPoly, n: int) -> tuple[Fraction, ...]:
     if p(Fraction(-1)) != 0:
         raise NotInDomainError("polynomial must vanish at -1")
     cofactor = p.exact_divide(RationalPoly([1, 1]))
-    c = [cofactor.coeff(n - 2 - i) for i in range(n - 1)]  # c_1..c_{n-1}
-    sigma = build_phi(n).apply(c)
+    sigma = build_phi(n).apply(cofactor.ints[n - 2::-1], cofactor.den)  # c_1..c_{n-1}
     _verify_all_identities(p, sigma, n)
     return sigma

@@ -8,15 +8,17 @@ for the whole package: clearing denominators, content (_primitive, which strips
 a multiword content by one divmod pass), trim, derivative, integer product
 (_mul, behind RationalPoly.__mul__ only), integer pseudo-division
 (RationalPoly.divmod, the remainder sequences in roots), a generic Horner
-(RationalPoly.__call__, the binary64 quotients in asymptotics, the heuristic gcd
-in roots) and the fold of a palindrome by x -> 1/x (_fold, behind criterion 6).
-One fraction-free reduction, _rref (forward Bareiss elimination, then exact
-back-substitution to the reduced form), serves kernel, solve_linear,
-RationalMatrix.determinant and system (Sigma) in spectra. One integer Lagrange
-basis, _lagrange_basis (exact synthetic division of the product of the nodes'
-linear factors), serves interpolate and css.build_phi, and _combine sums it with
-rational weights over one denominator. Floats stay out, save the binary64 error
-estimate that neville_zero returns.
+(horner: RationalPoly at a float or complex point, the binary64 quotients in
+asymptotics, the heuristic gcd in roots), its homogenised integer form
+(RationalPoly at a rational point: one Fraction per evaluation) and the fold of a
+palindrome by x -> 1/x (_fold, behind criterion 6). One fraction-free reduction,
+_rref (forward Bareiss elimination, then exact back-substitution to the reduced
+form), serves kernel (through _null_basis, whose integer vectors spectra reads),
+solve_linear, RationalMatrix.determinant and system (Sigma) in spectra. One
+integer Lagrange basis, _lagrange_basis (exact synthetic division of the product
+of the nodes' linear factors), serves interpolate and css.build_phi, and _combine
+sums it with rational weights over one denominator. Floats stay out, save the
+binary64 error estimate that neville_zero returns.
 """
 
 from __future__ import annotations
@@ -234,8 +236,17 @@ class RationalPoly:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation: a Fraction at a Fraction/int x, else of x's type."""
-        return horner(self.ints, x) / Fraction(self.den)
+        """Horner evaluation. At a rational x = p/q (a Fraction or an int, which carry a
+        denominator), homogenised and in integers: sum ints[i] p^i q^(d-i) by Horner in p,
+        then one Fraction over den q^d. At a float or a complex x, binary64 of x's type."""
+        q = getattr(x, "denominator", None)
+        if q is None:
+            return horner(self.ints, x) / Fraction(self.den)
+        p, acc, scale = x.numerator, 0, 1
+        for c in reversed(self.ints):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.den * scale // q)
 
     # -- ring operations -------------------------------------------------
 
@@ -492,18 +503,24 @@ def _rref(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
     return a, piv_cols, prev, sign
 
 
+def _null_basis(matrix: RationalMatrix) -> tuple[list[list[int]], int]:
+    """(vectors, d): the basis of the null space that kernel returns, each vector as
+    integers over the one denominator d of the reduced row echelon form."""
+    m, piv_cols, d, _ = _rref(matrix.int_rows())
+    basis = []
+    for fc in (c for c in range(matrix.cols) if c not in piv_cols):
+        v = [0] * matrix.cols
+        v[fc] = d
+        for r, pc in enumerate(piv_cols):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis, d
+
+
 def kernel(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the null space via exact reduced row echelon form."""
-    m, piv_cols, d, _ = _rref(matrix.int_rows())
-    free = [c for c in range(matrix.cols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * matrix.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
-            v[pc] = Fraction(-m[r][fc], d)
-        basis.append(tuple(v))
-    return basis
+    basis, d = _null_basis(matrix)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:

@@ -4,9 +4,10 @@ Two independent constructions of N_n(x) are provided: the closed-form
 triangle row and the three-term recurrence
 (n+1) N_n = (2n-1)(1+x) N_{n-1} - (n-2)(x-1)^2 N_{n-2},
 run once over integer rows (`narayana_rows`). Peak counts of Dyck paths
-come from brute-force enumeration (n <= DYCK_ORACLE_LIMIT) and from one
-sweep of the Dyck path automaton (`dyck_automaton`, any n). Their exact
-agreement is part of the acceptance suite.
+come from exhaustive enumeration, each path joined once from its two halves
+(n <= DYCK_ORACLE_LIMIT), and from one sweep of the Dyck path automaton on
+packed integer histograms (`dyck_automaton`, any n). The two share no code;
+their exact agreement is part of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -86,29 +87,36 @@ def _dyck_peak_histogram(n: int) -> tuple[int, ...]:
     """Exhaustive peak-count histogram over all Dyck paths of semilength n.
 
     Entry k-1 counts paths with exactly k peaks (a peak = an up-step
-    immediately followed by a down-step). Pure enumeration; this is the
-    independent oracle, so no combinatorial shortcuts. Once all n up-steps
-    are placed the rest of the path is forced: `height` down-steps, which
-    close one more peak iff the last step was up. The walk counts that one
-    path there instead of stepping down it, so each Dyck path is still one
-    leaf and no path is counted by a formula.
+    immediately followed by a down-step). Pure enumeration, the independent
+    oracle: no count is multiplied and no two halves are merged. The lemma
+    (the meet-in-the-middle split of Horowitz and Sahni, J. ACM 21, 1974): a
+    Dyck path splits uniquely at step n into a first half (n steps from
+    height 0, never below it) and a last half (n steps back to height 0,
+    never below it) that meet at one height, and any two halves meeting at
+    one height make a Dyck path. Its peaks are the two halves' plus one at the
+    junction iff the first ends with an up step and the last starts with a
+    down step. Two step-by-step walks list the halves; the join adds one
+    per pair, i.e. per Dyck path.
     """
-    hist = [0] * n
-
-    def walk(ups: int, height: int, last_up: bool, peaks: int) -> None:
-        if ups == n:
-            hist[peaks + last_up - 1] += 1
-            return
-        walk(ups + 1, height + 1, True, peaks)
-        if height > 0:
-            walk(ups, height - 1, False, peaks + last_up)
-
-    walk(0, 0, False, 0)
+    firsts = [(0, 0, False)]  # (height at its end, peaks, last step up)
+    lasts = [(0, 0, False)]   # (height at its start, peaks, first step down)
+    for _ in range(n):
+        # one step more at a first half's end: up, or down from above 0, which closes a
+        # peak after an up step
+        firsts = [*((h + 1, a, True) for h, a, up in firsts),
+                  *((h - 1, a + up, False) for h, a, up in firsts if h)]
+        # one step more before a last half's start: down from one higher, or up from
+        # one lower, which closes a peak before a down step
+        lasts = [*((h + 1, b, True) for h, b, down in lasts),
+                 *((h - 1, b + down, False) for h, b, down in lasts if h)]
+    ends = {}
+    for h, b, starts_down in lasts:
+        ends.setdefault(h, []).append((b, starts_down))
+    hist = [0 for _ in range(n)]
+    for h, a, ends_up in firsts:
+        for b, starts_down in ends.get(h, ()):
+            hist[a + b + (ends_up and starts_down) - 1] += 1
     return tuple(hist)
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
 
 
 def dyck_automaton(max_n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -122,23 +130,29 @@ def dyck_automaton(max_n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     semilength n (the transfer-matrix method, Stanley EC1 4.7). Entry k-1 of
     a yielded histogram counts paths with k peaks, as in _dyck_peak_histogram;
     no closed form is used.
+
+    Each histogram is packed into one integer sum_k hist[k] 2^(B k), B =
+    2 max_n + 1 (Kronecker substitution), so adding two histograms is one
+    integer addition and closing a peak is one shift by B. No limb ever
+    carries into the next: a limb holds a count of step prefixes, at most
+    2^s after s <= 2 max_n steps, which is below 2^B.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    zero = [0] * (max_n + 1)           # peaks 0..max_n
-    after_up = {}                      # height -> histogram; last step up
-    after_down = {0: [1] + zero[1:]}   # the empty path
+    bits = 2 * max_n + 1
+    limb = (1 << bits) - 1
+    after_up = {}                      # height -> packed histogram; last step up
+    after_down = {0: 1}                # the empty path: one prefix with 0 peaks
     for step in range(1, 2 * max_n + 1):
         top = min(step, 2 * max_n - step)  # higher prefixes cannot return in time
         ups, downs = {}, {}
         for h in range(step % 2, top + 1, 2):
-            ups[h] = _add(after_up.get(h - 1, zero), after_down.get(h - 1, zero))
-            peak = after_up.get(h + 1, zero)
-            downs[h] = _add(after_down.get(h + 1, zero), [0] + peak[:-1])
+            ups[h] = after_up.get(h - 1, 0) + after_down.get(h - 1, 0)
+            downs[h] = after_down.get(h + 1, 0) + (after_up.get(h + 1, 0) << bits)
         after_up, after_down = ups, downs
         if step % 2 == 0:
-            n = step // 2
-            yield n, tuple(after_down[0][1:n + 1])
+            n, packed = step // 2, after_down[0]
+            yield n, tuple(packed >> bits * k & limb for k in range(1, n + 1))
 
 
 def dyck_peak_count(n: int, k: int) -> int:

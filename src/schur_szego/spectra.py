@@ -35,8 +35,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import css
-from .exactpoly import (RationalPoly, TheoremViolation, _clear_denominators, _primitive, _rref,
-                        binomial, kernel, neville_zero)
+from .exactpoly import (RationalPoly, TheoremViolation, _null_basis, _primitive, _rref, binomial,
+                        neville_zero)
 from .narayana import narayana_number
 
 
@@ -57,21 +57,21 @@ def eigenpolynomial(n: int, j: int) -> RationalPoly:
         raise ValueError(f"need 1 <= j <= n-1, got j={j}")
     phi = css.build_phi(n)
     lam = eigenvalues_closed_form(n)[j - 1]
-    basis = kernel(phi.linear.shifted(lam))
+    basis, _ = _null_basis(phi.linear.shifted(lam))
     if len(basis) != 1:
         raise TheoremViolation(f"kernel of A - lambda_({j},{n}) I has dimension {len(basis)}")
     return _eigenpoly_from_direction(phi, n, j, basis[0])
 
 
 def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
-                              v: Sequence[Fraction | int]) -> RationalPoly:
+                              v: list[int]) -> RationalPoly:
     """V = (x+1) * D normalized monic, where v[i] is the coefficient of x^{n-2-i} in the
-    direction polynomial D (any nonzero scale; integers or Fractions).
+    direction polynomial D (integers, at any nonzero scale).
 
     Verified on the way out: D has full degree, V(-1) = 0 by construction, (x+1)^{n-1} is
     Phi_n-fixed for j = 1, V(0) = 0 for j >= 2, and V = x(x+1)^{n-2} for j = 2.
     """
-    d = _primitive(_clear_denominators(v)[0])
+    d = _primitive(v)
     if d[0] == 0:
         raise TheoremViolation("direction polynomial is not of full degree")
     poly = RationalPoly([a + b for a, b in zip([0] + d, d + [0])][::-1], d[0])
@@ -79,8 +79,8 @@ def _eigenpoly_from_direction(phi: css.AffineMapQ, n: int, j: int,
         expected = RationalPoly.binomial_power(n - 1)
         if poly != expected:
             raise TheoremViolation("lambda=1 eigenpolynomial is not (x+1)^{n-1}")
-        c = [expected.coeff(n - 2 - i) for i in range(n - 1)]
-        if phi.apply(c) != tuple(c):
+        c = expected.ints[n - 2::-1]  # coefficients of x^{n-2}, ..., x^0
+        if phi.apply(c) != c:
             raise TheoremViolation("(x+1)^{n-1} is not Phi_n-fixed")
         return expected
     if poly.coeff(0) != 0:

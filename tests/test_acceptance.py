@@ -2,6 +2,7 @@
 tolerance, printing a pass/fail line each (visible with pytest -s/-rA)."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -333,15 +334,44 @@ def test_recurrence_check_rejects_a_dyck_oracle_one_peak_short(monkeypatch):
     assert result.detail.endswith("Dyck oracle mismatch at (n,k)=(3,1)")
 
 
+def _source_mutant(module, name, old, new):
+    """module.name recompiled in module's namespace from its own source, with the one
+    occurrence of `old` replaced by `new` (decorators included, so a cache is rebuilt)."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    return scope[name]
+
+
+def test_recurrence_check_rejects_a_join_without_the_junction_peak(monkeypatch):
+    # UUDD's halves UU and DD meet with no peak of their own: the join puts it at index -1
+    mutant = _source_mutant(narayana, "_dyck_peak_histogram",
+                            "hist[a + b + (ends_up and starts_down) - 1]", "hist[a + b - 1]")
+    monkeypatch.setattr(narayana, "_dyck_peak_histogram", mutant)
+    result = acceptance.check_recurrence()
+    assert result.status == "fail"
+    assert result.detail.endswith("Dyck oracle mismatch at (n,k)=(2,1)")
+
+
+def test_recurrence_check_rejects_max_n_bit_limbs(monkeypatch):
+    # 60-bit limbs hold every count up to n = 35; N_{36,18} needs 61 bits and carries
+    mutant = _source_mutant(narayana, "dyck_automaton", "bits = 2 * max_n + 1", "bits = max_n")
+    monkeypatch.setattr(narayana, "dyck_automaton", mutant)
+    result = acceptance.check_recurrence()
+    assert result.status == "fail"
+    assert result.detail.endswith("Dyck automaton mismatch at n=36")
+
+
 def test_spectrum_check_rejects_a_two_dimensional_kernel(monkeypatch, cold_spectrum_report):
     target = css.build_phi(7).linear.shifted(spectra.eigenvalues_closed_form(7)[3])
-    real = spectra.kernel
+    real = spectra._null_basis
 
-    def kernel(m):
-        basis = real(m)
-        return basis + [tuple(range(1, m.cols + 1))] if m == target else basis
+    def null_basis(m):
+        basis, d = real(m)
+        return (basis + [list(range(1, m.cols + 1))] if m == target else basis), d
 
-    monkeypatch.setattr(spectra, "kernel", kernel)
+    monkeypatch.setattr(spectra, "_null_basis", null_basis)
     result = acceptance.check_spectrum()
     assert not result.passed
     assert result.detail.endswith("kernel of A - lambda_(4,7) I has dimension 2")

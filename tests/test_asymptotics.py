@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -392,6 +393,50 @@ def test_poincare_cp_selection_exact():
     res = poincare_ratio(spec, 40)
     assert res.limit == l2
     assert all(r == l2 for r in res.ratios)
+
+
+def _fraction_trajectory(spec, t_max):
+    """The reference for asymptotics._exact_trajectory: the step loop in Fraction
+    arithmetic, one Fraction operation at a time."""
+    values = list(spec.initial)
+    for t in range(t_max - 1):
+        values.append(-sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(2)))
+    return values, [None if a == 0 else b / a for a, b in zip(values, values[1:])]
+
+
+def _exact_specs():
+    """(name, spec, t_max): Fibonacci, Narayana at x = 2, -1 and 1/3, and the 20
+    constant recurrences check_poincare draws at seed 0, with their C_1 = 0 starts."""
+    yield "fibonacci", fibonacci_recurrence(), 50
+    for x in (F(2), F(-1), F(1, 3)):
+        yield f"narayana-{x}", narayana_recurrence(x), 60
+    rng = random.Random(0)
+    for i in range(20):
+        l1 = F(rng.randint(3, 9), rng.randint(1, 2))
+        l2 = F(rng.randint(1, 2), rng.randint(3, 9)) * rng.choice((1, -1))
+        char = [l1 * l2, -(l1 + l2), F(1)]
+        c1, c2 = F(rng.randint(1, 5)), F(rng.randint(-5, 5))
+        yield f"constant-{i}", constant_recurrence(char, [c1 + c2, c1 * l1 + c2 * l2]), 60
+        yield f"constant-{i}-c1-zero", constant_recurrence(char, [c1, c1 * l2]), 60
+
+
+def _outcome(spec, t_max):
+    try:
+        return poincare_ratio(spec, t_max)
+    except RatioPoleError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name, spec, t_max", list(_exact_specs()),
+                         ids=[name for name, _, _ in _exact_specs()])
+def test_integer_engine_equals_the_fraction_loop(monkeypatch, name, spec, t_max):
+    got = _outcome(spec, t_max)
+    monkeypatch.setattr(asymptotics, "_exact_trajectory", _fraction_trajectory)
+    want = _outcome(spec, t_max)
+    assert got == want  # values, ratios, limit, classified root and every other field
+    if got is not RatioPoleError:
+        assert all(type(v) is F for v in got.values)
+        assert all(r is None or type(r) is F for r in got.ratios)
 
 
 def test_recurrence_spec_validation():

@@ -101,6 +101,27 @@ def test_integers_over_one_denominator(c, den):
     assert type(p(0.5j)) is complex
 
 
+def _fraction_horner(p, x):
+    """The reference evaluation: Horner on p's Fraction coefficients at Fraction(x)."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * F(x) + c
+    return acc
+
+
+@given(st.lists(fractions, min_size=1, max_size=8),
+       st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+@example([F(0)], F(3, 7))       # the zero polynomial
+@example([F(-5, 3)], F(-2, 9))  # a constant
+@example([F(1, 2), F(-3), F(7, 4)], F(0))
+@example([F(1, 2), F(-3), F(7, 4)], F(-11, 6))
+def test_homogenised_horner_equals_fraction_horner(c, x):
+    p = P(c)
+    for point in (x, x.numerator // x.denominator):  # a Fraction and an int
+        value = p(point)
+        assert type(value) is F and value == _fraction_horner(p, point)
+
+
 def test_reverse_examples():
     assert P([1, -3, 1]).reverse() == P([1, -3, 1])
     assert P([1, 1]).reverse() == P([1, 1])

@@ -99,6 +99,52 @@ def test_dyck_matches_closed_form():
             assert dyck_peak_count(n, k) == narayana_number(n, k)
 
 
+def _recursive_dyck_histogram(n):
+    """The reference walk: one recursive call per step of every Dyck path of
+    semilength n, the forced final descent counted as one leaf."""
+    hist = [0] * n
+
+    def walk(ups, height, last_up, peaks):
+        if ups == n:
+            hist[peaks + last_up - 1] += 1
+            return
+        walk(ups + 1, height + 1, True, peaks)
+        if height > 0:
+            walk(ups, height - 1, False, peaks + last_up)
+
+    walk(0, 0, False, 0)
+    return tuple(hist)
+
+
+def _list_automaton(max_n):
+    """The reference Dyck path automaton, each histogram a list of counts added
+    entry by entry, a closed peak shifting the list by one."""
+    zero = [0] * (max_n + 1)
+    after_up, after_down = {}, {0: [1] + zero[1:]}
+    for step in range(1, 2 * max_n + 1):
+        top = min(step, 2 * max_n - step)
+        ups, downs = {}, {}
+        for h in range(step % 2, top + 1, 2):
+            ups[h] = [x + y for x, y in zip(after_up.get(h - 1, zero),
+                                            after_down.get(h - 1, zero))]
+            peak = after_up.get(h + 1, zero)
+            downs[h] = [x + y for x, y in zip(after_down.get(h + 1, zero), [0] + peak[:-1])]
+        after_up, after_down = ups, downs
+        if step % 2 == 0:
+            yield step // 2, tuple(after_down[0][1:step // 2 + 1])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_two_half_oracle_equals_the_recursive_walk(n):
+    assert _dyck_peak_histogram(n) == _recursive_dyck_histogram(n)
+    assert sum(_dyck_peak_histogram(n)) == catalan(n)  # each path joined once
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 12, 60])
+def test_packed_automaton_equals_the_list_automaton(max_n):
+    assert list(dyck_automaton(max_n)) == list(_list_automaton(max_n))
+
+
 def test_dyck_automaton_matches_enumeration():
     hists = dict(dyck_automaton(12))
     assert list(hists) == list(range(1, 13))

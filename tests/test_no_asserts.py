@@ -19,7 +19,9 @@ representation: `exactpoly._fold` serves criterion 6 and
 `narayana_root_sample`, the one caller of `certify_roots`. A falsified claim raises the
 one `exactpoly.TheoremViolation`; every other exception class the package
 defines is an input or domain error. A `RationalPoly` is stored as integers over
-one denominator, so no `_clear_denominators` call reads its `.coeffs` back.
+one denominator, so no `_clear_denominators` call reads its `.coeffs` back. The
+Dyck oracle, `narayana._dyck_peak_histogram`, has no `*` or `**`: it counts
+each path by adding one, so no later change can turn it into a formula.
 """
 
 import ast
@@ -201,6 +203,19 @@ def _names_rref(node):
 def test_phi_is_built_without_elimination():
     found = [where for where, node in _nodes() if where.startswith("css.py:") and _names_rref(node)]
     assert found == []
+
+
+def _multiplies(node):
+    """A `*` or `**`, as an operator or an augmented assignment."""
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Mult, ast.Pow))
+
+
+def test_dyck_oracle_counts_without_multiplying():
+    assert _multiplies(ast.parse("hist[k] += 2 * count").body[0].value)
+    oracles = [node for where, node in _nodes() if where.startswith("narayana.py:")
+               and isinstance(node, ast.FunctionDef) and node.name == "_dyck_peak_histogram"]
+    assert len(oracles) == 1
+    assert [n.lineno for n in ast.walk(oracles[0]) if _multiplies(n)] == []
 
 
 def test_one_violation_class_beside_the_input_and_domain_errors():
