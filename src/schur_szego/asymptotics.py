@@ -14,9 +14,9 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .exactpoly import (NotDivisibleError, RationalPoly, _derivative, _fold, horner,
@@ -98,7 +98,8 @@ class RootSample(tuple):
 
 
 def _lobatto_node(n: int, theta: float) -> float:
-    """Newton in theta on P_n'(cos theta) from `theta`, at most _NEWTON_STEPS steps.
+    """Newton in theta on P_n'(cos theta) from `theta`, at most _NEWTON_STEPS steps, up to
+    one below 2^-26 theta: Newton converges quadratically, so about 2^-52 theta is left.
 
     With u = 1 - cos theta = 2 sin^2(theta/2), the Legendre recurrence runs
     on P_k and D_k = P_k - P_{k-1} (Reinsch's form), which keeps relative
@@ -114,7 +115,7 @@ def _lobatto_node(n: int, theta: float) -> float:
             p += d
         step = (u * p - d) / ((n + 1) * math.sin(theta) * p)
         theta -= step
-        if abs(step) <= 2**-52 * theta:
+        if abs(step) <= 2**-26 * theta:
             break
     return theta
 
@@ -126,9 +127,13 @@ def _lobatto_proposals(n: int) -> list[float]:
     multiple of the Legendre derivative P_n'. So N_n's roots are 0 and x = -tan^2(theta/2)
     for the zeros cos(theta) of P_n' (interior Gauss-Lobatto nodes), at w = x + 2 + 1/x =
     -4 cot^2(theta); x and 1/x (theta, pi - theta) share w: only theta < pi/2 is computed.
+    Newton on node k starts at Gatteschi and Pittaluga's Jacobi-zero asymptotics (Rend. Sem.
+    Mat. Univ. Politec. Torino, 1985) for alpha = beta = 1, phi - 3 / (8 N^2 tan phi) with
+    phi = (k + 1/4) pi / N, N = n + 1/2: within 1e-4 theta of the node, one or two steps away.
     """
-    return [-4.0 / math.tan(_lobatto_node(n, math.pi * k / n)) ** 2
-            for k in range(1, (n - 1) // 2 + 1)]
+    m = n + 0.5
+    return [-4.0 / math.tan(_lobatto_node(n, phi - 3 / (8 * m * m * math.tan(phi)))) ** 2
+            for phi in (math.pi * (k + 0.25) / m for k in range(1, (n - 1) // 2 + 1))]
 
 
 def _x_of_w(w: Fraction, upper: bool) -> Fraction:
@@ -321,9 +326,9 @@ class RecurrenceSpec:
             raise ValueError("initial values must not all be zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoincareResult:
-    values: tuple
+    trajectory: list = field(repr=False)  # f(0), f(1), ...; an exact pass's as (num, den)
     ratios: tuple          # f(t+1)/f(t); None where f(t) = 0
     raw_last_ratio: object
     limit: object          # None when no limit claim is made
@@ -331,6 +336,15 @@ class PoincareResult:
     classified_root: complex | None
     no_limit_claim: bool
     characteristic: tuple[complex, ...]
+
+    @cached_property
+    def values(self) -> tuple:  # f(0..t_max); an exact pass makes its Fractions only here
+        return tuple(Fraction(*v) if type(v) is tuple else v for v in self.trajectory)
+
+    def __eq__(self, other):  # every field, the values in place of the trajectory
+        names = ["values", *(f.name for f in fields(self)[1:])]
+        return type(other) is PoincareResult and all(
+            getattr(self, name) == getattr(other, name) for name in names)
 
 
 def _extrapolate_tail(ratios: Sequence, t_max: int):
@@ -343,16 +357,16 @@ def _extrapolate_tail(ratios: Sequence, t_max: int):
 
 
 def _exact_trajectory(spec: RecurrenceSpec, t_max: int) -> tuple[list, list]:
-    """(values f(0..t_max), ratios f(t+1)/f(t), None where f(t) = 0) of an exact spec, in
+    """(f(0..t_max) as pairs, ratios f(t+1)/f(t), None where f(t) = 0) of an exact spec, in
     integers: the pair (f(t), f(t+1)) is kept as (a, b) over one denominator d, reduced by
     gcd(a, b, d) after each step. A step reads P_i(t) = p_i / q_i as two integers:
-    f(t+2) = -(p_0 q_1 a + p_1 q_0 b) / (q_0 q_1 d). Each value and each ratio is made
-    once, as a Fraction of two integers; no two Fractions are combined."""
+    f(t+2) = -(p_0 q_1 a + p_1 q_0 b) / (q_0 q_1 d). Each ratio is a Fraction of two integers,
+    each value its pair (a Fraction once `PoincareResult.values` is read); none is combined."""
     f0, f1 = spec.initial
     c0, c1 = spec.coefficient_fns
     d = math.lcm(f0.denominator, f1.denominator)
     a, b = f0.numerator * (d // f0.denominator), f1.numerator * (d // f1.denominator)
-    values, ratios = [Fraction(a, d), Fraction(b, d)], []
+    pairs, ratios = [(a, d), (b, d)], []
     for t in range(t_max - 1):
         ratios.append(None if a == 0 else Fraction(b, a))
         p0, p1 = c0(t), c1(t)
@@ -360,9 +374,9 @@ def _exact_trajectory(spec: RecurrenceSpec, t_max: int) -> tuple[list, list]:
         a, b, d = b * q0 * q1, -(p0.numerator * q1 * a + p1.numerator * q0 * b), d * q0 * q1
         g = math.gcd(a, b, d)
         a, b, d = a // g, b // g, d // g
-        values.append(Fraction(b, d))
+        pairs.append((b, d))
     ratios.append(None if a == 0 else Fraction(b, a))
-    return values, ratios
+    return pairs, ratios
 
 
 def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
@@ -386,14 +400,11 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     else:
         values = list(spec.initial)
         for t in range(t_max - k + 1):
-            nxt = -sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(k))
-            values.append(nxt)
-        ratios: list = []
-        for a, b in zip(values, values[1:]):
-            ratios.append(None if a == 0 else b / a)
+            values.append(-sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(k)))
+        ratios = [None if a == 0 else b / a for a, b in zip(values, values[1:])]
 
     if equimodular:
-        return PoincareResult(tuple(values), tuple(ratios), ratios[-1] if ratios else None,
+        return PoincareResult(values, tuple(ratios), ratios[-1] if ratios else None,
                               None, math.inf, None, True, char)
     if any(r is None for r in ratios):
         raise RatioPoleError("trajectory hit an exact zero; perturb the start")
@@ -405,7 +416,7 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     else:
         limit, err = raw, raw_err
     classified = min(char, key=lambda r: abs(r - complex(limit)))
-    return PoincareResult(tuple(values), tuple(ratios), raw, limit, err,
+    return PoincareResult(values, tuple(ratios), raw, limit, err,
                           classified, False, char)
 
 

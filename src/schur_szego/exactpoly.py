@@ -149,7 +149,10 @@ def _fold(c: Sequence[int]) -> list[int] | None:
     q = c / (1+x)^e is not a palindrome (for odd deg c, a remainder of the synthetic division
     by 1 + x raises NotDivisibleError). S(w) = T(w - 2) for q = x^k T(x + 1/x), where
     T = q_k + sum_{j>=1} q_{k+j} D_j, D_0 = 2, D_1 = y, D_{j+1} = y D_j - D_{j-1} (Dickson),
-    summed in w by Clenshaw's b_j = q_{k+j} + (w-2) b_{j+1} - b_{j+2}, T = q_k + y b_1 - 2 b_2."""
+    summed in w by Clenshaw's b_j = q_{k+j} + (w-2) b_{j+1} - b_{j+2}, T = q_k + y b_1 - 2 b_2,
+    each b_j one integer b_j(2^bits) (Kronecker substitution), S read back as signed limbs.
+    They fit, on exact integers only: D_j(w - 2) has alternating coefficients whose absolute
+    values sum to L_{2j} (Lucas), so |s_i| <= sum_j |q_{k+j}| L_{2j} < max|q| 4^(k+1)."""
     c = list(c)
     if len(c) % 2 == 0:
         for i in range(len(c) - 2, -1, -1):
@@ -159,12 +162,16 @@ def _fold(c: Sequence[int]) -> list[int] | None:
     if c != c[::-1]:
         return None
     k = len(c) // 2
-    b, b1 = [], []  # b_{j+1}, b_{j+2}
-    for j in range(k, -1, -1):
-        m = 1 if j else 2
-        b, b1 = [u - 2 * v - m * z for u, v, z in zip([0] + b, b + [0], b1 + [0, 0])], b
-        b[0] += c[k + j]
-    return b
+    bits = max(map(abs, c)).bit_length() + 2 * k + 4
+    b = b1 = 0  # b_{j+1}, b_{j+2}, packed
+    for j in range(k, 0, -1):
+        b, b1 = c[k + j] + (b << bits) - 2 * b - b1, b
+    b = c[k] + (b << bits) - 2 * b - 2 * b1  # S, packed
+    mask, half, s = (1 << bits) - 1, 1 << bits - 1, []
+    for _ in range(k + 1):
+        s.append(((b + half) & mask) - half)  # the lowest limb, signed
+        b = (b + half) >> bits
+    return s
 
 
 def horner(coeffs: Sequence, x):

@@ -95,27 +95,24 @@ def _dyck_peak_histogram(n: int) -> tuple[int, ...]:
     never below it) that meet at one height, and any two halves meeting at
     one height make a Dyck path. Its peaks are the two halves' plus one at the
     junction iff the first ends with an up step and the last starts with a
-    down step. Two step-by-step walks list the halves; the join adds one
-    per pair, i.e. per Dyck path.
+    down step. One walk lists both kinds: a last half read backwards with up and
+    down swapped is a first half with the same peaks, ending where the last half
+    starts, and "starts down" becomes "ends up". The join adds one per path.
     """
-    firsts = [(0, 0, False)]  # (height at its end, peaks, last step up)
-    lasts = [(0, 0, False)]   # (height at its start, peaks, first step down)
+    halves = [(0, 0, False)]  # (height at its end, peaks, last step up)
     for _ in range(n):
-        # one step more at a first half's end: up, or down from above 0, which closes a
-        # peak after an up step
-        firsts = [*((h + 1, a, True) for h, a, up in firsts),
-                  *((h - 1, a + up, False) for h, a, up in firsts if h)]
-        # one step more before a last half's start: down from one higher, or up from
-        # one lower, which closes a peak before a down step
-        lasts = [*((h + 1, b, True) for h, b, down in lasts),
-                 *((h - 1, b + down, False) for h, b, down in lasts if h)]
-    ends = {}
-    for h, b, starts_down in lasts:
-        ends.setdefault(h, []).append((b, starts_down))
+        # one step more at a half's end: up, or down from above 0, which closes a peak
+        # after an up step
+        halves = [*((h + 1, a, True) for h, a, up in halves),
+                  *((h - 1, a + up, False) for h, a, up in halves if h)]
+    offsets = {}  # (height, first half ends up) -> b - 1 + junction peak, per last half
+    for h, b, starts_down in halves:
+        offsets.setdefault((h, True), []).append(b - 1 + starts_down)
+        offsets.setdefault((h, False), []).append(b - 1)
     hist = [0 for _ in range(n)]
-    for h, a, ends_up in firsts:
-        for b, starts_down in ends.get(h, ()):
-            hist[a + b + (ends_up and starts_down) - 1] += 1
+    for h, a, ends_up in halves:
+        for i in offsets[h, ends_up]:
+            hist[a + i] += 1
     return tuple(hist)
 
 

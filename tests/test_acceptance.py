@@ -59,6 +59,16 @@ def test_criterion_10_poincare_engine():
     _report(acceptance.check_poincare(seed=0))
 
 
+def test_poincare_check_makes_no_value_fraction(monkeypatch):
+    # an exact trajectory keeps integer pairs until `values` is read, and the check
+    # reads ratios and limits only
+    read = []
+    monkeypatch.setattr(asymptotics.PoincareResult, "values",
+                        property(lambda result: read.append(result) or ()))
+    _report(acceptance.check_poincare(seed=0))
+    assert read == []
+
+
 @pytest.mark.parametrize("fake_n6", [
     P([0, 1]) * P([1, 1, 1]) * P.binomial_power(3),                          # complex pair
     P([0, 1]) * P([-1, 1]) * P([1, 1]) * P([2, 1]) * P([3, 1]) * P([4, 1]),  # positive root
@@ -346,8 +356,7 @@ def _source_mutant(module, name, old, new):
 
 def test_recurrence_check_rejects_a_join_without_the_junction_peak(monkeypatch):
     # UUDD's halves UU and DD meet with no peak of their own: the join puts it at index -1
-    mutant = _source_mutant(narayana, "_dyck_peak_histogram",
-                            "hist[a + b + (ends_up and starts_down) - 1]", "hist[a + b - 1]")
+    mutant = _source_mutant(narayana, "_dyck_peak_histogram", "b - 1 + starts_down", "b - 1")
     monkeypatch.setattr(narayana, "_dyck_peak_histogram", mutant)
     result = acceptance.check_recurrence()
     assert result.status == "fail"

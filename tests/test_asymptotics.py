@@ -272,6 +272,13 @@ def test_narayana_root_sample_matches_sturm():
             assert abs(F(got) - F(ref)) <= F(1, 2**40) + abs(F(ref)) / 2**52
 
 
+def test_narayana_root_sample_certifies_every_fold_up_to_400():
+    # the Lobatto proposals must land in every bracket certify_roots needs, or the
+    # sample falls back to Sturm
+    for n in [*range(41, 121), 400]:
+        assert narayana_root_sample(n).path == SIGN_CHANGES
+
+
 def test_narayana_root_sample_falls_back_to_sturm(monkeypatch, cold_root_sample):
     # degree 30 with 0 and 27 other real roots plus the pair of x^2 + x + 1:
     # no 30 sign changes exist, so the certificate must fail
@@ -288,6 +295,56 @@ def test_lobatto_proposals_are_one_per_root_of_the_fold():
     for n in [*range(1, 41), 100, 200]:
         proposals = asymptotics._lobatto_proposals(n)
         assert len(proposals) == (n - 1) // 2 and all(w < 0 for w in proposals)
+
+
+def _reference_node(n, theta):
+    """The reference for asymptotics._lobatto_node: the same Newton iteration, run until
+    a step falls below 2^-52 theta."""
+    for _ in range(12):
+        u = 2.0 * math.sin(theta / 2) ** 2
+        p, d = 1.0 - u, -u
+        for k in range(1, n):
+            d = (k * d - (2 * k + 1) * u * p) / (k + 1)
+            p += d
+        step = (u * p - d) / ((n + 1) * math.sin(theta) * p)
+        theta -= step
+        if abs(step) <= 2**-52 * theta:
+            return theta
+    raise AssertionError(f"no convergence at n={n}")
+
+
+def _newton_runs(n):
+    """(start, node, Newton steps) of each call _lobatto_proposals(n) makes; a step
+    takes two sines."""
+    runs, sines, node = [], [], asymptotics._lobatto_node
+
+    def recorded(m, theta):
+        sines.clear()
+        runs.append((theta, node(m, theta), len(sines) // 2))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(math, "sin", lambda t, sin=math.sin: sines.append(t) or sin(t))
+        patch.setattr(asymptotics, "_lobatto_node", recorded)
+        asymptotics._lobatto_proposals(n)
+    return runs
+
+
+@pytest.mark.parametrize("n", [*range(3, 61), 100, 200, 400, 800])
+def test_lobatto_nodes_equal_newton_from_pi_k_over_n(n):
+    """Each node agrees with Newton from the old start pi k / n, run to its 2^-52 stop."""
+    runs = _newton_runs(n)
+    assert len(runs) == (n - 1) // 2
+    for k, (start, theta, _) in enumerate(runs, start=1):
+        ref = _reference_node(n, math.pi * k / n)
+        assert abs(theta - ref) <= 1e-14 * ref
+        assert abs(start - ref) <= 1e-4 * ref  # Gatteschi and Pittaluga's start
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_lobatto_nodes_take_at_most_two_newton_steps(n):
+    steps = [s for _, _, s in _newton_runs(n)]
+    assert steps and set(steps) <= {1, 2}
 
 
 def _fold_over_x(p):

@@ -26,7 +26,10 @@ from schur_szego.exactpoly import (
     kernel,
     solve_linear,
 )
+from schur_szego.narayana import narayana_poly_direct
 from schur_szego.spectra import eigenvalues_closed_form
+
+from test_acceptance import _source_mutant
 
 P = RationalPoly
 
@@ -204,6 +207,80 @@ def test_fold_rejects_a_broken_palindrome(half, odd, data):
 def test_fold_rejects_an_odd_degree_that_one_plus_x_leaves_a_remainder(c):
     with pytest.raises(NotDivisibleError):
         _fold(c)
+
+
+def _list_fold(c):
+    """The reference for exactpoly._fold: the same synthetic division and palindrome test,
+    then Clenshaw's recurrence on coefficient lists, three padded lists per degree."""
+    c = list(c)
+    if len(c) % 2 == 0:
+        for i in range(len(c) - 2, -1, -1):
+            c[i] -= c[i + 1]
+        if c.pop(0):
+            raise NotDivisibleError("1 + x does not divide an odd-degree polynomial")
+    if c != c[::-1]:
+        return None
+    k = len(c) // 2
+    b, b1 = [], []  # b_{j+1}, b_{j+2}
+    for j in range(k, -1, -1):
+        m = 1 if j else 2
+        b, b1 = [u - 2 * v - m * z for u, v, z in zip([0] + b, b + [0], b1 + [0, 0])], b
+        b[0] += c[k + j]
+    return b
+
+
+def _fold_outcome(fold, c):
+    try:
+        return fold(c)
+    except NotDivisibleError as exc:
+        return type(exc)
+
+
+def test_packed_fold_equals_the_list_fold_on_narayana():
+    for n in range(1, 201):
+        c = narayana_poly_direct(n).ints[1:]  # N_n / x
+        assert _fold(c) == _list_fold(c) is not None
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2**90, 2**90))
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=12), st.booleans(), st.booleans())
+@example([0, -1, 0], False, True)
+@example([2**90, -2**90, 0], True, True)
+def test_packed_fold_equals_the_list_fold(half, odd, palindrome):
+    """Palindromes with zero and negative entries, of both parities, and the lists
+    that are not one."""
+    c = (half + half[::-1] if odd else half + half[-2::-1]) if palindrome else half
+    assert _fold_outcome(_fold, c) == _fold_outcome(_list_fold, c)
+
+
+def test_limbs_without_the_growth_term_decode_wrongly():
+    # (1 + x^2)^k = x^k (x + 1/x)^k folds to S(w) = (w - 2)^k, whose constant (-2)^k
+    # outgrows max|q| = C(k, k/2); limbs of max|q| + 1 bits first overflow at k = 2
+    narrow = _source_mutant(exactpoly, "_fold", "+ 2 * k + 4", "+ 1")
+    wrong = []
+    for k in range(8):
+        c = [math.comb(k, i // 2) if i % 2 == 0 else 0 for i in range(2 * k + 1)]
+        assert _fold(c) == [math.comb(k, i) * (-2) ** (k - i) for i in range(k + 1)]
+        if narrow(c) != _fold(c):
+            wrong.append(k)
+    assert wrong == list(range(2, 8))
+
+
+def test_limbs_k_bits_short_decode_wrongly():
+    # q_{k+j} = (-1)^j lines up the alternating signs of every D_j(w - 2), so S's largest
+    # coefficient grows like phi^(2k) (about 1.39 k bits over max|q| = 1): limbs of
+    # max|q| + k + 4 bits first overflow at k = 14, the full 2k term holds past k = 40
+    short = _source_mutant(exactpoly, "_fold", "+ 2 * k + 4", "+ k + 4")
+    wrong = []
+    for k in range(1, 41):
+        half = [(-1) ** j for j in range(k + 1)]
+        c = half[::-1] + half[1:]
+        assert _fold(c) == _list_fold(c)
+        if short(c) != _fold(c):
+            wrong.append(k)
+    assert wrong == list(range(14, 41))
 
 
 def _long_divmod(f, g):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -138,6 +139,47 @@ def _list_automaton(max_n):
 def test_two_half_oracle_equals_the_recursive_walk(n):
     assert _dyck_peak_histogram(n) == _recursive_dyck_histogram(n)
     assert sum(_dyck_peak_histogram(n)) == catalan(n)  # each path joined once
+
+
+def _two_walk_join(n):
+    """The reference for the one-walk join: first halves and last halves listed by two
+    walks, joined pair by pair. Returns (firsts, lasts, histogram)."""
+    firsts = [(0, 0, False)]  # (height at its end, peaks, last step up)
+    lasts = [(0, 0, False)]   # (height at its start, peaks, first step down)
+    for _ in range(n):
+        firsts = [*((h + 1, a, True) for h, a, up in firsts),
+                  *((h - 1, a + up, False) for h, a, up in firsts if h)]
+        # one step more before a last half's start: down from one higher, or up from
+        # one lower, which closes a peak before a down step
+        lasts = [*((h + 1, b, True) for h, b, down in lasts),
+                 *((h - 1, b + down, False) for h, b, down in lasts if h)]
+    hist = [0] * n
+    for (h, a, ends_up), (g, b, starts_down) in itertools.product(firsts, lasts):
+        if h == g:
+            hist[a + b + (ends_up and starts_down) - 1] += 1
+    return firsts, lasts, tuple(hist)
+
+
+def _halves_by_brute_force(n):
+    """Every first half and every last half among the 2^n step sequences, as the walks
+    describe them."""
+    firsts, lasts = [], []
+    for steps in itertools.product((1, -1), repeat=n):
+        heights = list(itertools.accumulate(steps, initial=0))
+        peaks = sum(a > b for a, b in zip(steps, steps[1:]))
+        if min(heights) >= 0:
+            firsts.append((heights[-1], peaks, steps[-1] == 1))
+        if min(heights) >= heights[-1]:  # from height -heights[-1] down to 0, never below
+            lasts.append((-heights[-1], peaks, steps[0] == -1))
+    return sorted(firsts), sorted(lasts)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_walk_equals_the_separate_last_half_walk(n):
+    firsts, lasts, hist = _two_walk_join(n)
+    assert lasts == firsts  # the mirror lemma, entry by entry
+    assert _halves_by_brute_force(n) == (sorted(firsts), sorted(lasts))
+    assert _dyck_peak_histogram(n) == hist
 
 
 @pytest.mark.parametrize("max_n", [1, 2, 12, 60])

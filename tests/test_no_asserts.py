@@ -21,7 +21,10 @@ one `exactpoly.TheoremViolation`; every other exception class the package
 defines is an input or domain error. A `RationalPoly` is stored as integers over
 one denominator, so no `_clear_denominators` call reads its `.coeffs` back. The
 Dyck oracle, `narayana._dyck_peak_histogram`, has no `*` or `**`: it counts
-each path by adding one, so no later change can turn it into a formula.
+each path by adding one, so no later change can turn it into a formula. The
+fold, `exactpoly._fold`, has no `/`, `float` or `Fraction`: it packs each
+Clenshaw term into one integer in limbs sized by a bound on S's coefficients,
+and that bound holds only on exact integers.
 """
 
 import ast
@@ -216,6 +219,25 @@ def test_dyck_oracle_counts_without_multiplying():
                and isinstance(node, ast.FunctionDef) and node.name == "_dyck_peak_histogram"]
     assert len(oracles) == 1
     assert [n.lineno for n in ast.walk(oracles[0]) if _multiplies(n)] == []
+
+
+def _inexact(node):
+    """A `/`, as an operator or an augmented assignment, or the name `float` or `Fraction`."""
+    return (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Name) and node.id in ("float", "Fraction")
+            or isinstance(node, ast.Attribute) and node.attr in ("float", "Fraction"))
+
+
+def test_fold_stays_in_exact_integers():
+    def flagged(text):
+        return any(map(_inexact, ast.walk(ast.parse(text))))
+
+    assert all(map(flagged, ("b / 2", "b /= 2", "float(b)", "fractions.Fraction(b, 2)")))
+    assert not flagged("b // 2 + (b << 3)")
+    folds = [node for where, node in _nodes() if where.startswith("exactpoly.py:")
+             and isinstance(node, ast.FunctionDef) and node.name == "_fold"]
+    assert len(folds) == 1
+    assert [n.lineno for n in ast.walk(folds[0]) if _inexact(n)] == []
 
 
 def test_one_violation_class_beside_the_input_and_domain_errors():

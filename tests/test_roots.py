@@ -593,12 +593,22 @@ def test_refine_on_sturm_path_requires_a_sign_change(monkeypatch):
             refine(broken, 0, TOL40)
 
 
+def _rounded(w, bits):
+    """w rounded to `bits` significant bits."""
+    m, e = math.frexp(w)
+    return math.ldexp(round(math.ldexp(m, bits)), e - bits)
+
+
 def test_refine_reuses_certified_endpoint_signs(monkeypatch):
     placed = isolate_roots(DOUBLED)
     with pytest.MonkeyPatch.context() as forced:
         _force_sturm(forced)
         sturm = isolate_roots(DOUBLED)
-    signs = certify_roots(P(_fold_of(100)), asymptotics._lobatto_proposals(100))
+    # from S_100's own proposals every bracket comes out narrower than 2^-40 and refine
+    # has nothing to do; proposals rounded to 36 bits widen 46 of the 49 brackets past
+    # 2^-40 (32 bits are too coarse for certify_roots' widest bracket near w = -4000)
+    proposals = [_rounded(w, 36) for w in asymptotics._lobatto_proposals(100)]
+    signs = certify_roots(P(_fold_of(100)), proposals)
     assert (sturm.path, placed.path, signs.path) == (STURM, SIGN_CHANGES, SIGN_CHANGES)
     evaluated = []
     real = roots._horner
