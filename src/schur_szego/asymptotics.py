@@ -14,15 +14,15 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exactpoly import (NotDivisibleError, RationalPoly, _derivative, _fold, horner,
-                        neville_zero)
+from .exactpoly import (NotDivisibleError, RationalPoly, TheoremViolation, _derivative, _fold,
+                        horner, neville_zero)
 from .narayana import narayana_poly_direct
-from .roots import _REFINE_WIDTH, certify_roots, isolate_roots, refine, refined_roots
+from .roots import _REFINE_WIDTH, certify_roots, refine
 
 _NEWTON_STEPS = 12
 
@@ -87,16 +87,6 @@ def ks_distance(cdf: StepCDF) -> float:
     return d
 
 
-class RootSample(tuple):
-    """Sorted binary64 roots; `path` is the `RootIsolation.path` of the
-    certificate that isolated them."""
-
-    def __new__(cls, roots: Sequence[float], path: str):
-        sample = super().__new__(cls, roots)
-        sample.path = path
-        return sample
-
-
 def _lobatto_node(n: int, theta: float) -> float:
     """Newton in theta on P_n'(cos theta) from `theta`, at most _NEWTON_STEPS steps, up to
     one below 2^-26 theta: Newton converges quadratically, so about 2^-52 theta is left.
@@ -147,7 +137,7 @@ def _x_of_w(w: Fraction, upper: bool) -> Fraction:
 
 
 @lru_cache(maxsize=8)
-def narayana_root_sample(n: int) -> RootSample:
+def narayana_root_sample(n: int) -> tuple[float, ...]:
     """Certified binary64 roots of N_n, 0 included, sorted: midpoints of exact
     brackets narrower than 2^-40, from `certify_roots` on S_n in w = x + 2 + 1/x
     (`_lobatto_proposals`). The lemma, each hypothesis checked:
@@ -157,8 +147,7 @@ def narayana_root_sample(n: int) -> RootSample:
     - k disjoint brackets below 0 give 2k + e + 1 = n distinct roots.
     x(w) = (w - 2 - sqrt(w^2 - 4w)) / 2 increases on w < 0: a w-bracket, refined until
     its image is narrower than 2^-40, gives x in [a, b] (`_x_of_w`), 1/x in [1/b, 1/a].
-    On any failure `roots.isolate_roots(N_n)` gives the roots (path STURM, or
-    SIGN_CHANGES when signs on its dyadic grids place them all).
+    A failed hypothesis, or proposals that do not certify k brackets, raise TheoremViolation.
     """
     p = narayana_poly_direct(n)
     c = p.ints[1:]  # a positive multiple of N_n/x
@@ -169,8 +158,7 @@ def narayana_root_sample(n: int) -> RootSample:
     e = (len(c) - 1) % 2
     iso = s and certify_roots(RationalPoly(s), _lobatto_proposals(n))
     if not iso or horner(c, 1) != horner(s, 4) << e or any(hi >= 0 for _, hi in iso.intervals):
-        iso = isolate_roots(p)
-        return RootSample(refined_roots(iso), iso.path)
+        raise TheoremViolation(f"the fold of N_{n} does not certify its roots")
     xs = [0.0] + [-1.0] * e
     for i, (lo, hi) in enumerate(iso.intervals):
         tol = _REFINE_WIDTH
@@ -178,7 +166,7 @@ def narayana_root_sample(n: int) -> RootSample:
             tol /= 2
             lo, hi = refine(iso, i, tol)
         xs += [float((a + b) / 2), float((1 / a + 1 / b) / 2)]
-    return RootSample(sorted(xs), iso.path)
+    return tuple(sorted(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +314,8 @@ class RecurrenceSpec:
             raise ValueError("initial values must not all be zero")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PoincareResult:
-    trajectory: list = field(repr=False)  # f(0), f(1), ...; an exact pass's as (num, den)
     ratios: tuple          # f(t+1)/f(t); None where f(t) = 0
     raw_last_ratio: object
     limit: object          # None when no limit claim is made
@@ -336,15 +323,6 @@ class PoincareResult:
     classified_root: complex | None
     no_limit_claim: bool
     characteristic: tuple[complex, ...]
-
-    @cached_property
-    def values(self) -> tuple:  # f(0..t_max); an exact pass makes its Fractions only here
-        return tuple(Fraction(*v) if type(v) is tuple else v for v in self.trajectory)
-
-    def __eq__(self, other):  # every field, the values in place of the trajectory
-        names = ["values", *(f.name for f in fields(self)[1:])]
-        return type(other) is PoincareResult and all(
-            getattr(self, name) == getattr(other, name) for name in names)
 
 
 def _extrapolate_tail(ratios: Sequence, t_max: int):
@@ -356,17 +334,17 @@ def _extrapolate_tail(ratios: Sequence, t_max: int):
     return neville_zero(pts)
 
 
-def _exact_trajectory(spec: RecurrenceSpec, t_max: int) -> tuple[list, list]:
-    """(f(0..t_max) as pairs, ratios f(t+1)/f(t), None where f(t) = 0) of an exact spec, in
-    integers: the pair (f(t), f(t+1)) is kept as (a, b) over one denominator d, reduced by
+def _exact_ratios(spec: RecurrenceSpec, t_max: int) -> list:
+    """The ratios f(t+1)/f(t), t < t_max, None where f(t) = 0, of an exact spec, in integers:
+    the pair (f(t), f(t+1)) is kept as (a, b) over one denominator d, reduced by
     gcd(a, b, d) after each step. A step reads P_i(t) = p_i / q_i as two integers:
-    f(t+2) = -(p_0 q_1 a + p_1 q_0 b) / (q_0 q_1 d). Each ratio is a Fraction of two integers,
-    each value its pair (a Fraction once `PoincareResult.values` is read); none is combined."""
+    f(t+2) = -(p_0 q_1 a + p_1 q_0 b) / (q_0 q_1 d). Each ratio is a Fraction of two integers;
+    none is combined."""
     f0, f1 = spec.initial
     c0, c1 = spec.coefficient_fns
     d = math.lcm(f0.denominator, f1.denominator)
     a, b = f0.numerator * (d // f0.denominator), f1.numerator * (d // f1.denominator)
-    pairs, ratios = [(a, d), (b, d)], []
+    ratios = []
     for t in range(t_max - 1):
         ratios.append(None if a == 0 else Fraction(b, a))
         p0, p1 = c0(t), c1(t)
@@ -374,20 +352,19 @@ def _exact_trajectory(spec: RecurrenceSpec, t_max: int) -> tuple[list, list]:
         a, b, d = b * q0 * q1, -(p0.numerator * q1 * a + p1.numerator * q0 * b), d * q0 * q1
         g = math.gcd(a, b, d)
         a, b, d = a // g, b // g, d // g
-        pairs.append((b, d))
     ratios.append(None if a == 0 else Fraction(b, a))
-    return pairs, ratios
+    return ratios
 
 
 def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     """Iterate the recurrence and estimate the ratio limit f(t+1)/f(t).
 
     The characteristic roots of the limit equation classify the estimate;
-    when two of them are equimodular no limit is claimed (trajectory only).
+    when two of them are equimodular no limit is claimed (ratios only).
     The limit estimate is adaptive: the raw last ratio and a Richardson
     extrapolation of the tail compete on their own error estimates (raw
     wins for geometric convergence, extrapolation for O(1/t) tails). An
-    exact spec is iterated in integers (`_exact_trajectory`).
+    exact spec is iterated in integers (`_exact_ratios`).
     """
     k = spec.order
     if t_max < k:
@@ -396,7 +373,7 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     equimodular = _equimodular(spec.limits)
 
     if _exact(*spec.initial, *spec.limits):
-        values, ratios = _exact_trajectory(spec, t_max)
+        ratios = _exact_ratios(spec, t_max)
     else:
         values = list(spec.initial)
         for t in range(t_max - k + 1):
@@ -404,7 +381,7 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
         ratios = [None if a == 0 else b / a for a, b in zip(values, values[1:])]
 
     if equimodular:
-        return PoincareResult(values, tuple(ratios), ratios[-1] if ratios else None,
+        return PoincareResult(tuple(ratios), ratios[-1] if ratios else None,
                               None, math.inf, None, True, char)
     if any(r is None for r in ratios):
         raise RatioPoleError("trajectory hit an exact zero; perturb the start")
@@ -416,8 +393,7 @@ def poincare_ratio(spec: RecurrenceSpec, t_max: int) -> PoincareResult:
     else:
         limit, err = raw, raw_err
     classified = min(char, key=lambda r: abs(r - complex(limit)))
-    return PoincareResult(values, tuple(ratios), raw, limit, err,
-                          classified, False, char)
+    return PoincareResult(tuple(ratios), raw, limit, err, classified, False, char)
 
 
 def fibonacci_recurrence() -> RecurrenceSpec:

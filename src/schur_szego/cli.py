@@ -255,7 +255,7 @@ def cmd_measure(args) -> ReportEnvelope:
         for i in range(args.grid):
             x = -1.0 + i / (args.grid - 1) if args.grid > 1 else 0.0
             fh.write(f"{_f17(x)},{_f17(cdf(x))},{_f17(asymptotics.cdf_kappa(x))}\n")
-    payload = {"ks": _f17(ks), "roots": len(sample), "certificate": sample.path,
+    payload = {"ks": _f17(ks), "roots": len(sample), "certificate": roots.SIGN_CHANGES,
                "csv": args.out}
     return ReportEnvelope("measure", params, "info", payload)
 

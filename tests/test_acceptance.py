@@ -59,16 +59,6 @@ def test_criterion_10_poincare_engine():
     _report(acceptance.check_poincare(seed=0))
 
 
-def test_poincare_check_makes_no_value_fraction(monkeypatch):
-    # an exact trajectory keeps integer pairs until `values` is read, and the check
-    # reads ratios and limits only
-    read = []
-    monkeypatch.setattr(asymptotics.PoincareResult, "values",
-                        property(lambda result: read.append(result) or ()))
-    _report(acceptance.check_poincare(seed=0))
-    assert read == []
-
-
 @pytest.mark.parametrize("fake_n6", [
     P([0, 1]) * P([1, 1, 1]) * P.binomial_power(3),                          # complex pair
     P([0, 1]) * P([-1, 1]) * P([1, 1]) * P([2, 1]) * P([3, 1]) * P([4, 1]),  # positive root
@@ -98,10 +88,10 @@ def test_hyperbolicity_check_rejects_a_nonzero_constant_term(monkeypatch):
 @pytest.mark.parametrize("max_n", [2, 3, 8])
 def test_hyperbolicity_check_builds_one_remainder_sequence_per_n(remainder_sequence_builds,
                                                                   max_n):
-    """One Cauchy index per n >= 3 certifies criterion 6, and nothing else
-    builds a remainder sequence."""
+    """One Cauchy index per even n >= 4 up to the least even n >= max_n certifies
+    criterion 6 (odd n are Rolle steps), and nothing else builds a remainder sequence."""
     assert acceptance.check_hyperbolic_interlacing(max_n).passed
-    assert len(remainder_sequence_builds) == max_n - 2
+    assert len(remainder_sequence_builds) == {2: 0, 3: 1, 8: 3}[max_n]
 
 
 def test_hyperbolicity_check_makes_no_fraction(monkeypatch):
@@ -227,20 +217,34 @@ def test_odd_n_takes_the_rolle_route(monkeypatch):
     assert degrees == [n // 2 for n in range(4, 13, 2)]
 
 
-@pytest.mark.parametrize("n, fake, degrees", [
+@pytest.mark.parametrize("n, fake, failing, degrees", [
     # N_7 - 5 (x^3 + x^5) stays palindromic with a positive fold, S_6 is no multiple of
-    # S_7' any more, and interlace_check gives the verdict
-    (7, lambda p: p + P([0, 0, 0, -5, 0, -5]), [2, 3, 3]),
-    # N_7 + 20 x^4 changes only S_7's constant term: still S_6 ~ S_7', so S_7's chain count
-    (7, _coefficient_plus(4, 20), [2, 3]),
+    # S_7' any more, and interlace_check(S_6, S_7) gives the verdict
+    (7, lambda p: p + P([0, 0, 0, -5, 0, -5]), 7, [2, 3, 3]),
+    # N_7 + 20 x^4 changes only S_7's constant term: still S_6 ~ S_7', so step 7 is the
+    # Rolle equality and step 8's interlace_check(S_7, w*S_8) rejects S_7
+    (7, _coefficient_plus(4, 20), 8, [2, 3, 4]),
 ], ids=["breaks-proportionality", "keeps-proportionality"])
-def test_odd_n_fakes_fail_on_either_route(monkeypatch, n, fake, degrees):
+def test_odd_n_fakes_fail_on_either_route(monkeypatch, n, fake, failing, degrees):
     _with_n(n, fake)(monkeypatch)
     checked = _recording_interlace_checks(monkeypatch)
     result = acceptance.check_hyperbolic_interlacing(n)
     assert result.status == "fail"
-    assert result.detail == f"N_{n}/x not strictly interlaced by N_{n - 1}/x (fail)"
+    assert result.detail == f"N_{failing}/x not strictly interlaced by N_{failing - 1}/x (fail)"
     assert checked == degrees
+
+
+@pytest.mark.parametrize("n, fake, max_n", [
+    # S_7 + 20 again, inside a longer run: the Rolle step defers it to step 8
+    (7, _coefficient_plus(4, 20), 40),
+    # S_9 + 100 at an odd max_n: the check runs to N_10 to certify S_9
+    (9, _coefficient_plus(5, 100), 9),
+], ids=["n7-in-a-run-to-40", "n9-at-max-n-9"])
+def test_a_rolle_step_is_certified_by_the_next_even_step(monkeypatch, n, fake, max_n):
+    _with_n(n, fake)(monkeypatch)
+    result = acceptance.check_hyperbolic_interlacing(max_n)
+    assert result.status == "fail"
+    assert result.detail == f"N_{n + 1}/x not strictly interlaced by N_{n}/x (fail)"
 
 
 def test_interlacing_runs_on_half_degree_folds(monkeypatch):
@@ -255,20 +259,22 @@ def test_interlacing_runs_on_half_degree_folds(monkeypatch):
 
     monkeypatch.setattr(roots, "_prs", recording)
     assert acceptance.check_hyperbolic_interlacing(100).passed
-    assert len(widths) == 98 and max(widths) == 51
+    assert len(widths) == 49 and max(widths) == 51
 
 
-def test_ks_needs_no_sturm_isolation(monkeypatch, cold_root_sample):
-    """Both samples of criterion 7 are certified by signs and reciprocity; a silent
-    fallback to isolate_roots would keep the verdict and lose the speed."""
-    def must_not_run(p):
-        raise AssertionError("Sturm isolation was reached")
-
-    monkeypatch.setattr(asymptotics, "isolate_roots", must_not_run)
-    monkeypatch.setattr(roots, "isolate_roots", must_not_run)
+@pytest.mark.parametrize("fake", [
+    # palindromic, with the complex pair of x^2 + x + 1: a 98-root sample would pass
+    lambda p: narayana.narayana_poly_direct(98) * P([1, 1, 1]),
+    # not palindromic: only Sturm isolation of N_100 could place its roots
+    lambda p: p + P([0] * 50 + [1]),
+], ids=["n98-times-unit-circle-pair", "plus-x50"])
+def test_ks_check_fails_when_the_fold_does_not_certify(monkeypatch, cold_root_sample, fake):
+    real = asymptotics.narayana_poly_direct
+    monkeypatch.setattr(asymptotics, "narayana_poly_direct",
+                        lambda m: fake(real(m)) if m == 100 else real(m))
     result = acceptance.check_ks()
-    assert result.status == "pass"
-    assert result.detail.endswith("sign-changes (N_100), sign-changes (N_200)")
+    assert result.status == "fail"
+    assert "N_100" in result.detail
 
 
 def _off_by_one_at_37(rows):
@@ -435,7 +441,7 @@ def test_poincare_check_rejects_a_wrong_discriminant(monkeypatch):
 
 
 def _scaled_sample(real):
-    return lambda n: asymptotics.RootSample([4 * r for r in real(n)], real(n).path)
+    return lambda n: tuple(4 * r for r in real(n))
 
 
 @pytest.mark.parametrize("exc, status", [

@@ -30,9 +30,9 @@ from schur_szego.asymptotics import (
     theta_limit,
     theta_n,
 )
-from schur_szego.exactpoly import RationalPoly, _fold, horner
+from schur_szego.exactpoly import RationalPoly, TheoremViolation, _fold, horner
 from schur_szego.narayana import catalan, narayana_poly_direct
-from schur_szego.roots import SIGN_CHANGES, STURM, roots_float
+from schur_szego.roots import roots_float
 
 P = RationalPoly
 
@@ -251,7 +251,7 @@ def test_plemelj_density():
 
 def test_narayana_root_sample_cached():
     roots = narayana_root_sample(20)
-    assert roots.path == SIGN_CHANGES
+    assert type(roots) is tuple
     assert narayana_root_sample(20) is roots
     assert len(roots) == 20
     assert roots[-1] == pytest.approx(0.0, abs=1e-10)
@@ -261,12 +261,11 @@ def test_narayana_root_sample_cached():
 
 
 def test_narayana_root_sample_matches_sturm():
-    # the sign-change route against Sturm isolation: both are midpoints of
-    # certified brackets of width <= 2^-40 around the same roots
+    # the fold's sign changes against Sturm isolation, an independent reference: both
+    # are midpoints of certified brackets of width <= 2^-40 around the same roots
     for n in [*range(2, 41), 100, 200]:
         sample = narayana_root_sample(n)
         reference = roots_float(narayana_poly_direct(n))
-        assert sample.path == SIGN_CHANGES
         assert len(sample) == len(reference) == n
         for got, ref in zip(sample, reference):
             assert abs(F(got) - F(ref)) <= F(1, 2**40) + abs(F(ref)) / 2**52
@@ -274,21 +273,16 @@ def test_narayana_root_sample_matches_sturm():
 
 def test_narayana_root_sample_certifies_every_fold_up_to_400():
     # the Lobatto proposals must land in every bracket certify_roots needs, or the
-    # sample falls back to Sturm
-    for n in [*range(41, 121), 400]:
-        assert narayana_root_sample(n).path == SIGN_CHANGES
+    # sample raises
+    for n in [*range(1, 121), 400]:
+        assert len(narayana_root_sample(n)) == n
 
 
 def test_narayana_root_sample_falls_back_to_sturm(monkeypatch, cold_root_sample):
     # degree 30 with 0 and 27 other real roots plus the pair of x^2 + x + 1:
     # no 30 sign changes exist, so the certificate must fail
     fake = narayana_poly_direct(28) * P([1, 1, 1])
-    monkeypatch.setattr(asymptotics, "narayana_poly_direct",
-                        lambda n: fake if n == 30 else narayana_poly_direct(n))
-    sample = narayana_root_sample(30)
-    assert sample.path == STURM
-    assert sample == tuple(roots_float(fake))
-    assert len(sample) == 28
+    _assert_refused(monkeypatch, 30, fake)
 
 
 def test_lobatto_proposals_are_one_per_root_of_the_fold():
@@ -352,13 +346,14 @@ def _fold_over_x(p):
     return _fold(roots._int_poly(p.exact_divide(P.x())))
 
 
-def _assert_falls_back(monkeypatch, n, fake):
-    """narayana_root_sample(n), with `fake` read as N_n, takes the Sturm fallback."""
+def _assert_refused(monkeypatch, n, fake):
+    """narayana_root_sample(n), with `fake` read as N_n, raises TheoremViolation naming N_n.
+    The tests named `falls_back` keep the names they had when a Sturm isolation of N_n
+    stood behind a fold that does not certify."""
     monkeypatch.setattr(asymptotics, "narayana_poly_direct",
                         lambda m: fake if m == n else narayana_poly_direct(m))
-    sample = narayana_root_sample(n)
-    assert sample.path == STURM
-    assert sample == tuple(roots_float(fake))
+    with pytest.raises(TheoremViolation, match=f"N_{n} "):
+        narayana_root_sample(n)
 
 
 def test_a_fold_root_at_w_one_falls_back(monkeypatch, cold_root_sample):
@@ -370,7 +365,7 @@ def test_a_fold_root_at_w_one_falls_back(monkeypatch, cold_root_sample):
     proposals = roots_float(s)
     assert proposals[-1] == 1.0 and roots.certify_roots(s, proposals) is not None
     monkeypatch.setattr(asymptotics, "_lobatto_proposals", lambda n: proposals)
-    _assert_falls_back(monkeypatch, 31, fake)
+    _assert_refused(monkeypatch, 31, fake)
 
 
 @pytest.mark.parametrize("j", [0, 3, 14])
@@ -385,13 +380,13 @@ def test_a_wrong_fold_falls_back(monkeypatch, cold_root_sample, j):
         return s
 
     monkeypatch.setattr(asymptotics, "_fold", off)
-    _assert_falls_back(monkeypatch, 30, narayana_poly_direct(30))
+    _assert_refused(monkeypatch, 30, narayana_poly_direct(30))
 
 
 def test_proposals_short_by_one_fall_back(monkeypatch, cold_root_sample):
     proposals = asymptotics._lobatto_proposals
     monkeypatch.setattr(asymptotics, "_lobatto_proposals", lambda n: proposals(n)[:-1])
-    _assert_falls_back(monkeypatch, 30, narayana_poly_direct(30))
+    _assert_refused(monkeypatch, 30, narayana_poly_direct(30))
 
 
 def test_a_nonzero_constant_term_falls_back(monkeypatch, cold_root_sample):
@@ -399,7 +394,7 @@ def test_a_nonzero_constant_term_falls_back(monkeypatch, cold_root_sample):
     fake = narayana_poly_direct(30) + P([1])
     s = _fold(roots._int_poly(P(fake.coeffs[1:])))
     assert roots.certify_roots(P(s), asymptotics._lobatto_proposals(30)) is not None
-    _assert_falls_back(monkeypatch, 30, fake)
+    _assert_refused(monkeypatch, 30, fake)
 
 
 def test_poincare_fibonacci():
@@ -408,8 +403,8 @@ def test_poincare_fibonacci():
     assert abs(float(res.limit) - phi) < 1e-10
     assert abs(complex(res.classified_root) - phi) < 1e-9
     assert not res.no_limit_claim
-    assert len(res.values) == 51
-    assert res.values[10] == 89  # Fibonacci numbers, exact
+    assert len(res.ratios) == 50
+    assert res.ratios[9] == F(89, 55)  # Fibonacci numbers, exact
 
 
 def test_poincare_narayana_x2():
@@ -452,13 +447,13 @@ def test_poincare_cp_selection_exact():
     assert all(r == l2 for r in res.ratios)
 
 
-def _fraction_trajectory(spec, t_max):
-    """The reference for asymptotics._exact_trajectory: the step loop in Fraction
+def _fraction_ratios(spec, t_max):
+    """The reference for asymptotics._exact_ratios: the step loop in Fraction
     arithmetic, one Fraction operation at a time."""
     values = list(spec.initial)
     for t in range(t_max - 1):
         values.append(-sum(spec.coefficient_fns[i](t) * values[t + i] for i in range(2)))
-    return values, [None if a == 0 else b / a for a, b in zip(values, values[1:])]
+    return [None if a == 0 else b / a for a, b in zip(values, values[1:])]
 
 
 def _exact_specs():
@@ -488,12 +483,12 @@ def _outcome(spec, t_max):
                          ids=[name for name, _, _ in _exact_specs()])
 def test_integer_engine_equals_the_fraction_loop(monkeypatch, name, spec, t_max):
     got = _outcome(spec, t_max)
-    monkeypatch.setattr(asymptotics, "_exact_trajectory", _fraction_trajectory)
+    monkeypatch.setattr(asymptotics, "_exact_ratios", _fraction_ratios)
     want = _outcome(spec, t_max)
-    assert got == want  # values, ratios, limit, classified root and every other field
+    assert got == want  # ratios, limit, classified root and every other field
     if got is not RatioPoleError:
-        assert all(type(v) is F for v in got.values)
         assert all(r is None or type(r) is F for r in got.ratios)
+        assert all(r is None or type(r) is F for r in want.ratios)
 
 
 def test_recurrence_spec_validation():

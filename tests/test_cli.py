@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import schur_szego
-from schur_szego import acceptance, cli, css, narayana, roots, spectra
+from schur_szego import acceptance, asymptotics, cli, css, narayana, roots, spectra
 from schur_szego.cli import ENVELOPE_SCHEMA, read_poly_file
 from schur_szego.exactpoly import RationalPoly, TheoremViolation
 from fractions import Fraction as F
@@ -307,9 +307,13 @@ def assert_falsified(code, out, err, command, falsified):
     # a certificate that raises inside the command
     (("eigen", "--n", "7"), spectra, "_closed_form_b", _stirling_entry_perturbed, "certificate"),
     (("css", "--phi", "5"), css, "_lagrange_basis", _nodes_merged, "certificate"),
+    # N_30 + x^15 is not palindromic: its fold certifies nothing, and no other route is tried
+    (("measure", "--n", "30", "--grid", "3", "--out", os.devnull), asymptotics,
+     "narayana_poly_direct", lambda n: narayana.narayana_poly_direct(n) + RationalPoly([0] * 15 + [1]),
+     "certificate"),
 ])
-def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, argv, module, name,
-                                  fake, falsified):
+def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, cold_root_sample,
+                                  argv, module, name, fake, falsified):
     monkeypatch.setattr(module, name, fake)
     css.build_phi.cache_clear()
     code, out, err = run_cli(capsys, *argv)
@@ -318,7 +322,8 @@ def test_falsified_theorem_exit_1(capsys, monkeypatch, cold_spectrum_report, arg
     if falsified == "certificate":  # the witness is the TheoremViolation's message
         assert json.loads(out)["payload"]["witness"] == {
             "eigen": "eigenvector 4 proposed by the closed-form B fails A v = lambda_(4,7) v",
-            "css": "identities j = 0..n-2 do not determine sigma"}[argv[0]]
+            "css": "identities j = 0..n-2 do not determine sigma",
+            "measure": "the fold of N_30 does not certify its roots"}[argv[0]]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -397,15 +402,16 @@ def test_closed_stdout_is_not_a_traceback(argv, read, unbuffered):
 def test_verify_all_under_python_O():
     """`python -O` strips assert statements; no check may go with them, and the
     Sturm route of root isolation (which `verify-all` does not reach) keeps its
-    certificates."""
-    proc = _cli_process("verify-all", "--max-n", "8", flags=("-O",))
-    out, err = proc.communicate(timeout=120)
-    env = parse_envelope(out.decode())
-    assert proc.returncode == 0
-    assert env["status"] == "pass"
-    checks = env["payload"]["checks"].values()
-    assert len(checks) == 10 and all(c["passed"] for c in checks)
-    assert err.decode().count("PASS") == 10
+    certificates. The odd --max-n 9 certifies N_9 through N_10."""
+    for max_n in ("8", "9"):
+        proc = _cli_process("verify-all", "--max-n", max_n, flags=("-O",))
+        out, err = proc.communicate(timeout=120)
+        env = parse_envelope(out.decode())
+        assert proc.returncode == 0
+        assert env["status"] == "pass"
+        checks = env["payload"]["checks"].values()
+        assert len(checks) == 10 and all(c["passed"] for c in checks)
+        assert err.decode().count("PASS") == 10
     proc = _cli_process("roots", "--n", "12", "--isolate", flags=("-O",))
     out, _ = proc.communicate(timeout=120)
     env = parse_envelope(out.decode())

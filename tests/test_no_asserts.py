@@ -24,7 +24,11 @@ Dyck oracle, `narayana._dyck_peak_histogram`, has no `*` or `**`: it counts
 each path by adding one, so no later change can turn it into a formula. The
 fold, `exactpoly._fold`, has no `/`, `float` or `Fraction`: it packs each
 Clenshaw term into one integer in limbs sized by a bound on S's coefficients,
-and that bound holds only on exact integers.
+and that bound holds only on exact integers. Each root claim has one
+certificate: `SturmChain` is named only in `roots`, so criterion 6 counts no
+chain beside `interlace_check`, and `asymptotics` names neither `isolate_roots`
+nor `refined_roots`, so a fold that does not certify N_n's roots is a failure,
+not a second route.
 """
 
 import ast
@@ -189,6 +193,29 @@ def test_one_folded_root_representation():
     assert _scopes_calling("_fold") == {("acceptance.py", "check_hyperbolic_interlacing"),
                                         ("asymptotics.py", "narayana_root_sample")}
     assert _scopes_calling("certify_roots") == {("asymptotics.py", "narayana_root_sample")}
+
+
+def _names(node):
+    """The names a node reads, imports or defines: bare, as an attribute, or as an alias."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    return set()
+
+
+def _modules_naming(name):
+    return {where.split(":")[0] for where, node in _nodes() if name in _names(node)}
+
+
+def test_one_certificate_per_root_claim():
+    assert _modules_naming("SturmChain") == {"roots.py"}
+    assert "asymptotics.py" not in _modules_naming("isolate_roots")
+    assert "asymptotics.py" not in _modules_naming("refined_roots")
 
 
 def test_roots_makes_a_rational_poly_only_for_a_gcd():
